@@ -400,7 +400,8 @@ def generate_pairs(spec, size_bound, depth, max_pairs):
 
 
 def counterexample_search(
-    spec, size_bound, depth, extra_contexts=100, context_size=None, seed=0
+    spec, size_bound, depth, extra_contexts=100, context_size=None, seed=0,
+    buckets=None,
 ):
     """First congruence violation among enumerated trace-equivalent terms.
 
@@ -409,15 +410,14 @@ def counterexample_search(
     member splits its representative too). Within a bucket the complete
     depth-1 context layer is tried before the sampled ones, and the reported
     pair is the bucket's least member against the representative of the
-    first block that splits away from it.
+    first block that splits away from it. ``buckets``, when given, must be
+    ``fingerprint_buckets(spec, size_bound, depth)``, already computed.
     """
     if context_size is None:
         context_size = size_bound
-    buckets = [
-        (fp, members)
-        for fp, members in fingerprint_buckets(spec, size_bound, depth)
-        if len(members) > 1
-    ]
+    if buckets is None:
+        buckets = fingerprint_buckets(spec, size_bound, depth)
+    buckets = [(fp, members) for fp, members in buckets if len(members) > 1]
     try:
         blocks = bisim_partition(
             spec, [m for _, members in buckets for m in members]

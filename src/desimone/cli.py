@@ -19,7 +19,7 @@ import sys
 from .analysis import counterexample_search, fingerprint_buckets, first_difference, trace_equiv_bounded
 from .formalsum import STOP, Obs, Pure
 from .law import naturality_check
-from .opmodel import step, step_direct
+from .opmodel import step, step_law
 from .rulespec import SpecParseError, parse_spec, validate_format
 from .terms import Leaf, TermSyntaxError, Var, parse_term, print_term
 from .trace import ast_estimate, empty_table, total_mass, trace_bounded, trace_direct, word_to_str
@@ -169,8 +169,8 @@ def cmd_step(args):
     spec = _load_spec(args.spec)
     term = _load_term(spec, args.term)
     if args.oracle:
-        canonical = step(spec, term)
-        direct = step_direct(spec, term)
+        canonical = step_law(spec, term)
+        direct = step(spec, term)
         agree = canonical == direct
         payload = {
             "term": print_term(term),
@@ -188,7 +188,7 @@ def cmd_step(args):
             print(f"agree: {'yes' if agree else 'NO'}")
         return 0 if agree else 1
 
-    behaviour = step_direct(spec, term) if args.direct else step(spec, term)
+    behaviour = step(spec, term) if args.direct else step_law(spec, term)
     payload = {
         "term": print_term(term),
         "entries": _behaviour_entries(spec, behaviour, args.float),
@@ -417,6 +417,7 @@ def cmd_congruence(args):
         args.depth,
         extra_contexts=args.contexts,
         seed=args.seed,
+        buckets=buckets,
     )
     payload = {
         "size": args.size,

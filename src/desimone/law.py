@@ -88,12 +88,7 @@ def rho_apply(spec, op, args):
     terms carry the argument payloads in their leaves.
     """
     args = tuple(args)
-    if op not in spec.signature:
-        raise KeyError(f"unknown operator {op!r}")
-    if len(args) != spec.signature.arity(op):
-        raise ValueError(
-            f"operator {op!r} expects {spec.signature.arity(op)} arguments"
-        )
+    spec.signature.check_arity(op, len(args))
     sr = spec.semiring
     steps, stops, pures = _decompose(args)
 

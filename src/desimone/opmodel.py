@@ -1,9 +1,13 @@
 """Operational models: the step function induced by a specification.
 
-``step`` is the canonical model obtained by structural recursion through the
-composite law; ``step_direct`` recomputes transitions rule by rule from the
-inductive reading of the format (premise witnesses multiplied out), sharing
-no code with the law pipeline so the two can check each other.
+``step`` is the engine every analysis steps through. It computes a closed
+term's transitions rule by rule from the inductive reading of the format:
+each transition premise independently picks a matching entry of its
+argument's (recursively stepped) behaviour, and a combination contributes the
+rule weight times the premise weights. ``step_law`` is its oracle: the
+canonical model obtained by structural recursion through the composite law
+(``bar_rho_step``), sharing none of the engine's reading of the rules so the
+two can check each other. Both memoize per spec in ``model_cache``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .formalsum import (
     is_affine,
 )
 from .law import bar_rho_step
-from .terms import Leaf, Node, Var, enumerate_closed_terms, graft, print_term, substitute
+from .terms import Node, Var, enumerate_closed_terms, graft, print_term, substitute
 
 
 class ModelCache:
@@ -29,7 +33,7 @@ class ModelCache:
 
     def __init__(self):
         self.step = {}
-        self.direct = {}
+        self.law = {}
         self.trace = {}
         self.partial = {}
 
@@ -46,7 +50,14 @@ def model_cache(spec):
 
 
 def step(spec, term, cache=True):
-    """Behaviour of a closed term: a formal sum of Step(label, term) / STOP."""
+    """Behaviour of a closed term: a formal sum of Step(label, term) / STOP.
+
+    For each rule, premise transitions range over the matching entries of the
+    arguments' behaviours; a combination contributes the rule weight times
+    the premise weights. The desimone dialect additionally always observes
+    termination. An operator outside the signature raises ``KeyError``, a
+    wrong argument count ``ValueError``.
+    """
     if not isinstance(term, Node):
         raise TypeError(f"step needs a closed term, got {term!r}")
     memo = model_cache(spec).step if cache else None
@@ -58,41 +69,17 @@ def _step(spec, term, memo):
         hit = memo.get(term)
         if hit is not None:
             return hit
-    pairs = [(child, _step(spec, child, memo)) for child in term.children]
-    stepped = bar_rho_step(spec, term.op, pairs)
-    result = fs_map(lambda e: belem_map(e, graft), stepped)
-    if memo is not None:
-        memo[term] = result
-    return result
-
-
-def step_direct(spec, term, cache=True):
-    """Transitions of a closed term computed straight from the rules.
-
-    For each rule, premise transitions range over the matching entries of the
-    arguments' (recursively direct) behaviours; a combination contributes the
-    rule weight times the premise weights. The desimone dialect additionally
-    always observes termination.
-    """
-    if not isinstance(term, Node):
-        raise TypeError(f"step_direct needs a closed term, got {term!r}")
-    memo = model_cache(spec).direct if cache else None
-    return _step_direct(spec, term, memo)
-
-
-def _step_direct(spec, term, memo):
-    if memo is not None:
-        hit = memo.get(term)
-        if hit is not None:
-            return hit
+    spec.signature.check_arity(term.op, len(term.children))
     sr = spec.semiring
-    child_behaviours = [_step_direct(spec, c, memo) for c in term.children]
+    child_behaviours = [_step(spec, c, memo) for c in term.children]
 
     entries = []
     if spec.dialect == "desimone":
         entries.append((STOP, sr.one))
 
     for rule in spec.rules_for(term.op):
+        if any(p.index > len(child_behaviours) for p in rule.premises):
+            continue  # a format error: there is no argument to observe
         # weight factors from termination premises
         base = rule.weight
         ok = True
@@ -106,8 +93,9 @@ def _step_direct(spec, term, memo):
             continue
 
         # each transition premise independently picks a matching entry
+        trans = rule.trans_premises()
         combos = [((), base)]
-        for p in rule.trans_premises():
+        for p in trans:
             behaviour = child_behaviours[p.index - 1]
             matching = [
                 (e.target, w)
@@ -120,7 +108,7 @@ def _step_direct(spec, term, memo):
                 for succ, w in matching
             ]
 
-        trans_indices = [p.index for p in rule.trans_premises()]
+        trans_indices = [p.index for p in trans]
         premised = {p.index for p in rule.premises}
         for picked, weight in combos:
             if sr.is_zero(weight):
@@ -135,6 +123,31 @@ def _step_direct(spec, term, memo):
             entries.append((Step(rule.label, substitute(rule.target, subst)), weight))
 
     result = FormalSum(sr, entries)
+    if memo is not None:
+        memo[term] = result
+    return result
+
+
+def step_law(spec, term, cache=True):
+    """The same behaviour by structural recursion through the composite law.
+
+    The oracle for ``step``: each node runs ``bar_rho_step`` on its
+    children's behaviours and grafts the two term layers flat.
+    """
+    if not isinstance(term, Node):
+        raise TypeError(f"step_law needs a closed term, got {term!r}")
+    memo = model_cache(spec).law if cache else None
+    return _step_law(spec, term, memo)
+
+
+def _step_law(spec, term, memo):
+    if memo is not None:
+        hit = memo.get(term)
+        if hit is not None:
+            return hit
+    pairs = [(child, _step_law(spec, child, memo)) for child in term.children]
+    stepped = bar_rho_step(spec, term.op, pairs)
+    result = fs_map(lambda e: belem_map(e, graft), stepped)
     if memo is not None:
         memo[term] = result
     return result

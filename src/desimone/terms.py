@@ -120,6 +120,13 @@ class Signature:
     def op_index(self, name):
         return self._index[name]
 
+    def check_arity(self, name, count):
+        """Refuse an unknown operator (KeyError) or a wrong argument count (ValueError)."""
+        if name not in self._ops:
+            raise KeyError(f"unknown operator {name!r}")
+        if count != self._ops[name]:
+            raise ValueError(f"operator {name!r} expects {self._ops[name]} arguments")
+
     def __contains__(self, name):
         return name in self._ops
 

@@ -246,11 +246,12 @@ def _exact_limit_acyclic(spec, order, succ):
 def ast_estimate(spec, term, max_depth, max_states=10000):
     """Track completed-trace mass by depth and classify termination behaviour.
 
-    The mass sequence is monotone by construction (asserted). A closed
-    acyclic reachable space gives the exact limit; a closed space in which no
-    positive termination weight is reachable pins the limit at zero. In both
-    cases a limit short of one is a definite non-termination witness.
-    Otherwise the verdict falls back to the mass threshold 1 - 10^-6.
+    The mass sequence is monotone by construction; a decrease raises
+    ``RuntimeError``. A closed acyclic reachable space gives the exact limit;
+    a closed space in which no positive termination weight is reachable pins
+    the limit at zero. In both cases a limit short of one is a definite
+    non-termination witness. Otherwise the verdict falls back to the mass
+    threshold 1 - 10^-6.
     """
     if spec.semiring.name != "rational":
         raise ValueError("ast_estimate needs the rational semiring")
@@ -259,7 +260,10 @@ def ast_estimate(spec, term, max_depth, max_states=10000):
     prev = sr.zero
     for depth in range(1, max_depth + 1):
         mass = total_mass(trace_bounded(spec, term, depth))
-        assert sr.leq(prev, mass), "trace mass must be monotone in depth"
+        if not sr.leq(prev, mass):
+            raise RuntimeError(
+                f"trace mass fell from {sr.show(prev)} to {sr.show(mass)} at depth {depth}"
+            )
         masses.append((depth, mass))
         prev = mass
 

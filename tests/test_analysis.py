@@ -297,6 +297,20 @@ def test_search_is_silent_on_well_formed_specs(prob_par, de_simone_par, loop):
     assert counterexample_search(loop, size_bound=3, depth=3) is None
 
 
+def test_search_reuses_given_buckets(prob_par, monkeypatch):
+    import desimone.analysis as analysis_module
+
+    buckets = fingerprint_buckets(prob_par, 4, 3)
+
+    def recomputed(*args):
+        raise AssertionError("buckets were recomputed")
+
+    monkeypatch.setattr(analysis_module, "fingerprint_buckets", recomputed)
+    assert counterexample_search(prob_par, 4, 3, buckets=buckets) is None
+    with pytest.raises(AssertionError, match="recomputed"):
+        counterexample_search(prob_par, 4, 3)
+
+
 def test_search_finds_the_copying_violation(copy_nonaffine, copy_violation):
     violation, _ = copy_violation
     assert print_term(violation.left) == "pre_a(plus(pre_b(nil), pre_c(nil)))"

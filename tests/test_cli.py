@@ -1,14 +1,18 @@
 """Command-line behaviour: output bytes, exit codes, error routing.
 
 Everything runs in-process through ``main(argv)`` except one subprocess
-smoke test for the installed console script.
+smoke test for the console-script entry point declared in pyproject.toml.
 """
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import desimone
 from desimone import spec_path
 from desimone.cli import main
 
@@ -312,8 +316,25 @@ def test_json_output_is_byte_stable_across_runs(run):
 
 
 def test_console_script_smoke():
-    proc = subprocess.run(
-        ["desimone", "validate", path("loop")], capture_output=True, text=True
+    # run the [project.scripts] entry point, which need not be installed on
+    # PATH, in a fresh interpreter that imports this checkout's package
+    import tomllib
+
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as handle:
+        entry = tomllib.load(handle)["project"]["scripts"]["desimone"]
+    module, _, func = entry.partition(":")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(desimone.__file__).parents[1]), env.get("PYTHONPATH")])
     )
-    assert proc.returncode == 0
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            f"import sys; from {module} import {func}; sys.exit({func}())",
+            "validate", path("loop"),
+        ],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "valid"

@@ -1,11 +1,12 @@
-"""The operational model: one-step behaviour of closed terms, the direct
-rule-by-rule oracle, distribution checks, and reachability."""
+"""The operational model: one-step behaviour of closed terms, the law
+pipeline as its oracle, distribution checks, and reachability."""
 
 from fractions import Fraction
 
 import pytest
 
 from desimone import (
+    INF,
     FormalSum,
     Node,
     RATIONAL,
@@ -19,7 +20,7 @@ from desimone import (
     parse_term,
     reachable,
     step,
-    step_direct,
+    step_law,
 )
 
 F = Fraction
@@ -83,25 +84,77 @@ def test_loop_never_stops(loop):
     assert step(loop, c) == fs_unit(RATIONAL, Step("a", c))
 
 
-def test_step_rejects_unknown_operators(prob_par):
-    with pytest.raises(KeyError):
-        step(prob_par, Node("zzz", []))
+def test_step_rejects_unknown_operators(prob_par, de_simone_par):
+    for stepper in (step, step_law):
+        for spec in (prob_par, de_simone_par):
+            with pytest.raises(KeyError):
+                stepper(spec, Node("zzz", []))
+            with pytest.raises(ValueError):
+                stepper(spec, Node("nil", [Node("nil", [])]))
+            with pytest.raises(ValueError):
+                stepper(spec, Node("par", [Node("nil", [])]))
 
 
 # --- two independent evaluation paths ----------------------------------------
 
-def test_step_equals_step_direct_everywhere(
+def test_step_equals_step_law_everywhere(
     de_simone_par, prob_par, leaky, copy_nonaffine, loop
 ):
     for spec in (de_simone_par, prob_par, leaky, copy_nonaffine, loop):
         for term in enumerate_closed_terms(spec.signature, 4):
-            assert step(spec, term) == step_direct(spec, term), term
+            assert step(spec, term) == step_law(spec, term), term
+
+
+def test_step_equals_step_law_on_extreme_weights():
+    # weights no bundled spec has: an infinite rule weight, a zero-weight
+    # rule over infinite premise weights (inf * 0 = 0), termination premises,
+    # and two rules whose conclusions coincide and merge additively
+    spec = parse_spec(
+        "dialect weighted\nsemiring rational\nlabels a, b\n"
+        "op nil : 0\nop hot : 0\nop dead : 0\nop pre_a : 1\nop par : 2\n"
+        "rule nil -[1]-> *\n"
+        "rule hot -a[inf]-> nil\n"
+        "rule hot -[inf]-> *\n"
+        "rule dead -b[0]-> nil\n"
+        "rule dead -[1/2]-> *\n"
+        "rule pre_a(x1) -a[1]-> x1\n"
+        "rule par(x1, x2) -@l[1/2]-> par(y1, x2) when x1 -@l-> y1 forall @l\n"
+        "rule par(x1, x2) -@l[0]-> par(x1, y2) when x2 -@l-> y2 forall @l\n"
+        "rule par(x1, x2) -a[1/3]-> nil when x1 -a-> y1\n"
+        "rule par(x1, x2) -a[1/4]-> nil when x2 -a-> y2\n"
+        "rule par(x1, x2) -[2]-> * when x1 -> *, x2 -> *\n"
+    )
+    checked = 0
+    for term in enumerate_closed_terms(spec.signature, 4):
+        assert step(spec, term) == step_law(spec, term), term
+        checked += 1
+    assert checked == 48
+    hot_pair = step(spec, t(spec, "par(hot, pre_a(nil))"))
+    assert hot_pair.weight(Step("a", t(spec, "nil"))) is INF
+    assert hot_pair.weight(STOP) == 0
+    assert hot_pair.weight(Step("a", t(spec, "par(hot, nil)"))) == 0
+    assert step(spec, t(spec, "par(pre_a(nil), pre_a(nil))")).weight(
+        Step("a", t(spec, "nil"))
+    ) == F(7, 12)
+    assert step(spec, t(spec, "par(hot, dead)")).weight(STOP) is INF
+
+
+def test_rules_premised_out_of_range_never_fire():
+    # a format error the parser accepts; neither reading may observe an
+    # argument that is not there
+    spec = parse_spec(
+        "dialect weighted\nsemiring rational\nlabels a\nop nil : 0\nop f : 2\n"
+        "rule nil -[1]-> *\nrule f(x1, x2) -a[1]-> nil when x3 -a-> y3\n"
+        "rule f(x1, x2) -[1]-> * when x3 -> *\n"
+    )
+    term = t(spec, "f(nil, nil)")
+    assert step(spec, term) == step_law(spec, term) == FormalSum(RATIONAL)
 
 
 def test_step_ignores_cache_when_asked(prob_par):
     term = t(prob_par, "par(pre_a(nil), pre_b(nil))")
     assert step(prob_par, term, cache=False) == step(prob_par, term)
-    assert step_direct(prob_par, term, cache=False) == step_direct(prob_par, term)
+    assert step_law(prob_par, term, cache=False) == step_law(prob_par, term)
 
 
 def test_memoized_step_is_stable(prob_par):

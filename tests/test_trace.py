@@ -259,6 +259,18 @@ def test_ast_estimate_rejects_boolean_specs(de_simone_par):
         ast_estimate(de_simone_par, t(de_simone_par, "nil"), 5)
 
 
+def test_ast_estimate_refuses_a_falling_mass_sequence(leaky, monkeypatch):
+    # the check must survive python -O, so it cannot be an assert
+    import desimone.trace as trace_module
+
+    def falling(spec, term, depth):
+        return FormalSum(RATIONAL, [((), F(1, depth))])
+
+    monkeypatch.setattr(trace_module, "trace_bounded", falling)
+    with pytest.raises(RuntimeError, match="mass fell"):
+        ast_estimate(leaky, t(leaky, "c0"), 3)
+
+
 # --- words as text -----------------------------------------------------------
 
 def test_word_to_str(prob_par):
