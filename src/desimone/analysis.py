@@ -117,8 +117,16 @@ def observably_equiv_bounded(spec, t, s, depth):
 
 def first_difference(spec, t, s, depth):
     """Length-lex first word whose weights differ, with both weights."""
-    a = trace_bounded(spec, t, depth)
-    b = trace_bounded(spec, s, depth)
+    return _first_table_difference(
+        trace_bounded(spec, t, depth), trace_bounded(spec, s, depth)
+    )
+
+
+def _first_table_difference(a, b):
+    """Length-lex first word weighted differently by two tables, with both
+    weights; None when the tables are equal."""
+    if a == b:
+        return None
     words = sorted(set(a.payloads()) | set(b.payloads()), key=payload_key)
     for w in words:
         if a.weight(w) != b.weight(w):
@@ -243,21 +251,20 @@ def _split_violation(spec, members, context, depth, depth1_clean):
     tables = [trace_bounded(spec, context.apply(t), depth) for t in members]
     base = tables[0]
     for t, table in zip(members[1:], tables[1:]):
-        if table != base:
-            words = sorted(set(base.payloads()) | set(table.payloads()), key=payload_key)
-            for w in words:
-                if base.weight(w) != table.weight(w):
-                    v = CongruenceViolation(
-                        left=members[0],
-                        right=t,
-                        context=context,
-                        word=w,
-                        left_weight=base.weight(w),
-                        right_weight=table.weight(w),
-                        deep_context=depth1_clean,
-                    )
-                    v.verified = _verify_violation(spec, v, depth)
-                    return v
+        diff = _first_table_difference(base, table)
+        if diff is not None:
+            word, wl, wr = diff
+            v = CongruenceViolation(
+                left=members[0],
+                right=t,
+                context=context,
+                word=word,
+                left_weight=wl,
+                right_weight=wr,
+                deep_context=depth1_clean,
+            )
+            v.verified = _verify_violation(spec, v, depth)
+            return v
     return None
 
 
@@ -277,10 +284,12 @@ def congruence_test(spec, pairs, contexts, depth):
             continue
         report.pairs_checked += 1
         for i, context in enumerate(contexts):
-            a = trace_bounded(spec, context.apply(t), depth)
-            b = trace_bounded(spec, context.apply(s), depth)
-            if a != b:
-                word, wa, wb = _first_table_difference(a, b)
+            diff = _first_table_difference(
+                trace_bounded(spec, context.apply(t), depth),
+                trace_bounded(spec, context.apply(s), depth),
+            )
+            if diff is not None:
+                word, wa, wb = diff
                 # contexts from generate_contexts lead with the complete
                 # depth-1 layer, so a first split past it is an anomaly
                 v = CongruenceViolation(
@@ -296,14 +305,6 @@ def congruence_test(spec, pairs, contexts, depth):
                 report.violations.append(v)
                 break
     return report
-
-
-def _first_table_difference(a, b):
-    words = sorted(set(a.payloads()) | set(b.payloads()), key=payload_key)
-    for w in words:
-        if a.weight(w) != b.weight(w):
-            return w, a.weight(w), b.weight(w)
-    raise AssertionError("tables compared unequal but no differing word found")
 
 
 def bisim_partition(spec, terms, max_states=200000):

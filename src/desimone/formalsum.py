@@ -133,52 +133,9 @@ def fs_leq(s, t):
     return all(sr.leq(w, t.weight(p)) for p, w in s.items())
 
 
-class Inl:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Inl is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Inl) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("inl", self.value))
-
-    def __repr__(self):
-        return f"Inl({self.value!r})"
-
-    def _canon_key(self):
-        return ("in", 0, payload_key(self.value))
-
-
-class Inr:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Inr is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Inr) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("inr", self.value))
-
-    def __repr__(self):
-        return f"Inr({self.value!r})"
-
-    def _canon_key(self):
-        return ("in", 1, payload_key(self.value))
-
-
-def fs_pair_join(s, t, left=Inl, right=Inr):
-    """The pairing iso T X x T Y = T(X + Y): tagged disjoint union of entries."""
+def fs_pair_join(s, t, left, right):
+    """The pairing iso T X x T Y = T(X + Y): the entries of ``s`` tagged by
+    ``left`` and those of ``t`` by ``right``, as a disjoint union."""
     if s.semiring is not t.semiring:
         raise ValueError("fs_pair_join needs sums over the same semiring")
     entries = [(left(p), w) for p, w in s.items()]

@@ -5,7 +5,12 @@ first). ``trace_bounded`` iterates the trace functional from the empty table;
 ``trace_direct`` recomputes weights by summing over explicit transition
 paths, an independent oracle. ``ast_estimate`` watches the completed-trace
 mass grow with depth and, when the reachable state space closes, pins the
-limit down exactly.
+limit down exactly. It never builds word tables: one breadth-first walk reads
+each reachable state's behaviour once, and the mass at depth d is the scalar
+recurrence mass(t, d) = stop(t) + sum of w * mass(target, d - 1) over the
+walked states. Summed per state instead of per word, it gives the same exact
+weight as the total of the ``trace_bounded`` table, which the tests use as its
+oracle.
 
 Open questions
 --------------
@@ -168,33 +173,73 @@ class AstReport:
     detail: str = ""
 
 
-def _explore(spec, term, max_states):
-    """Reachable closure with a cap; returns (states, successor map, closed)."""
-    seen = {term}
+def _explore(spec, term, max_states, horizon):
+    """Breadth-first walk from ``term`` that reads each state's behaviour once.
+
+    Returns ``(order, dist, stops, moves, closed)``: the states in walk
+    order, each state's distance from ``term``, and for every expanded state
+    its termination weight and its ``(target, weight)`` transitions. Every
+    state within ``horizon`` steps is expanded; past that the walk stops as
+    soon as it knows more than ``max_states`` states. ``closed`` says it
+    expanded the whole reachable space and that space fits the cap.
+    """
+    dist = {term: 0}
     order = [term]
-    succ = {}
+    stops = {}
+    moves = {}
     i = 0
     while i < len(order):
-        if len(order) > max_states:
-            return order, succ, False
         t = order[i]
+        if dist[t] > horizon and len(order) > max_states:
+            return order, dist, stops, moves, False
         i += 1
-        targets = []
-        for e in step(spec, t):
+        behaviour = step(spec, t)
+        stops[t] = behaviour.weight(STOP)
+        out = []
+        for e, w in behaviour.items():
             if isinstance(e, Step):
-                targets.append(e.target)
-                if e.target not in seen:
-                    seen.add(e.target)
+                out.append((e.target, w))
+                if e.target not in dist:
+                    dist[e.target] = dist[t] + 1
                     order.append(e.target)
-        succ[t] = targets
-    return order, succ, True
+        moves[t] = out
+    return order, dist, stops, moves, len(order) <= max_states
 
 
-def _is_acyclic(order, succ):
+def _mass_sequence(sr, order, dist, stops, moves, max_depth):
+    """Completed-trace mass of ``order[0]`` at depths 1 .. max_depth.
+
+    mass(t, d) = stop weight of t + the sum of w * mass(target, d - 1) over
+    t's transitions, with mass(., 0) = 0. Depth d needs only the states
+    within max_depth - d steps, a prefix of the breadth-first order, so two
+    scalar maps (depths d - 1 and d) suffice. Weights are nonnegative and
+    the semiring distributes, so this is exactly the total weight of the
+    ``trace_bounded`` table, summed per state instead of per word.
+    """
+    masses = []
+    prev = dict.fromkeys(order, sr.zero)
+    for depth in range(1, max_depth + 1):
+        cur = {}
+        for t in order:
+            if dist[t] > max_depth - depth:
+                break
+            acc = stops[t]
+            for target, w in moves[t]:
+                acc = sr.add(acc, sr.mul(w, prev[target]))
+            cur[t] = acc
+        masses.append(cur[order[0]])
+        prev = cur
+    return masses
+
+
+def _is_acyclic(order, moves):
     state = {}  # 0 = visiting, 1 = done
 
+    def successors(t):
+        return (target for target, _ in moves[t])
+
     def visit(t):
-        stack = [(t, iter(succ[t]))]
+        stack = [(t, successors(t))]
         state[t] = 0
         while stack:
             node, it = stack[-1]
@@ -204,7 +249,7 @@ def _is_acyclic(order, succ):
                     return False
                 if nxt not in state:
                     state[nxt] = 0
-                    stack.append((nxt, iter(succ[nxt])))
+                    stack.append((nxt, successors(nxt)))
                     advanced = True
                     break
             if not advanced:
@@ -219,9 +264,8 @@ def _is_acyclic(order, succ):
     return True
 
 
-def _exact_limit_acyclic(spec, order, succ):
+def _exact_limit_acyclic(sr, order, stops, moves):
     """Back-substitute limit masses over an acyclic closed state space."""
-    sr = spec.semiring
     limit = {}
     for t in order:
         stack = [t]
@@ -230,14 +274,13 @@ def _exact_limit_acyclic(spec, order, succ):
             if node in limit:
                 stack.pop()
                 continue
-            pending = [s for s in succ[node] if s not in limit]
+            pending = [s for s, _ in moves[node] if s not in limit]
             if pending:
                 stack.extend(pending)
                 continue
-            acc = step(spec, node).weight(STOP)
-            for e, w in step(spec, node).items():
-                if isinstance(e, Step):
-                    acc = sr.add(acc, sr.mul(w, limit[e.target]))
+            acc = stops[node]
+            for s, w in moves[node]:
+                acc = sr.add(acc, sr.mul(w, limit[s]))
             limit[node] = acc
             stack.pop()
     return limit
@@ -245,6 +288,12 @@ def _exact_limit_acyclic(spec, order, succ):
 
 def ast_estimate(spec, term, max_depth, max_states=10000):
     """Track completed-trace mass by depth and classify termination behaviour.
+
+    One breadth-first walk from ``term`` serves both halves. The masses at
+    depths 1 .. max_depth are scalars iterated over the walked states within
+    max_depth - 1 steps; no word table is built, and ``trace_bounded``'s
+    total mass is their oracle in the tests. The walk, capped at
+    ``max_states`` states past that horizon, also decides closure.
 
     The mass sequence is monotone by construction; a decrease raises
     ``RuntimeError``. A closed acyclic reachable space gives the exact limit;
@@ -256,10 +305,11 @@ def ast_estimate(spec, term, max_depth, max_states=10000):
     if spec.semiring.name != "rational":
         raise ValueError("ast_estimate needs the rational semiring")
     sr = spec.semiring
+    order, dist, stops, moves, closed = _explore(spec, term, max_states, max_depth - 1)
     masses = []
     prev = sr.zero
-    for depth in range(1, max_depth + 1):
-        mass = total_mass(trace_bounded(spec, term, depth))
+    sequence = _mass_sequence(sr, order, dist, stops, moves, max_depth)
+    for depth, mass in enumerate(sequence, start=1):
         if not sr.leq(prev, mass):
             raise RuntimeError(
                 f"trace mass fell from {sr.show(prev)} to {sr.show(mass)} at depth {depth}"
@@ -267,10 +317,9 @@ def ast_estimate(spec, term, max_depth, max_states=10000):
         masses.append((depth, mass))
         prev = mass
 
-    order, succ, closed = _explore(spec, term, max_states)
     if closed:
-        if _is_acyclic(order, succ):
-            limit = _exact_limit_acyclic(spec, order, succ)[term]
+        if _is_acyclic(order, moves):
+            limit = _exact_limit_acyclic(sr, order, stops, moves)[term]
             if limit == sr.one:
                 verdict = "ast-consistent"
                 detail = "closed acyclic state space; limit mass is exactly 1"
@@ -281,9 +330,7 @@ def ast_estimate(spec, term, max_depth, max_states=10000):
                     f"{sr.show(limit)} < 1"
                 )
             return AstReport(verdict, masses, exact=True, limit=limit, detail=detail)
-        stop_somewhere = any(
-            not sr.is_zero(step(spec, t).weight(STOP)) for t in order
-        )
+        stop_somewhere = any(not sr.is_zero(stops[t]) for t in order)
         if not stop_somewhere:
             return AstReport(
                 "non-ast",

@@ -266,6 +266,31 @@ def test_ast_terminating_term_human(run):
     assert lines[-2] == "verdict: ast-consistent"
 
 
+def test_ast_on_a_chain_deeper_than_the_recursion_limit(run, tmp_path):
+    # c0 -a-> c1 -a-> ... -a-> c499 -> *: every mass is 0 until depth 500,
+    # where the single path of 499 steps completes with weight 1
+    cells = 500
+    lines = ["dialect weighted", "semiring rational", "labels a"]
+    lines += [f"op c{n} : 0" for n in range(cells)]
+    lines += [f"rule c{n} -a[1]-> c{n + 1}" for n in range(cells - 1)]
+    lines.append(f"rule c{cells - 1} -[1]-> *")
+    spec = tmp_path / "chain.spec"
+    spec.write_text("\n".join(lines) + "\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(400)
+    try:
+        code, out, err = run("ast", str(spec), "c0", "--depth", str(cells), "--json")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "ast-consistent"
+    assert payload["exact"] is True and payload["limit"] == "1"
+    assert payload["masses"] == [
+        {"depth": d, "mass": "1" if d == cells else "0"} for d in range(1, cells + 1)
+    ]
+
+
 # --- error routing ----------------------------------------------------------
 
 def test_missing_spec_file_is_a_usage_error(run):

@@ -9,6 +9,7 @@ from desimone import (
     AST_TOLERANCE,
     BOOLEAN,
     FormalSum,
+    INF,
     RATIONAL,
     ast_estimate,
     empty_table,
@@ -254,6 +255,49 @@ def test_cycle_that_still_terminates_is_consistent():
     assert report.masses[-1][1] >= 1 - AST_TOLERANCE
 
 
+EXTREME_WEIGHTS = (
+    "dialect weighted\nsemiring rational\nlabels a, b\n"
+    "op nil : 0\nop hot : 0\nop spin : 0\nop pre_a : 1\nop par : 2\n"
+    "rule nil -[1]-> *\n"
+    "rule hot -a[inf]-> nil\n"
+    "rule hot -[1/2]-> *\n"
+    "rule spin -b[1/2]-> spin\n"
+    "rule spin -a[0]-> nil\n"
+    "rule spin -[1/3]-> *\n"
+    "rule pre_a(x1) -a[1]-> x1\n"
+    "rule par(x1, x2) -@l[1/2]-> par(y1, x2) when x1 -@l-> y1 forall @l\n"
+    "rule par(x1, x2) -@l[1/2]-> par(x1, y2) when x2 -@l-> y2 forall @l\n"
+    "rule par(x1, x2) -[1]-> * when x1 -> *, x2 -> *\n"
+)
+
+
+@pytest.mark.parametrize("name", ["prob_par", "leaky", "loop", "extreme"])
+def test_ast_masses_equal_the_bounded_table_totals(name, request):
+    # an infinite rule weight, a zero-weight rule, a cycle and a termination
+    # premise: the per-state mass recurrence must still give exactly the
+    # per-word total of the table, whatever the closure cap
+    if name == "extreme":
+        spec = parse_spec(EXTREME_WEIGHTS)
+    else:
+        spec = request.getfixturevalue(name)
+    terms = list(enumerate_closed_terms(spec.signature, 5))
+    assert terms
+    for term in terms:
+        expected = [
+            (d, total_mass(trace_bounded(spec, term, d))) for d in range(1, 10)
+        ]
+        assert ast_estimate(spec, term, 9).masses == expected, term
+        assert ast_estimate(spec, term, 9, max_states=1).masses == expected, term
+        for d, mass in expected[:6]:
+            assert total_mass(trace_direct(spec, term, d - 1)) == mass, (term, d)
+
+
+def test_ast_masses_reach_infinity_exactly():
+    spec = parse_spec(EXTREME_WEIGHTS)
+    masses = dict(ast_estimate(spec, t(spec, "pre_a(hot)"), 4).masses)
+    assert masses[1] == 0 and masses[2] == F(1, 2) and masses[3] is INF
+
+
 def test_ast_estimate_rejects_boolean_specs(de_simone_par):
     with pytest.raises(ValueError):
         ast_estimate(de_simone_par, t(de_simone_par, "nil"), 5)
@@ -263,10 +307,10 @@ def test_ast_estimate_refuses_a_falling_mass_sequence(leaky, monkeypatch):
     # the check must survive python -O, so it cannot be an assert
     import desimone.trace as trace_module
 
-    def falling(spec, term, depth):
-        return FormalSum(RATIONAL, [((), F(1, depth))])
+    def falling(sr, order, dist, stops, moves, max_depth):
+        return [F(1, depth) for depth in range(1, max_depth + 1)]
 
-    monkeypatch.setattr(trace_module, "trace_bounded", falling)
+    monkeypatch.setattr(trace_module, "_mass_sequence", falling)
     with pytest.raises(RuntimeError, match="mass fell"):
         ast_estimate(leaky, t(leaky, "c0"), 3)
 
