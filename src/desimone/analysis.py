@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .formalsum import STOP, Step
-from .opmodel import step
+from .formalsum import STOP
+from .opmodel import explore
 from .ordering import payload_key
 from .semiring import weight_key
 from .terms import (
@@ -311,64 +311,39 @@ def bisim_partition(spec, terms, max_states=200000):
     """Partition terms, and everything they reach, by weighted bisimilarity.
 
     Returns {term: block id} with dense integer ids, deterministic for a
-    fixed input order. Partition refinement on the memoized step behaviours:
-    a state's signature is its termination weight plus its per-(label, block)
-    summed transition weight; blocks split until the count is stable.
+    fixed input order. Partition refinement on the behaviours ``explore``
+    stepped once per reachable state: a state's signature is its termination
+    weight plus its per-(label, block) summed transition weight; blocks split
+    until the count is stable.
 
     Bisimilar terms have equal bounded trace tables under every context,
     copying contexts included, so the congruence search only ever needs one
     representative per block.
     """
     sr = spec.semiring
-    order = []
-    seen = set()
-    for t in terms:
-        if t not in seen:
-            seen.add(t)
-            order.append(t)
-    i = 0
-    while i < len(order):
-        if len(order) > max_states:
-            raise ValueError(f"reachable state space exceeds {max_states} states")
-        t = order[i]
-        i += 1
-        for e in step(spec, t):
-            if isinstance(e, Step) and e.target not in seen:
-                seen.add(e.target)
-                order.append(e.target)
-
-    def assign(sig_of):
-        ids = {}
-        out = {}
-        for t in order:
-            s = sig_of(t)
-            if s not in ids:
-                ids[s] = len(ids)
-            out[t] = ids[s]
-        return out
-
-    current = {t: 0 for t in order}
+    walk = explore(spec, terms, -1, max_states)
+    if not walk.closed:
+        raise ValueError(f"reachable state space exceeds {max_states} states")
+    current = dict.fromkeys(walk.order, 0)
     blocks = 1
     while True:
-        def sig(t):
-            behaviour = step(spec, t)
+        ids = {}
+        refined = {}
+        for t, behaviour in walk.behaviours.items():  # in walk order
             agg = {}
             for e, w in behaviour.items():
-                if e is STOP:
-                    continue
-                key = (e.label, current[e.target])
-                agg[key] = sr.add(agg.get(key, sr.zero), w)
-            return (
+                if e is not STOP:
+                    key = (e.label, current[e.target])
+                    agg[key] = sr.add(agg.get(key, sr.zero), w)
+            sig = (
                 current[t],
                 weight_key(behaviour.weight(STOP)),
                 tuple(sorted((k, weight_key(w)) for k, w in agg.items())),
             )
-
-        refined = assign(sig)
-        refined_blocks = len(set(refined.values()))
-        if refined_blocks == blocks:
+            refined[t] = ids.setdefault(sig, len(ids))
+        if len(ids) == blocks:
             return refined
-        current, blocks = refined, refined_blocks
+        current, blocks = refined, len(ids)
 
 
 def fingerprint_buckets(spec, size_bound, depth):

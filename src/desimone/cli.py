@@ -7,7 +7,9 @@ for fixed inputs and seeds.
 
 Exit codes: 0 success / property holds, 1 semantic failure (format
 violation, witness, inequivalence, bad term), 2 usage, file or spec-parse
-error.
+error, or an input nested or chained too deeply for Python's recursion
+limit (``traces`` and ``equiv`` recurse once per depth), refused with one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .analysis import counterexample_search, fingerprint_buckets, first_difference, trace_equiv_bounded
+from .analysis import counterexample_search, fingerprint_buckets, first_difference
 from .formalsum import STOP, Obs, Pure
 from .law import naturality_check
 from .opmodel import step, step_law
@@ -247,7 +249,8 @@ def cmd_equiv(args):
     right = _load_term(spec, args.right)
     if args.depth < 0:
         raise CliError("--depth must be >= 0", 2)
-    equivalent = trace_equiv_bounded(spec, left, right, args.depth)
+    difference = first_difference(spec, left, right, args.depth)
+    equivalent = difference is None
     payload = {
         "left": print_term(left),
         "right": print_term(right),
@@ -256,7 +259,7 @@ def cmd_equiv(args):
         "first_difference": None,
     }
     if not equivalent:
-        word, wl, wr = first_difference(spec, left, right, args.depth)
+        word, wl, wr = difference
         payload["first_difference"] = {
             "word": word_to_str(word, spec.labels),
             "left_weight": spec.semiring.show(wl),
@@ -270,7 +273,6 @@ def cmd_equiv(args):
             f"tables at depth {args.depth}"
         )
     else:
-        word, wl, wr = first_difference(spec, left, right, args.depth)
         print(f"{print_term(left)} and {print_term(right)} differ at depth {args.depth}:")
         print(
             f"  word {_word_str(spec, word)}: "
@@ -593,7 +595,7 @@ def _build_parser():
     )
     spec_arg(p)
     p.add_argument("term")
-    p.add_argument("--depth", type=int, default=20, help="mass table depth (default 20)")
+    p.add_argument("--depth", type=int, default=20, help="mass sequence depth (default 20)")
     json_arg(p)
     float_arg(p)
     p.set_defaults(func=cmd_ast)
@@ -609,6 +611,13 @@ def main(argv=None):
     except CliError as exc:
         print(f"desimone: {exc}", file=sys.stderr)
         return exc.code
+    except RecursionError:
+        print(
+            "desimone: input too deep for this command "
+            "(maximum recursion depth exceeded)",
+            file=sys.stderr,
+        )
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,12 +8,18 @@ rule weight times the premise weights. ``step_law`` is its oracle: the
 canonical model obtained by structural recursion through the composite law
 (``bar_rho_step``), sharing none of the engine's reading of the rules so the
 two can check each other. Both memoize per spec in ``model_cache``.
+
+``explore`` is the one breadth-first walk over the states reachable from a
+set of roots: ``reachable``, ``check_probabilistic``, bisimulation and the
+termination analysis all read its walk order, distances and the behaviour
+it stepped for each state.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formalsum import (
     STOP,
@@ -153,21 +159,42 @@ def _step_law(spec, term, memo):
     return result
 
 
+class Walk(NamedTuple):
+    """The result of ``explore``."""
+
+    order: list  # states in breadth-first order
+    dist: dict  # state -> distance from the nearest root
+    behaviours: dict  # expanded state -> its memoized ``step`` behaviour
+    closed: bool  # every known state expanded, and no more than the cap
+
+
+def explore(spec, roots, horizon, max_states):
+    """Breadth-first walk from ``roots`` that steps each state once.
+
+    Roots are deduplicated and taken in the order given, successors in
+    behaviour order. Every state within ``horizon`` steps of a root is
+    expanded; past that the walk stops as soon as it knows more than
+    ``max_states`` states. ``closed`` says it expanded the whole reachable
+    space and that space fits the cap.
+    """
+    dist = dict.fromkeys(roots, 0)
+    order = list(dist)
+    behaviours = {}
+    for t in order:  # grows as the walk goes
+        d = dist[t]
+        if d > horizon and len(order) > max_states:
+            return Walk(order, dist, behaviours, False)
+        behaviour = behaviours[t] = step(spec, t)
+        for e in behaviour:
+            if e is not STOP and e.target not in dist:
+                dist[e.target] = d + 1
+                order.append(e.target)
+    return Walk(order, dist, behaviours, len(order) <= max_states)
+
+
 def reachable(spec, term, depth):
     """The set of terms visitable in at most `depth` transitions."""
-    seen = {term}
-    frontier = [term]
-    for _ in range(depth):
-        new = []
-        for t in frontier:
-            for e in step(spec, t):
-                if isinstance(e, Step) and e.target not in seen:
-                    seen.add(e.target)
-                    new.append(e.target)
-        if not new:
-            break
-        frontier = new
-    return seen
+    return set(explore(spec, [term], depth - 1, 0).order)
 
 
 @dataclass
@@ -191,18 +218,9 @@ def check_probabilistic(spec, size_bound):
     """Every enumerated and reachable term must have step mass exactly one."""
     if spec.semiring.name != "rational":
         raise ValueError("check_probabilistic is not applicable to the boolean dialect")
-    checked = 0
-    seen = set()
-    queue = []
-    for t in enumerate_closed_terms(spec.signature, size_bound):
-        if t not in seen:
-            seen.add(t)
-            queue.append((t, 0))
-    i = 0
-    while i < len(queue):
-        t, hops = queue[i]
-        i += 1
-        checked += 1
+    roots = enumerate_closed_terms(spec.signature, size_bound)
+    walk = explore(spec, roots, size_bound - 1, 0)
+    for checked, t in enumerate(walk.order, start=1):
         behaviour = step(spec, t)
         if not is_affine(behaviour):
             return ProbReport(
@@ -212,9 +230,4 @@ def check_probabilistic(spec, size_bound):
                 violator=t,
                 mass=fs_total(behaviour),
             )
-        if hops < size_bound:
-            for e in behaviour:
-                if isinstance(e, Step) and e.target not in seen:
-                    seen.add(e.target)
-                    queue.append((e.target, hops + 1))
-    return ProbReport(passed=True, bound=size_bound, checked=checked)
+    return ProbReport(passed=True, bound=size_bound, checked=len(walk.order))

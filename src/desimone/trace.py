@@ -5,8 +5,8 @@ first). ``trace_bounded`` iterates the trace functional from the empty table;
 ``trace_direct`` recomputes weights by summing over explicit transition
 paths, an independent oracle. ``ast_estimate`` watches the completed-trace
 mass grow with depth and, when the reachable state space closes, pins the
-limit down exactly. It never builds word tables: one breadth-first walk reads
-each reachable state's behaviour once, and the mass at depth d is the scalar
+limit down exactly. It never builds word tables: one ``opmodel.explore``
+walk steps each reachable state once, and the mass at depth d is the scalar
 recurrence mass(t, d) = stop(t) + sum of w * mass(target, d - 1) over the
 walked states. Summed per state instead of per word, it gives the same exact
 weight as the total of the ``trace_bounded`` table, which the tests use as its
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .formalsum import STOP, FormalSum, Step, fs_total
-from .opmodel import model_cache, step
+from .opmodel import explore, model_cache, step
 from .terms import Node
 
 Word = tuple
@@ -70,28 +70,7 @@ def trace_bounded(spec, term, depth):
         raise TypeError(f"trace_bounded needs a closed term, got {term!r}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    memo = model_cache(spec).trace
-    return _trace_bounded(spec, term, depth, memo)
-
-
-def _trace_bounded(spec, term, depth, memo):
-    if depth == 0:
-        return empty_table(spec.semiring)
-    key = (term, depth)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    sr = spec.semiring
-    entries = []
-    for e, w in step(spec, term).items():
-        if e is STOP:
-            entries.append(((), w))
-            continue
-        for word, mass in _trace_bounded(spec, e.target, depth - 1, memo).items():
-            entries.append(((e.label,) + word, sr.mul(w, mass)))
-    result = FormalSum(sr, entries)
-    memo[key] = result
-    return result
+    return _bounded(spec, term, depth, model_cache(spec).trace, partial=False)
 
 
 def partial_trace_bounded(spec, term, max_len):
@@ -105,24 +84,31 @@ def partial_trace_bounded(spec, term, max_len):
         raise TypeError(f"partial_trace_bounded needs a closed term, got {term!r}")
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    memo = model_cache(spec).partial
-    return _partial_bounded(spec, term, max_len, memo)
+    return _bounded(spec, term, max_len, model_cache(spec).partial, partial=True)
 
 
-def _partial_bounded(spec, term, max_len, memo):
+def _bounded(spec, term, n, memo, partial):
+    """The recursion behind both tables, memoized on ``(term, n)``.
+
+    The empty word weighs the termination weight in a completed table (of
+    depth ``n``) and one in a partial table (of words up to length ``n``);
+    a word ``(a,) + w`` carries each ``a``-transition's weight times the
+    weight of ``w`` at its target, one bound lower.
+    """
     sr = spec.semiring
-    if max_len == 0:
-        return FormalSum(sr, [((), sr.one)])
-    key = (term, max_len)
+    if n == 0:
+        return FormalSum(sr, [((), sr.one)] if partial else ())
+    key = (term, n)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    entries = [((), sr.one)]
+    entries = [((), sr.one)] if partial else []
     for e, w in step(spec, term).items():
-        if e is STOP:
-            continue
-        for word, mass in _partial_bounded(spec, e.target, max_len - 1, memo).items():
-            entries.append(((e.label,) + word, sr.mul(w, mass)))
+        if e is not STOP:
+            for word, mass in _bounded(spec, e.target, n - 1, memo, partial).items():
+                entries.append(((e.label,) + word, sr.mul(w, mass)))
+        elif not partial:
+            entries.append(((), w))
     result = FormalSum(sr, entries)
     memo[key] = result
     return result
@@ -173,41 +159,21 @@ class AstReport:
     detail: str = ""
 
 
-def _explore(spec, term, max_states, horizon):
-    """Breadth-first walk from ``term`` that reads each state's behaviour once.
-
-    Returns ``(order, dist, stops, moves, closed)``: the states in walk
-    order, each state's distance from ``term``, and for every expanded state
-    its termination weight and its ``(target, weight)`` transitions. Every
-    state within ``horizon`` steps is expanded; past that the walk stops as
-    soon as it knows more than ``max_states`` states. ``closed`` says it
-    expanded the whole reachable space and that space fits the cap.
-    """
-    dist = {term: 0}
-    order = [term]
-    stops = {}
-    moves = {}
-    i = 0
-    while i < len(order):
-        t = order[i]
-        if dist[t] > horizon and len(order) > max_states:
-            return order, dist, stops, moves, False
-        i += 1
-        behaviour = step(spec, t)
-        stops[t] = behaviour.weight(STOP)
-        out = []
-        for e, w in behaviour.items():
-            if isinstance(e, Step):
-                out.append((e.target, w))
-                if e.target not in dist:
-                    dist[e.target] = dist[t] + 1
-                    order.append(e.target)
-        moves[t] = out
-    return order, dist, stops, moves, len(order) <= max_states
+def _targets(behaviour):
+    return (e.target for e in behaviour if e is not STOP)
 
 
-def _mass_sequence(sr, order, dist, stops, moves, max_depth):
-    """Completed-trace mass of ``order[0]`` at depths 1 .. max_depth.
+def _one_step(sr, behaviour, mass):
+    """Stop weight plus the sum of w * mass[target] over the transitions."""
+    acc = behaviour.weight(STOP)
+    for e, w in behaviour.items():
+        if e is not STOP:
+            acc = sr.add(acc, sr.mul(w, mass[e.target]))
+    return acc
+
+
+def _mass_sequence(sr, walk, max_depth):
+    """Completed-trace mass of the walk's root at depths 1 .. max_depth.
 
     mass(t, d) = stop weight of t + the sum of w * mass(target, d - 1) over
     t's transitions, with mass(., 0) = 0. Depth d needs only the states
@@ -216,6 +182,7 @@ def _mass_sequence(sr, order, dist, stops, moves, max_depth):
     the semiring distributes, so this is exactly the total weight of the
     ``trace_bounded`` table, summed per state instead of per word.
     """
+    order, dist, behaviours, _ = walk
     masses = []
     prev = dict.fromkeys(order, sr.zero)
     for depth in range(1, max_depth + 1):
@@ -223,23 +190,17 @@ def _mass_sequence(sr, order, dist, stops, moves, max_depth):
         for t in order:
             if dist[t] > max_depth - depth:
                 break
-            acc = stops[t]
-            for target, w in moves[t]:
-                acc = sr.add(acc, sr.mul(w, prev[target]))
-            cur[t] = acc
+            cur[t] = _one_step(sr, behaviours[t], prev)
         masses.append(cur[order[0]])
         prev = cur
     return masses
 
 
-def _is_acyclic(order, moves):
+def _is_acyclic(walk):
     state = {}  # 0 = visiting, 1 = done
 
-    def successors(t):
-        return (target for target, _ in moves[t])
-
     def visit(t):
-        stack = [(t, successors(t))]
+        stack = [(t, _targets(walk.behaviours[t]))]
         state[t] = 0
         while stack:
             node, it = stack[-1]
@@ -249,7 +210,7 @@ def _is_acyclic(order, moves):
                     return False
                 if nxt not in state:
                     state[nxt] = 0
-                    stack.append((nxt, successors(nxt)))
+                    stack.append((nxt, _targets(walk.behaviours[nxt])))
                     advanced = True
                     break
             if not advanced:
@@ -257,31 +218,29 @@ def _is_acyclic(order, moves):
                 stack.pop()
         return True
 
-    for t in order:
+    for t in walk.order:
         if t not in state:
             if not visit(t):
                 return False
     return True
 
 
-def _exact_limit_acyclic(sr, order, stops, moves):
+def _exact_limit_acyclic(sr, walk):
     """Back-substitute limit masses over an acyclic closed state space."""
     limit = {}
-    for t in order:
+    for t in walk.order:
         stack = [t]
         while stack:
             node = stack[-1]
             if node in limit:
                 stack.pop()
                 continue
-            pending = [s for s, _ in moves[node] if s not in limit]
+            behaviour = walk.behaviours[node]
+            pending = [s for s in _targets(behaviour) if s not in limit]
             if pending:
                 stack.extend(pending)
                 continue
-            acc = stops[node]
-            for s, w in moves[node]:
-                acc = sr.add(acc, sr.mul(w, limit[s]))
-            limit[node] = acc
+            limit[node] = _one_step(sr, behaviour, limit)
             stack.pop()
     return limit
 
@@ -289,27 +248,28 @@ def _exact_limit_acyclic(sr, order, stops, moves):
 def ast_estimate(spec, term, max_depth, max_states=10000):
     """Track completed-trace mass by depth and classify termination behaviour.
 
-    One breadth-first walk from ``term`` serves both halves. The masses at
-    depths 1 .. max_depth are scalars iterated over the walked states within
-    max_depth - 1 steps; no word table is built, and ``trace_bounded``'s
-    total mass is their oracle in the tests. The walk, capped at
-    ``max_states`` states past that horizon, also decides closure.
+    One ``opmodel.explore`` walk from ``term`` serves both halves. The
+    masses at depths 1 .. max_depth are scalars iterated over the walked
+    states within max_depth - 1 steps; no word table is built, and
+    ``trace_bounded``'s total mass is their oracle in the tests. The walk,
+    capped at ``max_states`` states past that horizon, also decides closure.
 
     The mass sequence is monotone by construction; a decrease raises
     ``RuntimeError``. A closed acyclic reachable space gives the exact limit;
     a closed space in which no positive termination weight is reachable pins
     the limit at zero. In both cases a limit short of one is a definite
-    non-termination witness. Otherwise the verdict falls back to the mass
+    non-termination witness. A limit or mass above one (an ``inf`` weight,
+    or weights summing past one) is no termination probability, and the
+    verdict is inconclusive. Otherwise the verdict falls back to the mass
     threshold 1 - 10^-6.
     """
     if spec.semiring.name != "rational":
         raise ValueError("ast_estimate needs the rational semiring")
     sr = spec.semiring
-    order, dist, stops, moves, closed = _explore(spec, term, max_states, max_depth - 1)
+    walk = explore(spec, [term], max_depth - 1, max_states)
     masses = []
     prev = sr.zero
-    sequence = _mass_sequence(sr, order, dist, stops, moves, max_depth)
-    for depth, mass in enumerate(sequence, start=1):
+    for depth, mass in enumerate(_mass_sequence(sr, walk, max_depth), start=1):
         if not sr.leq(prev, mass):
             raise RuntimeError(
                 f"trace mass fell from {sr.show(prev)} to {sr.show(mass)} at depth {depth}"
@@ -317,20 +277,28 @@ def ast_estimate(spec, term, max_depth, max_states=10000):
         masses.append((depth, mass))
         prev = mass
 
-    if closed:
-        if _is_acyclic(order, moves):
-            limit = _exact_limit_acyclic(sr, order, stops, moves)[term]
+    if walk.closed:
+        if _is_acyclic(walk):
+            limit = _exact_limit_acyclic(sr, walk)[term]
             if limit == sr.one:
                 verdict = "ast-consistent"
                 detail = "closed acyclic state space; limit mass is exactly 1"
-            else:
+            elif sr.leq(limit, sr.one):
                 verdict = "non-ast"
                 detail = (
                     "closed acyclic state space; limit mass is exactly "
                     f"{sr.show(limit)} < 1"
                 )
+            else:
+                verdict = "inconclusive"
+                detail = (
+                    "closed acyclic state space; limit mass is exactly "
+                    f"{sr.show(limit)} > 1, so it is not a termination probability"
+                )
             return AstReport(verdict, masses, exact=True, limit=limit, detail=detail)
-        stop_somewhere = any(not sr.is_zero(stops[t]) for t in order)
+        stop_somewhere = any(
+            not sr.is_zero(b.weight(STOP)) for b in walk.behaviours.values()
+        )
         if not stop_somewhere:
             return AstReport(
                 "non-ast",
@@ -342,6 +310,15 @@ def ast_estimate(spec, term, max_depth, max_states=10000):
 
     threshold = Fraction(1) - AST_TOLERANCE
     final = masses[-1][1] if masses else sr.zero
+    if not sr.leq(final, sr.one):
+        return AstReport(
+            "inconclusive",
+            masses,
+            detail=(
+                f"mass {sr.show(final)} at depth {max_depth} exceeds 1, so it is "
+                "not a termination probability"
+            ),
+        )
     if sr.leq(threshold, final):
         return AstReport(
             "ast-consistent",

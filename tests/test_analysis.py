@@ -1,6 +1,7 @@
 """Equivalence checking, context generation, congruence search, and the
 bisimulation quotient behind it."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -280,6 +281,24 @@ def test_bisimilar_terms_share_trace_tables(prob_par):
             assert partial_trace_bounded(prob_par, rep, 4) == partial_trace_bounded(
                 prob_par, other, 4
             )
+
+
+def test_bisim_steps_each_reachable_state_once(monkeypatch):
+    import desimone.opmodel as opmodel_module
+
+    spec = load_spec("prob_par")  # a fresh spec, so no memo is warm
+    calls = Counter()
+    step = opmodel_module.step
+
+    def counting(spec, term, *args):
+        calls[term] += 1
+        return step(spec, term, *args)
+
+    monkeypatch.setattr(opmodel_module, "step", counting)
+    blocks = bisim_partition(spec, list(enumerate_closed_terms(spec.signature, 4)))
+    assert len(set(blocks.values())) > 1  # several refinement rounds
+    assert set(calls) == set(blocks)
+    assert set(calls.values()) == {1}
 
 
 def test_bisim_state_cap(prob_par):

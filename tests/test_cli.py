@@ -266,22 +266,54 @@ def test_ast_terminating_term_human(run):
     assert lines[-2] == "verdict: ast-consistent"
 
 
-def test_ast_on_a_chain_deeper_than_the_recursion_limit(run, tmp_path):
-    # c0 -a-> c1 -a-> ... -a-> c499 -> *: every mass is 0 until depth 500,
-    # where the single path of 499 steps completes with weight 1
-    cells = 500
+def test_ast_limit_above_one_is_inconclusive(run, tmp_path):
+    spec = tmp_path / "hot.spec"
+    spec.write_text(
+        "dialect weighted\nsemiring rational\nlabels a\nop nil : 0\nop hot : 0\n"
+        "rule hot -a[inf]-> nil\nrule hot -[1/2]-> *\nrule nil -[1]-> *\n"
+    )
+    code, out, err = run("ast", str(spec), "hot", "--depth", "3", "--json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "inconclusive"
+    assert payload["exact"] is True and payload["limit"] == "inf"
+    assert payload["detail"] == (
+        "closed acyclic state space; limit mass is exactly inf > 1, "
+        "so it is not a termination probability"
+    )
+
+
+CHAIN_CELLS = 500
+
+
+def _chain_spec(tmp_path):
+    # c0 -a-> c1 -a-> ... -a-> c499 -> *
+    cells = CHAIN_CELLS
     lines = ["dialect weighted", "semiring rational", "labels a"]
     lines += [f"op c{n} : 0" for n in range(cells)]
     lines += [f"rule c{n} -a[1]-> c{n + 1}" for n in range(cells - 1)]
     lines.append(f"rule c{cells - 1} -[1]-> *")
     spec = tmp_path / "chain.spec"
     spec.write_text("\n".join(lines) + "\n")
+    return str(spec)
+
+
+def _run_under_recursion_limit(run, *argv):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(400)
     try:
-        code, out, err = run("ast", str(spec), "c0", "--depth", str(cells), "--json")
+        return run(*argv)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_ast_on_a_chain_deeper_than_the_recursion_limit(run, tmp_path):
+    # every mass is 0 until depth 500, where the single path of 499 steps
+    # completes with weight 1
+    cells = CHAIN_CELLS
+    code, out, err = _run_under_recursion_limit(
+        run, "ast", _chain_spec(tmp_path), "c0", "--depth", str(cells), "--json"
+    )
     assert (code, err) == (0, "")
     payload = json.loads(out)
     assert payload["verdict"] == "ast-consistent"
@@ -289,6 +321,22 @@ def test_ast_on_a_chain_deeper_than_the_recursion_limit(run, tmp_path):
     assert payload["masses"] == [
         {"depth": d, "mass": "1" if d == cells else "0"} for d in range(1, cells + 1)
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["traces", "c0"], ["traces", "c0", "--json"], ["equiv", "c0", "c1"]],
+)
+def test_tables_deeper_than_the_recursion_limit_are_refused(run, tmp_path, argv):
+    command, *rest = argv
+    code, out, err = _run_under_recursion_limit(
+        run, command, _chain_spec(tmp_path), *rest, "--depth", str(CHAIN_CELLS)
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "desimone: input too deep for this command "
+        "(maximum recursion depth exceeded)\n"
+    )
 
 
 # --- error routing ----------------------------------------------------------

@@ -14,10 +14,12 @@ from desimone import (
     Step,
     check_probabilistic,
     enumerate_closed_terms,
+    explore,
     fs_unit,
     is_affine,
     parse_spec,
     parse_term,
+    print_term,
     reachable,
     step,
     step_law,
@@ -212,6 +214,40 @@ def test_truncated_chain_leaks_at_the_cutoff(leaky):
     assert report.mass == F(1, 2**30 + 2)
 
 
+# successors outgrow the enumeration bound, so the walk reaches past the
+# enumerated terms up to the bound's distance
+GROWING = (
+    "dialect weighted\nsemiring rational\nlabels a\nop c : 0\nop s : 1\n"
+    "rule c -a[1]-> s(c)\n"
+    "rule s(x1) -a[1/2]-> s(y1) when x1 -a-> y1\n"
+    "rule s(x1) -a[1/2]-> s(s(y1)) when x1 -a-> y1\n"
+)
+
+# (passed, checked, violator, mass) at bounds 1-4, as computed before the
+# walk moved into ``explore``
+PROBABILISTIC_AT_BOUNDS = {
+    "leaky": [(False, 31, "c30", F(1, 2**30 + 2))] * 4,
+    "loop": [(True, 1, None, None)] * 4,
+    "prob_par": [(True, 1, None, None), (True, 3, None, None),
+                 (True, 8, None, None), (True, 22, None, None)],
+    "growing": [(True, 2, None, None), (True, 8, None, None),
+                (True, 24, None, None), (True, 64, None, None)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBABILISTIC_AT_BOUNDS))
+def test_check_probabilistic_reports_are_pinned(name, request):
+    spec = parse_spec(GROWING) if name == "growing" else request.getfixturevalue(name)
+    for bound, (passed, checked, violator, mass) in enumerate(
+        PROBABILISTIC_AT_BOUNDS[name], start=1
+    ):
+        report = check_probabilistic(spec, bound)
+        got_violator = None if report.violator is None else print_term(report.violator)
+        assert (report.passed, report.checked, got_violator, report.mass) == (
+            passed, checked, violator, mass
+        ), bound
+
+
 def test_check_probabilistic_rejects_boolean_specs(de_simone_par):
     with pytest.raises(ValueError):
         check_probabilistic(de_simone_par, 3)
@@ -246,3 +282,56 @@ def test_reachable_examples(prob_par, leaky, loop):
 def test_reachable_follows_both_parallel_sides(prob_par):
     term = t(prob_par, "par(pre_a(nil), nil)")
     assert reachable(prob_par, term, 1) == {term, t(prob_par, "par(nil, nil)")}
+
+
+# --- the breadth-first explorer ----------------------------------------------
+
+# c0 -a-> c1 -a-> c2 -a-> c3 -a-> c4 -> *, and d, which steps into c3 and c1
+CHAIN = (
+    "dialect weighted\nsemiring rational\nlabels a, b\n"
+    + "".join(f"op c{n} : 0\n" for n in range(5))
+    + "op d : 0\n"
+    + "".join(f"rule c{n} -a[1]-> c{n + 1}\n" for n in range(4))
+    + "rule c4 -[1]-> *\nrule d -b[1/2]-> c3\nrule d -a[1/2]-> c1\n"
+)
+
+
+@pytest.fixture(scope="module")
+def chain():
+    return parse_spec(CHAIN)
+
+
+def test_explore_deduplicates_roots_and_keeps_breadth_first_order(chain):
+    c1, c2, c3, c4, d = (t(chain, name) for name in ("c1", "c2", "c3", "c4", "d"))
+    assert [e.target for e in step(chain, d)] == [c3, c1]
+    walk = explore(chain, [c2, d, c2], 10, 100)
+    # roots in the order given, then successors in behaviour order
+    assert walk.order == [c2, d, c3, c1, c4]
+    assert walk.dist == {c2: 0, d: 0, c3: 1, c1: 1, c4: 2}
+    assert list(walk.behaviours) == walk.order
+    assert all(walk.behaviours[s] is step(chain, s) for s in walk.order)
+    assert walk.closed
+
+
+def test_explore_expands_the_horizon_then_stops_past_the_cap(chain):
+    c = [t(chain, f"c{n}") for n in range(5)]
+    # within the horizon every state is expanded, whatever the cap
+    walk = explore(chain, [c[0]], 1, 0)
+    assert walk.order == c[:3] and list(walk.behaviours) == c[:2]
+    assert not walk.closed
+    # past the horizon the walk goes on while it knows at most four states
+    walk = explore(chain, [c[0]], 1, 4)
+    assert walk.order == c and list(walk.behaviours) == c[:4]
+    assert not walk.closed
+    # a negative horizon leaves only the cap
+    assert not explore(chain, [c[0]], -1, 4).closed
+    walk = explore(chain, [c[0]], -1, 5)
+    assert list(walk.behaviours) == c and walk.closed
+    # everything expanded, but the space does not fit the cap
+    walk = explore(chain, [c[0]], 10, 4)
+    assert list(walk.behaviours) == c and not walk.closed
+
+
+def test_explore_without_roots_is_closed(chain):
+    walk = explore(chain, [], 3, 0)
+    assert (walk.order, walk.dist, walk.behaviours, walk.closed) == ([], {}, {}, True)

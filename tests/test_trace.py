@@ -298,6 +298,41 @@ def test_ast_masses_reach_infinity_exactly():
     assert masses[1] == 0 and masses[2] == F(1, 2) and masses[3] is INF
 
 
+@pytest.mark.parametrize(
+    "weight, limit", [("inf", INF), ("3/2", F(2)), ("1/2", F(1))]
+)
+def test_an_exact_limit_above_one_is_not_a_termination_probability(weight, limit):
+    # hot -a[w]-> nil -> *, hot -> * with 1/2: the acyclic limit is w + 1/2
+    spec = parse_spec(
+        "dialect weighted\nsemiring rational\nlabels a\nop nil : 0\nop hot : 0\n"
+        f"rule hot -a[{weight}]-> nil\nrule hot -[1/2]-> *\nrule nil -[1]-> *\n"
+    )
+    report = ast_estimate(spec, t(spec, "hot"), 3)
+    assert report.exact and report.limit == limit
+    if limit == 1:
+        assert report.verdict == "ast-consistent"
+        return
+    assert report.verdict == "inconclusive"
+    assert report.detail == (
+        "closed acyclic state space; limit mass is exactly "
+        f"{RATIONAL.show(limit)} > 1, so it is not a termination probability"
+    )
+
+
+@pytest.mark.parametrize("weight, final", [("inf", "inf"), ("1", "5/2")])
+def test_a_cyclic_mass_above_one_is_not_a_termination_probability(weight, final):
+    spec = parse_spec(
+        "dialect weighted\nsemiring rational\nlabels a\nop hot : 0\n"
+        f"rule hot -a[{weight}]-> hot\nrule hot -[1/2]-> *\n"
+    )
+    report = ast_estimate(spec, t(spec, "hot"), 5)
+    assert report.verdict == "inconclusive"
+    assert not report.exact and report.limit is None
+    assert report.detail == (
+        f"mass {final} at depth 5 exceeds 1, so it is not a termination probability"
+    )
+
+
 def test_ast_estimate_rejects_boolean_specs(de_simone_par):
     with pytest.raises(ValueError):
         ast_estimate(de_simone_par, t(de_simone_par, "nil"), 5)
@@ -307,7 +342,7 @@ def test_ast_estimate_refuses_a_falling_mass_sequence(leaky, monkeypatch):
     # the check must survive python -O, so it cannot be an assert
     import desimone.trace as trace_module
 
-    def falling(sr, order, dist, stops, moves, max_depth):
+    def falling(sr, walk, max_depth):
         return [F(1, depth) for depth in range(1, max_depth + 1)]
 
     monkeypatch.setattr(trace_module, "_mass_sequence", falling)
