@@ -39,6 +39,9 @@ class _Hole:
     def __repr__(self):
         return "HOLE"
 
+    def __str__(self):
+        return "[]"
+
     def __hash__(self):
         return hash("desimone-hole")
 
@@ -62,7 +65,7 @@ class Context:
         return _plug(self.term, t)
 
     def show(self):
-        return _print_context(self.term)
+        return print_term(self.term)
 
 
 def _plug(c, t):
@@ -71,20 +74,6 @@ def _plug(c, t):
             return t
         raise ValueError(f"stray leaf {c.payload!r} in context")
     return Node(c.op, [_plug(child, t) for child in c.children])
-
-
-def _print_context(c):
-    if isinstance(c, Leaf):
-        return "[]"
-    if not c.children:
-        return c.op
-    return f"{c.op}({', '.join(_print_context(ch) for ch in c.children)})"
-
-
-def _hole_count(c):
-    if isinstance(c, Leaf):
-        return 1 if c.payload is HOLE else 0
-    return sum(_hole_count(ch) for ch in c.children)
 
 
 def trace_equiv_bounded(spec, t, s, depth):
@@ -167,9 +156,7 @@ def generate_contexts(spec, count, max_size, seed):
     attempts = 0
     while len(contexts) < count and hosts and attempts < 50 * count:
         attempts += 1
-        term = _random_context(rng, hosts)
-        if _hole_count(term) == 1:
-            add(term)
+        add(_random_context(rng, hosts))
     return contexts[:count] if len(contexts) > count else contexts
 
 
@@ -284,24 +271,10 @@ def congruence_test(spec, pairs, contexts, depth):
             continue
         report.pairs_checked += 1
         for i, context in enumerate(contexts):
-            diff = _first_table_difference(
-                trace_bounded(spec, context.apply(t), depth),
-                trace_bounded(spec, context.apply(s), depth),
-            )
-            if diff is not None:
-                word, wa, wb = diff
-                # contexts from generate_contexts lead with the complete
-                # depth-1 layer, so a first split past it is an anomaly
-                v = CongruenceViolation(
-                    left=t,
-                    right=s,
-                    context=context,
-                    word=word,
-                    left_weight=wa,
-                    right_weight=wb,
-                    deep_context=i >= depth1_arity,
-                )
-                v.verified = _verify_violation(spec, v, depth)
+            # contexts from generate_contexts lead with the complete
+            # depth-1 layer, so a first split past it is an anomaly
+            v = _split_violation(spec, [t, s], context, depth, i >= depth1_arity)
+            if v is not None:
                 report.violations.append(v)
                 break
     return report
@@ -376,8 +349,7 @@ def generate_pairs(spec, size_bound, depth, max_pairs):
 
 
 def counterexample_search(
-    spec, size_bound, depth, extra_contexts=100, context_size=None, seed=0,
-    buckets=None,
+    spec, size_bound, depth, extra_contexts=100, seed=0, buckets=None
 ):
     """First congruence violation among enumerated trace-equivalent terms.
 
@@ -389,8 +361,8 @@ def counterexample_search(
     first block that splits away from it. ``buckets``, when given, must be
     ``fingerprint_buckets(spec, size_bound, depth)``, already computed.
     """
-    if context_size is None:
-        context_size = size_bound
+    if extra_contexts < 0:
+        raise ValueError("extra_contexts must be >= 0")
     if buckets is None:
         buckets = fingerprint_buckets(spec, size_bound, depth)
     buckets = [(fp, members) for fp, members in buckets if len(members) > 1]
@@ -401,9 +373,9 @@ def counterexample_search(
     except ValueError:
         blocks = None  # state space too large to quotient; scan everything
     depth1_arity = sum(spec.signature.arity(op) for op in spec.signature.names())
-    contexts = generate_contexts(
-        spec, count=depth1_arity + extra_contexts, max_size=context_size, seed=seed
-    )
+    count = depth1_arity + extra_contexts
+    # a signature of constants only has no one-hole context at all
+    contexts = generate_contexts(spec, count, size_bound, seed) if count else []
     for _, members in buckets:
         if blocks is not None:
             reps, seen = [], set()

@@ -1,9 +1,10 @@
 """Command-line front end: load a spec file, run one analysis, report.
 
-Human output prints weights as exact strings ("1/4", "inf"); ``--float``
-appends decimal approximations. ``--json`` switches to a machine rendering
-with sorted keys and deterministic entry order, byte-identical across runs
-for fixed inputs and seeds.
+Every command computes its result once, as the payload that ``--json``
+prints with sorted keys and deterministic entry order, byte-identical across
+runs for fixed inputs and seeds. The human output is rendered from that same
+payload: weights as exact strings ("1/4", "inf"), and with ``--float`` each
+followed by its decimal approximation.
 
 Exit codes: 0 success / property holds, 1 semantic failure (format
 violation, witness, inequivalence, bad term), 2 usage, file or spec-parse
@@ -19,11 +20,11 @@ import json
 import sys
 
 from .analysis import counterexample_search, fingerprint_buckets, first_difference
-from .formalsum import STOP, Obs, Pure
+from .formalsum import STOP, Pure
 from .law import naturality_check
 from .opmodel import step, step_law
 from .rulespec import SpecParseError, parse_spec, validate_format
-from .terms import Leaf, TermSyntaxError, Var, parse_term, print_term
+from .terms import TermSyntaxError, parse_term, print_term
 from .trace import ast_estimate, empty_table, total_mass, trace_bounded, trace_direct, word_to_str
 
 
@@ -58,72 +59,65 @@ def _emit_json(payload):
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _show_weight(spec, w, with_float):
-    text = spec.semiring.show(w)
+def _weighed(spec, entry, key, w, with_float):
+    """Store ``w`` in ``entry[key]`` exactly, plus ``entry[key + "_float"]``
+    when floats are asked for; returns the entry."""
+    entry[key] = spec.semiring.show(w)
     if with_float:
-        text += f" = {spec.semiring.as_float(w):g}"
+        entry[f"{key}_float"] = spec.semiring.as_float(w)
+    return entry
+
+
+def _shown(entry, key):
+    """A weight stored by ``_weighed``, as ``1/2`` or ``1/2 = 0.5``."""
+    text = entry[key]
+    if f"{key}_float" in entry:
+        text += f" = {entry[f'{key}_float']:g}"
     return text
 
 
-def _behaviour_entries(spec, behaviour, with_float):
+def _behaviour_entries(spec, behaviour, with_float=False):
     entries = []
     for e, w in behaviour.sorted_items():
         if e is STOP:
-            entry = {"kind": "stop", "weight": spec.semiring.show(w)}
+            entry = {"kind": "stop"}
         else:
-            entry = {
-                "kind": "step",
-                "label": e.label,
-                "target": print_term(e.target),
-                "weight": spec.semiring.show(w),
-            }
-        if with_float:
-            entry["weight_float"] = spec.semiring.as_float(w)
-        entries.append(entry)
+            entry = {"kind": "step", "label": e.label, "target": print_term(e.target)}
+        entries.append(_weighed(spec, entry, "weight", w, with_float))
     return entries
 
 
-def _print_behaviour(spec, behaviour, with_float, indent="  "):
-    if not len(behaviour):
+def _print_behaviour(entries, indent):
+    if not entries:
         print(f"{indent}(empty)")
-    for e, w in behaviour.sorted_items():
-        weight = _show_weight(spec, w, with_float)
-        if e is STOP:
-            print(f"{indent}-> *  [{weight}]")
-        else:
-            print(f"{indent}-{e.label}-> {print_term(e.target)}  [{weight}]")
-
-
-def _word_str(spec, word):
-    return word_to_str(word, spec.labels) if word else "(empty)"
+    for e in entries:
+        move = "-> *" if e["kind"] == "stop" else f"-{e['label']}-> {e['target']}"
+        print(f"{indent}{move}  [{_shown(e, 'weight')}]")
 
 
 def _table_entries(spec, table, with_float):
-    entries = []
-    for word, w in table.sorted_items():
-        entry = {
-            "word": word_to_str(word, spec.labels),
-            "weight": spec.semiring.show(w),
-        }
-        if with_float:
-            entry["weight_float"] = spec.semiring.as_float(w)
-        entries.append(entry)
-    return entries
+    return [
+        _weighed(spec, {"word": word_to_str(word, spec.labels)}, "weight", w, with_float)
+        for word, w in table.sorted_items()
+    ]
 
 
-def _print_table(spec, table, with_float, indent="  "):
-    if not len(table):
-        print(f"{indent}(no completed traces)")
-    for word, w in table.sorted_items():
-        print(f"{indent}{_word_str(spec, word):<12} {_show_weight(spec, w, with_float)}")
+def _print_table(entries):
+    if not entries:
+        print("  (no completed traces)")
+    for e in entries:
+        print(f"  {e['word'] or '(empty)':<12} {_shown(e, 'weight')}")
 
 
 # --- subcommands -----------------------------------------------------------
+#
+# Each command builds its ``--json`` payload once; the human rendering reads
+# only that payload.
 
 def cmd_validate(args):
     spec = _load_spec(args.spec)
     violations = validate_format(spec)
-    errors = [v for v in violations if v.severity == "error"]
+    errors = sum(v.severity == "error" for v in violations)
     payload = {
         "spec": args.spec,
         "dialect": spec.dialect,
@@ -149,22 +143,23 @@ def cmd_validate(args):
     if args.json:
         _emit_json(payload)
     else:
-        ops = ", ".join(f"{n}/{spec.signature.arity(n)}" for n in spec.signature.names())
+        ops = ", ".join(f"{o['name']}/{o['arity']}" for o in payload["operators"])
         print(
-            f"{args.spec}: dialect {spec.dialect}, semiring {spec.semiring.name}, "
-            f"labels {', '.join(spec.labels)}, ops {ops}, {len(spec.rules)} ground rules"
+            f"{payload['spec']}: dialect {payload['dialect']}, "
+            f"semiring {payload['semiring']}, labels {', '.join(payload['labels'])}, "
+            f"ops {ops}, {payload['rules']} ground rules"
         )
-        for v in violations:
-            print(f"  line {v.line} {v.severity} {v.condition}: {v.fragment}")
-            print(f"    in rule: {v.rule}")
-        if errors:
-            warnings = len(violations) - len(errors)
-            print(f"invalid: {len(errors)} format violations, {warnings} warnings")
-        elif violations:
-            print(f"valid with {len(violations)} warnings")
+        found = payload["violations"]
+        for v in found:
+            print(f"  line {v['line']} {v['severity']} {v['condition']}: {v['fragment']}")
+            print(f"    in rule: {v['rule']}")
+        if not payload["valid"]:
+            print(f"invalid: {errors} format violations, {len(found) - errors} warnings")
+        elif found:
+            print(f"valid with {len(found)} warnings")
         else:
             print("valid")
-    return 1 if errors else 0
+    return 0 if payload["valid"] else 1
 
 
 def cmd_step(args):
@@ -173,35 +168,26 @@ def cmd_step(args):
     if args.oracle:
         canonical = step_law(spec, term)
         direct = step(spec, term)
-        agree = canonical == direct
         payload = {
-            "term": print_term(term),
             "entries": _behaviour_entries(spec, canonical, args.float),
             "direct_entries": _behaviour_entries(spec, direct, args.float),
-            "agree": agree,
+            "agree": canonical == direct,
         }
-        if args.json:
-            _emit_json(payload)
-        else:
-            print(f"step of {print_term(term)} (structural recursion):")
-            _print_behaviour(spec, canonical, args.float)
-            print("step of the same term (rule-by-rule):")
-            _print_behaviour(spec, direct, args.float)
-            print(f"agree: {'yes' if agree else 'NO'}")
-        return 0 if agree else 1
-
-    behaviour = step(spec, term) if args.direct else step_law(spec, term)
-    payload = {
-        "term": print_term(term),
-        "entries": _behaviour_entries(spec, behaviour, args.float),
-    }
+    else:
+        behaviour = step(spec, term) if args.direct else step_law(spec, term)
+        payload = {"entries": _behaviour_entries(spec, behaviour, args.float)}
+    payload["term"] = print_term(term)
     if args.json:
         _emit_json(payload)
     else:
-        how = "rule-by-rule" if args.direct else "structural recursion"
-        print(f"step of {print_term(term)} ({how}):")
-        _print_behaviour(spec, behaviour, args.float)
-    return 0
+        how = "rule-by-rule" if args.direct and not args.oracle else "structural recursion"
+        print(f"step of {payload['term']} ({how}):")
+        _print_behaviour(payload["entries"], "  ")
+        if args.oracle:
+            print("step of the same term (rule-by-rule):")
+            _print_behaviour(payload["direct_entries"], "  ")
+            print(f"agree: {'yes' if payload['agree'] else 'NO'}")
+    return 0 if payload.get("agree", True) else 1
 
 
 def cmd_traces(args):
@@ -214,11 +200,8 @@ def cmd_traces(args):
         "term": print_term(term),
         "depth": args.depth,
         "traces": _table_entries(spec, table, args.float),
-        "mass": spec.semiring.show(total_mass(table)),
     }
-    if args.float:
-        payload["mass_float"] = spec.semiring.as_float(total_mass(table))
-    agree = None
+    _weighed(spec, payload, "mass", total_mass(table), args.float)
     if args.oracle:
         # the fixpoint iterate at depth d holds words of length <= d - 1,
         # the path-sum oracle is parameterized by word length
@@ -227,20 +210,19 @@ def cmd_traces(args):
             if args.depth > 0
             else empty_table(spec.semiring)
         )
-        agree = oracle == table
         payload["oracle"] = _table_entries(spec, oracle, args.float)
-        payload["agree"] = agree
+        payload["agree"] = oracle == table
     if args.json:
         _emit_json(payload)
     else:
-        print(f"completed traces of {print_term(term)} at depth {args.depth}:")
-        _print_table(spec, table, args.float)
-        print(f"mass: {_show_weight(spec, total_mass(table), args.float)}")
+        print(f"completed traces of {payload['term']} at depth {payload['depth']}:")
+        _print_table(payload["traces"])
+        print(f"mass: {_shown(payload, 'mass')}")
         if args.oracle:
             print("path-sum oracle:")
-            _print_table(spec, oracle, args.float)
-            print(f"agree: {'yes' if agree else 'NO'}")
-    return 0 if agree in (None, True) else 1
+            _print_table(payload["oracle"])
+            print(f"agree: {'yes' if payload['agree'] else 'NO'}")
+    return 0 if payload.get("agree", True) else 1
 
 
 def cmd_equiv(args):
@@ -250,15 +232,14 @@ def cmd_equiv(args):
     if args.depth < 0:
         raise CliError("--depth must be >= 0", 2)
     difference = first_difference(spec, left, right, args.depth)
-    equivalent = difference is None
     payload = {
         "left": print_term(left),
         "right": print_term(right),
         "depth": args.depth,
-        "equivalent": equivalent,
+        "equivalent": difference is None,
         "first_difference": None,
     }
-    if not equivalent:
+    if difference is not None:
         word, wl, wr = difference
         payload["first_difference"] = {
             "word": word_to_str(word, spec.labels),
@@ -267,18 +248,18 @@ def cmd_equiv(args):
         }
     if args.json:
         _emit_json(payload)
-    elif equivalent:
-        print(
-            f"{print_term(left)} and {print_term(right)} have equal trace "
-            f"tables at depth {args.depth}"
-        )
     else:
-        print(f"{print_term(left)} and {print_term(right)} differ at depth {args.depth}:")
-        print(
-            f"  word {_word_str(spec, word)}: "
-            f"{spec.semiring.show(wl)} vs {spec.semiring.show(wr)}"
-        )
-    return 0 if equivalent else 1
+        pair, depth = f"{payload['left']} and {payload['right']}", payload["depth"]
+        d = payload["first_difference"]
+        if d is None:
+            print(f"{pair} have equal trace tables at depth {depth}")
+        else:
+            print(f"{pair} differ at depth {depth}:")
+            print(
+                f"  word {d['word'] or '(empty)'}: "
+                f"{d['left_weight']} vs {d['right_weight']}"
+            )
+    return 0 if payload["equivalent"] else 1
 
 
 def _sum_entries(spec, s):
@@ -288,23 +269,8 @@ def _sum_entries(spec, s):
     ]
 
 
-def _sum_str(spec, s):
-    body = ", ".join(f"{p}: {spec.semiring.show(w)}" for p, w in s.sorted_items())
-    return "{" + body + "}"
-
-
-def _tree_str(t):
-    """Terms whose leaves carry carrier elements or variables."""
-    if isinstance(t, Leaf):
-        p = t.payload
-        if isinstance(p, str):
-            return p
-        if isinstance(p, Var):
-            return p.name
-        return repr(p)
-    if not t.children:
-        return t.op
-    return f"{t.op}({', '.join(_tree_str(c) for c in t.children)})"
+def _sum_str(entries):
+    return "{" + ", ".join(f"{e['value']}: {e['weight']}" for e in entries) + "}"
 
 
 def _arg_json(spec, arg):
@@ -319,40 +285,12 @@ def _arg_json(spec, arg):
     }
 
 
-def _arg_str(spec, arg):
-    if isinstance(arg, Pure):
-        return f"pure {_sum_str(spec, arg.value)}"
-    if arg.elem is STOP:
+def _arg_str(arg):
+    if arg["kind"] == "pure":
+        return f"pure {_sum_str(arg['sum'])}"
+    if arg["kind"] == "stop":
         return "observed termination"
-    return f"observed step {arg.elem.label} into {_sum_str(spec, arg.elem.target)}"
-
-
-def _leg_entries(spec, leg):
-    entries = []
-    for e, w in leg.sorted_items():
-        if e is STOP:
-            entries.append({"kind": "stop", "weight": spec.semiring.show(w)})
-        else:
-            entries.append(
-                {
-                    "kind": "step",
-                    "label": e.label,
-                    "target": _tree_str(e.target),
-                    "weight": spec.semiring.show(w),
-                }
-            )
-    return entries
-
-
-def _print_leg(spec, leg):
-    if not len(leg):
-        print("    (empty)")
-    for e, w in leg.sorted_items():
-        weight = spec.semiring.show(w)
-        if e is STOP:
-            print(f"    -> *  [{weight}]")
-        else:
-            print(f"    -{e.label}-> {_tree_str(e.target)}  [{weight}]")
+    return f"observed step {arg['label']} into {_sum_str(arg['sum'])}"
 
 
 def cmd_naturality(args):
@@ -375,44 +313,44 @@ def cmd_naturality(args):
         payload["witness"] = {
             "op": w.op,
             "args": [_arg_json(spec, a) for a in w.args],
-            "law_first": _leg_entries(spec, w.law_first),
-            "args_first": _leg_entries(spec, w.args_first),
+            "law_first": _behaviour_entries(spec, w.law_first),
+            "args_first": _behaviour_entries(spec, w.args_first),
         }
     if args.json:
         _emit_json(payload)
     else:
-        mode = "affine and sub-unit sums" if args.include_nonaffine else "affine sums"
-        carrier = ", ".join(result.carrier)
-        if result.passed:
+        mode = "affine and sub-unit sums" if payload["include_nonaffine"] else "affine sums"
+        carrier = ", ".join(payload["carrier"])
+        w = payload["witness"]
+        if w is None:
             print(
                 f"naturality holds on carrier ({carrier}) over {mode}: "
-                f"{result.checked} inputs checked"
+                f"{payload['checked']} inputs checked"
             )
         else:
-            w = result.witness
             print(
                 f"naturality fails on carrier ({carrier}) over {mode} "
-                f"(input {result.checked}):"
+                f"(input {payload['checked']}):"
             )
-            print(f"  operator {w.op}")
-            for i, a in enumerate(w.args, start=1):
-                print(f"  argument {i}: {_arg_str(spec, a)}")
+            print(f"  operator {w['op']}")
+            for i, a in enumerate(w["args"], start=1):
+                print(f"  argument {i}: {_arg_str(a)}")
             print("  law first, then distribute:")
-            _print_leg(spec, w.law_first)
+            _print_behaviour(w["law_first"], "    ")
             print("  distribute arguments first, then law:")
-            _print_leg(spec, w.args_first)
-    return 0 if result.passed else 1
+            _print_behaviour(w["args_first"], "    ")
+    return 0 if payload["passed"] else 1
 
 
 def cmd_congruence(args):
     spec = _load_spec(args.spec)
     if args.depth < 1:
         raise CliError("--depth must be >= 1", 2)
+    if args.size < 0:
+        raise CliError("--size must be >= 0", 2)
+    if args.contexts < 0:
+        raise CliError("--contexts must be >= 0", 2)
     buckets = fingerprint_buckets(spec, args.size, args.depth)
-    terms = sum(len(members) for _, members in buckets)
-    pairs = sum(
-        len(members) * (len(members) - 1) // 2 for _, members in buckets
-    )
     violation = counterexample_search(
         spec,
         args.size,
@@ -426,21 +364,23 @@ def cmd_congruence(args):
         "depth": args.depth,
         "extra_contexts": args.contexts,
         "seed": args.seed,
-        "terms": terms,
-        "equivalent_pairs": pairs,
+        "terms": sum(len(members) for _, members in buckets),
+        "equivalent_pairs": sum(
+            len(members) * (len(members) - 1) // 2 for _, members in buckets
+        ),
         "violation": violation.describe(spec) if violation else None,
         "passed": violation is None,
     }
     if args.json:
         _emit_json(payload)
-    elif violation is None:
+    elif payload["passed"]:
         print(
-            f"no congruence violation: {terms} terms of size <= {args.size}, "
-            f"{pairs} trace-equivalent pairs at depth {args.depth}, "
-            f"seed {args.seed}"
+            f"no congruence violation: {payload['terms']} terms of size "
+            f"<= {payload['size']}, {payload['equivalent_pairs']} trace-equivalent "
+            f"pairs at depth {payload['depth']}, seed {payload['seed']}"
         )
     else:
-        d = violation.describe(spec)
+        d = payload["violation"]
         print("congruence violation:")
         print(f"  pair:     {d['pair'][0]}  vs  {d['pair'][1]}")
         print(f"  context:  {d['context']}")
@@ -449,7 +389,7 @@ def cmd_congruence(args):
         print(f"  verified by path-sum recomputation: {'yes' if d['verified'] else 'NO'}")
         if d["deep_context"]:
             print("  (found only beyond the depth-1 context layer)")
-    return 0 if violation is None else 1
+    return 0 if payload["passed"] else 1
 
 
 def cmd_ast(args):
@@ -460,34 +400,31 @@ def cmd_ast(args):
     if args.depth < 1:
         raise CliError("--depth must be >= 1", 2)
     report = ast_estimate(spec, term, args.depth)
-    masses = []
-    for depth, mass in report.masses:
-        entry = {"depth": depth, "mass": spec.semiring.show(mass)}
-        if args.float:
-            entry["mass_float"] = spec.semiring.as_float(mass)
-        masses.append(entry)
     payload = {
         "term": print_term(term),
         "depth": args.depth,
-        "masses": masses,
+        "masses": [
+            _weighed(spec, {"depth": depth}, "mass", mass, args.float)
+            for depth, mass in report.masses
+        ],
         "verdict": report.verdict,
         "exact": report.exact,
-        "limit": spec.semiring.show(report.limit) if report.limit is not None else None,
+        "limit": None,
         "detail": report.detail,
     }
-    if args.float and report.limit is not None:
-        payload["limit_float"] = spec.semiring.as_float(report.limit)
+    if report.limit is not None:
+        _weighed(spec, payload, "limit", report.limit, args.float)
     if args.json:
         _emit_json(payload)
     else:
-        print(f"completed-trace mass of {print_term(term)} by depth:")
-        for depth, mass in report.masses:
-            print(f"  {depth:>3}  {_show_weight(spec, mass, args.float)}")
-        if report.limit is not None:
-            print(f"limit: {_show_weight(spec, report.limit, args.float)} (exact)")
-        print(f"verdict: {report.verdict}")
-        print(f"  {report.detail}")
-    return 0 if report.verdict == "ast-consistent" else 1
+        print(f"completed-trace mass of {payload['term']} by depth:")
+        for e in payload["masses"]:
+            print(f"  {e['depth']:>3}  {_shown(e, 'mass')}")
+        if payload["limit"] is not None:
+            print(f"limit: {_shown(payload, 'limit')} (exact)")
+        print(f"verdict: {payload['verdict']}")
+        print(f"  {payload['detail']}")
+    return 0 if payload["verdict"] == "ast-consistent" else 1
 
 
 # --- wiring ----------------------------------------------------------------

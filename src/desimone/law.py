@@ -96,9 +96,11 @@ def rho_apply(spec, op, args):
         # any observed termination collapses the result to the stop unit
         if stops:
             return fs_unit(sr, STOP)
+        # every state observes termination already, so a `-> *`
+        # conclusion adds nothing
         entries = [(STOP, sr.one)]
         for rule in spec.rules_for(op):
-            if not _rule_matches(rule, steps, set()):
+            if rule.target is None or not _rule_matches(rule, steps, set()):
                 continue
             subst = _rule_substitution(rule, steps, pures, stops)
             entries.append(
@@ -167,14 +169,6 @@ class NaturalityWitness:
     law_first: FormalSum
     args_first: FormalSum
 
-    def describe(self):
-        return {
-            "op": self.op,
-            "args": [_describe_arg(a) for a in self.args],
-            "law_first": self.law_first,
-            "args_first": self.args_first,
-        }
-
 
 @dataclass
 class NaturalityResult:
@@ -182,14 +176,6 @@ class NaturalityResult:
     checked: int
     carrier: tuple
     witness: NaturalityWitness | None = None
-
-
-def _describe_arg(arg):
-    if isinstance(arg, Pure):
-        return f"pure {arg.value!r}"
-    if arg.elem is STOP:
-        return "stop"
-    return f"step {arg.elem.label} -> {arg.elem.target!r}"
 
 
 def leg_law_first(spec, op, args):

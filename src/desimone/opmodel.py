@@ -55,7 +55,7 @@ def model_cache(spec):
     return cache
 
 
-def step(spec, term, cache=True):
+def step(spec, term):
     """Behaviour of a closed term: a formal sum of Step(label, term) / STOP.
 
     For each rule, premise transitions range over the matching entries of the
@@ -66,15 +66,13 @@ def step(spec, term, cache=True):
     """
     if not isinstance(term, Node):
         raise TypeError(f"step needs a closed term, got {term!r}")
-    memo = model_cache(spec).step if cache else None
-    return _step(spec, term, memo)
+    return _step(spec, term, model_cache(spec).step)
 
 
 def _step(spec, term, memo):
-    if memo is not None:
-        hit = memo.get(term)
-        if hit is not None:
-            return hit
+    hit = memo.get(term)
+    if hit is not None:
+        return hit
     spec.signature.check_arity(term.op, len(term.children))
     sr = spec.semiring
     child_behaviours = [_step(spec, c, memo) for c in term.children]
@@ -128,13 +126,11 @@ def _step(spec, term, memo):
                     subst[Var("x", j)] = child
             entries.append((Step(rule.label, substitute(rule.target, subst)), weight))
 
-    result = FormalSum(sr, entries)
-    if memo is not None:
-        memo[term] = result
+    result = memo[term] = FormalSum(sr, entries)
     return result
 
 
-def step_law(spec, term, cache=True):
+def step_law(spec, term):
     """The same behaviour by structural recursion through the composite law.
 
     The oracle for ``step``: each node runs ``bar_rho_step`` on its
@@ -142,20 +138,16 @@ def step_law(spec, term, cache=True):
     """
     if not isinstance(term, Node):
         raise TypeError(f"step_law needs a closed term, got {term!r}")
-    memo = model_cache(spec).law if cache else None
-    return _step_law(spec, term, memo)
+    return _step_law(spec, term, model_cache(spec).law)
 
 
 def _step_law(spec, term, memo):
-    if memo is not None:
-        hit = memo.get(term)
-        if hit is not None:
-            return hit
+    hit = memo.get(term)
+    if hit is not None:
+        return hit
     pairs = [(child, _step_law(spec, child, memo)) for child in term.children]
     stepped = bar_rho_step(spec, term.op, pairs)
-    result = fs_map(lambda e: belem_map(e, graft), stepped)
-    if memo is not None:
-        memo[term] = result
+    result = memo[term] = fs_map(lambda e: belem_map(e, graft), stepped)
     return result
 
 

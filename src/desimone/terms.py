@@ -287,11 +287,13 @@ def parse_term(signature, text, allow_vars=False):
 
 
 def print_term(t):
-    """Canonical rendering; parse_term(print_term(t)) round-trips."""
+    """Canonical rendering; parse_term(print_term(t)) round-trips.
+
+    A leaf prints as ``str`` of its payload: a variable by its name, a
+    carrier element as itself, a context's hole as ``[]``.
+    """
     if isinstance(t, Leaf):
-        if isinstance(t.payload, Var):
-            return t.payload.name
-        return f"<{t.payload!r}>"
+        return str(t.payload)
     if not t.children:
         return t.op
     return f"{t.op}({', '.join(print_term(c) for c in t.children)})"

@@ -316,6 +316,12 @@ def test_search_is_silent_on_well_formed_specs(prob_par, de_simone_par, loop):
     assert counterexample_search(loop, size_bound=3, depth=3) is None
 
 
+def test_search_refuses_a_negative_context_count(copy_nonaffine):
+    # fewer contexts than the depth-1 layer would lose the f([]) witness
+    with pytest.raises(ValueError, match="extra_contexts"):
+        counterexample_search(copy_nonaffine, size_bound=3, depth=2, extra_contexts=-4)
+
+
 def test_search_reuses_given_buckets(prob_par, monkeypatch):
     import desimone.analysis as analysis_module
 

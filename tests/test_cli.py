@@ -65,6 +65,22 @@ def test_step_human_with_floats(run):
     ]
 
 
+def test_step_oracle_human_with_floats(run):
+    code, out, err = run(
+        "step", path("prob_par"), "par(pre_a(nil), nil)", "--oracle", "--float"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "step of par(pre_a(nil), nil) (structural recursion):",
+        "  -> *  [1/2 = 0.5]",
+        "  -a-> par(nil, nil)  [1/2 = 0.5]",
+        "step of the same term (rule-by-rule):",
+        "  -> *  [1/2 = 0.5]",
+        "  -a-> par(nil, nil)  [1/2 = 0.5]",
+        "agree: yes",
+    ]
+
+
 def test_step_oracle_mode_compares_both_computations(run):
     code, out, _ = run("step", path("prob_par"), "nil", "--oracle", "--json")
     assert code == 0
@@ -115,6 +131,25 @@ def test_traces_human_table(run):
         "  ab           1/4",
         "  ba           1/4",
         "mass: 1",
+    ]
+
+
+def test_traces_human_oracle_with_floats(run):
+    code, out, err = run(
+        "traces", path("leaky"), "c0", "--depth", "3", "--float", "--oracle"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "completed traces of c0 at depth 3:",
+        "  (empty)      1/3 = 0.333333",
+        "  a            1/6 = 0.166667",
+        "  aa           1/12 = 0.0833333",
+        "mass: 7/12 = 0.583333",
+        "path-sum oracle:",
+        "  (empty)      1/3 = 0.333333",
+        "  a            1/6 = 0.166667",
+        "  aa           1/12 = 0.0833333",
+        "agree: yes",
     ]
 
 
@@ -195,6 +230,27 @@ def test_naturality_witness_legs_in_json(run):
     assert full == {"f(x0, x0)", "f(x0, x1)", "f(x1, x0)", "f(x1, x1)"}
 
 
+def test_naturality_witness_human(run):
+    code, out, err = run("naturality", path("pair_nonaffine"), "--carrier", "2")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "naturality fails on carrier (x0, x1) over affine sums (input 42):",
+        "  operator f",
+        "  argument 1: observed step a into {x0: 1, x1: 1}",
+        "  argument 2: pure {x0: 1}",
+        "  law first, then distribute:",
+        "    -> *  [1]",
+        "    -b-> f(x0, x0)  [1]",
+        "    -b-> f(x0, x1)  [1]",
+        "    -b-> f(x1, x0)  [1]",
+        "    -b-> f(x1, x1)  [1]",
+        "  distribute arguments first, then law:",
+        "    -> *  [1]",
+        "    -b-> f(x0, x0)  [1]",
+        "    -b-> f(x1, x1)  [1]",
+    ]
+
+
 def test_naturality_clean_spec_human(run):
     code, out, _ = run("naturality", path("pair_affine"), "--carrier", "2")
     assert code == 0
@@ -242,6 +298,36 @@ def test_congruence_finds_the_copying_violation(run):
     }
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--contexts", "-4"], "--contexts must be >= 0"),
+        (["--contexts", "-20"], "--contexts must be >= 0"),
+        (["--size", "-1"], "--size must be >= 0"),
+    ],
+)
+def test_congruence_refuses_negative_bounds(run, flags, message):
+    # a negative context count would cut the depth-1 layer short and lose
+    # the f([]) witness
+    code, out, err = run(
+        "congruence", path("copy_nonaffine"), "--size", "7", "--depth", "4", *flags
+    )
+    assert (code, out) == (2, "")
+    assert err == f"desimone: {message}\n"
+
+
+def test_congruence_over_constants_only_has_no_context_to_try(run):
+    # loop declares a single constant: there is no one-hole context at all
+    code, out, err = run(
+        "congruence", path("loop"), "--size", "3", "--depth", "2", "--contexts", "0"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "no congruence violation: 1 terms of size <= 3, "
+        "0 trace-equivalent pairs at depth 2, seed 0\n"
+    )
+
+
 # --- ast --------------------------------------------------------------------
 
 def test_ast_loop_json(run):
@@ -264,6 +350,23 @@ def test_ast_terminating_term_human(run):
     assert lines[1] == "    1  1/2 = 0.5"
     assert lines[-3] == "limit: 1 = 1 (exact)"
     assert lines[-2] == "verdict: ast-consistent"
+
+
+def test_ast_exact_limit_human_with_floats(run):
+    code, out, err = run("ast", path("leaky"), "c0", "--depth", "5", "--float")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "completed-trace mass of c0 by depth:",
+        "    1  1/3 = 0.333333",
+        "    2  1/2 = 0.5",
+        "    3  7/12 = 0.583333",
+        "    4  5/8 = 0.625",
+        "    5  31/48 = 0.645833",
+        "limit: 2147483647/3221225472 = 0.666667 (exact)",
+        "verdict: non-ast",
+        "  closed acyclic state space; limit mass is exactly "
+        "2147483647/3221225472 < 1",
+    ]
 
 
 def test_ast_limit_above_one_is_inconclusive(run, tmp_path):
@@ -337,6 +440,29 @@ def test_tables_deeper_than_the_recursion_limit_are_refused(run, tmp_path, argv)
         "desimone: input too deep for this command "
         "(maximum recursion depth exceeded)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["step", "pre_a(nil)"],
+        ["step", "pre_a(nil)", "--oracle"],
+        ["naturality"],
+    ],
+)
+def test_desimone_stop_conclusion_runs_through_the_law(run, tmp_path, argv):
+    spec = tmp_path / "stop.spec"
+    spec.write_text(
+        "dialect desimone\nsemiring boolean\nlabels a\nop nil : 0\n"
+        "op pre_a : 1\nrule nil -> *\nrule pre_a(x1) -a-> x1\n"
+    )
+    command, *rest = argv
+    code, out, err = run(command, str(spec), *rest)
+    assert (code, err) == (0, "")
+    if command == "step":
+        assert out.splitlines()[1:3] == ["  -> *  [1]", "  -a-> nil  [1]"]
+    else:
+        assert out.startswith("naturality holds on carrier (x0, x1)")
 
 
 # --- error routing ----------------------------------------------------------

@@ -153,10 +153,26 @@ def test_rules_premised_out_of_range_never_fire():
     assert step(spec, term) == step_law(spec, term) == FormalSum(RATIONAL)
 
 
-def test_step_ignores_cache_when_asked(prob_par):
-    term = t(prob_par, "par(pre_a(nil), pre_b(nil))")
-    assert step(prob_par, term, cache=False) == step(prob_par, term)
-    assert step_law(prob_par, term, cache=False) == step_law(prob_par, term)
+STOP_CONCLUSION_SPEC = (
+    "dialect desimone\nsemiring boolean\nlabels a\n"
+    "op nil : 0\nop pre_a : 1\nop par : 2\n"
+    "rule nil -> *\nrule pre_a(x1) -a-> x1\n"
+    "rule pre_a(x1) -> * when x1 -a-> y1\n"
+    "rule par(x1, x2) -a-> par(y1, x2) when x1 -a-> y1\n"
+)
+
+
+def test_desimone_stop_conclusions_add_nothing_to_either_reading():
+    # the dialect observes termination in every state, so a `-> *`
+    # conclusion (a format error) changes neither behaviour
+    spec = parse_spec(STOP_CONCLUSION_SPEC)
+    terms = list(enumerate_closed_terms(spec.signature, 5))
+    assert len(terms) == 17
+    for term in terms:
+        assert step_law(spec, term) == step(spec, term), print_term(term)
+    assert step_law(spec, t(spec, "pre_a(nil)")) == FormalSum(
+        spec.semiring, [(STOP, True), (Step("a", t(spec, "nil")), True)]
+    )
 
 
 def test_memoized_step_is_stable(prob_par):
