@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from .formalsum import STOP
 from .opmodel import explore
 from .ordering import payload_key
-from .semiring import weight_key
 from .terms import (
     Leaf,
     Node,
@@ -60,20 +59,33 @@ class Context:
     """A term with exactly one hole leaf."""
 
     term: object
+    _path: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def apply(self, t):
-        return _plug(self.term, t)
+        """The context with ``t`` in its hole.
+
+        Only the nodes from the root down to the hole are rebuilt; every
+        subterm off that path is shared with ``term``.
+        """
+        if self._path is None:
+            paths = list(_hole_paths(self.term))
+            if len(paths) != 1:
+                raise ValueError(f"context needs exactly one hole, has {len(paths)}")
+            object.__setattr__(self, "_path", paths[0])
+        return _replace_at(self.term, self._path, t)
 
     def show(self):
         return print_term(self.term)
 
 
-def _plug(c, t):
+def _hole_paths(c, prefix=()):
     if isinstance(c, Leaf):
-        if c.payload is HOLE:
-            return t
-        raise ValueError(f"stray leaf {c.payload!r} in context")
-    return Node(c.op, [_plug(child, t) for child in c.children])
+        if c.payload is not HOLE:
+            raise ValueError(f"stray leaf {c.payload!r} in context")
+        yield prefix
+        return
+    for i, child in enumerate(c.children):
+        yield from _hole_paths(child, prefix + (i,))
 
 
 def trace_equiv_bounded(spec, t, s, depth):
@@ -234,11 +246,16 @@ def _verify_violation(spec, violation, depth):
 
 
 def _split_violation(spec, members, context, depth, depth1_clean):
-    """First pair of members whose composites' tables differ under context."""
-    tables = [trace_bounded(spec, context.apply(t), depth) for t in members]
-    base = tables[0]
-    for t, table in zip(members[1:], tables[1:]):
-        diff = _first_table_difference(base, table)
+    """First pair of members whose composites' tables differ under context.
+
+    The first member is the base; later members' tables are built only up to
+    the first one that differs from it.
+    """
+    base = trace_bounded(spec, context.apply(members[0]), depth)
+    for t in members[1:]:
+        diff = _first_table_difference(
+            base, trace_bounded(spec, context.apply(t), depth)
+        )
         if diff is not None:
             word, wl, wr = diff
             v = CongruenceViolation(
@@ -308,11 +325,7 @@ def bisim_partition(spec, terms, max_states=200000):
                 if e is not STOP:
                     key = (e.label, current[e.target])
                     agg[key] = sr.add(agg.get(key, sr.zero), w)
-            sig = (
-                current[t],
-                weight_key(behaviour.weight(STOP)),
-                tuple(sorted((k, weight_key(w)) for k, w in agg.items())),
-            )
+            sig = (current[t], behaviour.weight(STOP), frozenset(agg.items()))
             refined[t] = ids.setdefault(sig, len(ids))
         if len(ids) == blocks:
             return refined
@@ -360,6 +373,10 @@ def counterexample_search(
     pair is the bucket's least member against the representative of the
     first block that splits away from it. ``buckets``, when given, must be
     ``fingerprint_buckets(spec, size_bound, depth)``, already computed.
+
+    Hole-blind contexts are skipped for every bucket: when the unplugged
+    context's table at ``depth`` is computed without ever stepping its hole,
+    every plugged term gets that same table, so the context splits nothing.
     """
     if extra_contexts < 0:
         raise ValueError("extra_contexts must be >= 0")
@@ -376,6 +393,12 @@ def counterexample_search(
     count = depth1_arity + extra_contexts
     # a signature of constants only has no one-hole context at all
     contexts = generate_contexts(spec, count, size_bound, seed) if count else []
+    # original positions are kept: they tell the depth-1 layer apart
+    live = [
+        (i, context)
+        for i, context in enumerate(contexts)
+        if not _hole_blind(spec, context, depth)
+    ]
     for _, members in buckets:
         if blocks is not None:
             reps, seen = [], set()
@@ -387,8 +410,24 @@ def counterexample_search(
             reps = members
         if len(reps) < 2:
             continue
-        for i, context in enumerate(contexts):
+        for i, context in live:
             v = _split_violation(spec, reps, context, depth, i >= depth1_arity)
             if v is not None:
                 return v
     return None
+
+
+def _hole_blind(spec, context, depth):
+    """True when every plugged term gets the same table at ``depth``.
+
+    ``step`` steps only premised arguments and refuses a leaf with
+    ``TypeError``. A table built from the unplugged context without that
+    error never looked at the hole: plugging a term in substitutes it for
+    the hole in every state reached, and changes no weight. A
+    ``TypeError`` only means the context may split something.
+    """
+    try:
+        trace_bounded(spec, context.term, depth)
+    except TypeError:
+        return False
+    return True

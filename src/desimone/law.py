@@ -33,8 +33,7 @@ from .formalsum import (
     fs_unit,
 )
 from .ordering import payload_key
-from .rulespec import TransPremise
-from .terms import Leaf, Node, Var, graft, map_leaves, substitute
+from .terms import Leaf, Var, graft, map_leaves, substitute
 
 
 def _decompose(args):

@@ -4,10 +4,12 @@
 term's transitions rule by rule from the inductive reading of the format:
 each transition premise independently picks a matching entry of its
 argument's (recursively stepped) behaviour, and a combination contributes the
-rule weight times the premise weights. ``step_law`` is its oracle: the
-canonical model obtained by structural recursion through the composite law
-(``bar_rho_step``), sharing none of the engine's reading of the rules so the
-two can check each other. Both memoize per spec in ``model_cache``.
+rule weight times the premise weights. An argument that no rule of its
+operator premises is never stepped: it only moves into targets. ``step_law``
+is its oracle: the canonical model obtained by structural recursion through
+the composite law (``bar_rho_step``), sharing none of the engine's reading of
+the rules so the two can check each other. Both memoize per spec in
+``model_cache``.
 
 ``explore`` is the one breadth-first walk over the states reachable from a
 set of roots: ``reachable``, ``check_probabilistic``, bisimulation and the
@@ -61,11 +63,12 @@ def step(spec, term):
     For each rule, premise transitions range over the matching entries of the
     arguments' behaviours; a combination contributes the rule weight times
     the premise weights. The desimone dialect additionally always observes
-    termination. An operator outside the signature raises ``KeyError``, a
-    wrong argument count ``ValueError``.
+    termination. Only the arguments that some rule of the operator premises
+    are stepped; the others are carried into targets as they are, so a
+    malformed subterm in such a position is refused only once it is stepped.
+    An operator outside the signature raises ``KeyError``, a wrong argument
+    count ``ValueError``, a leaf where a term is stepped ``TypeError``.
     """
-    if not isinstance(term, Node):
-        raise TypeError(f"step needs a closed term, got {term!r}")
     return _step(spec, term, model_cache(spec).step)
 
 
@@ -73,22 +76,28 @@ def _step(spec, term, memo):
     hit = memo.get(term)
     if hit is not None:
         return hit
-    spec.signature.check_arity(term.op, len(term.children))
+    if not isinstance(term, Node):
+        raise TypeError(f"step needs a closed term, got {term!r}")
+    children = term.children
+    spec.signature.check_arity(term.op, len(children))
     sr = spec.semiring
-    child_behaviours = [_step(spec, c, memo) for c in term.children]
+    behaviours = [None] * len(children)  # stepped on first premise only
 
     entries = []
     if spec.dialect == "desimone":
         entries.append((STOP, sr.one))
 
     for rule in spec.rules_for(term.op):
-        if any(p.index > len(child_behaviours) for p in rule.premises):
+        if any(p.index > len(children) for p in rule.premises):
             continue  # a format error: there is no argument to observe
+        for p in rule.premises:
+            if behaviours[p.index - 1] is None:
+                behaviours[p.index - 1] = _step(spec, children[p.index - 1], memo)
         # weight factors from termination premises
         base = rule.weight
         ok = True
         for p in rule.term_premises():
-            w = child_behaviours[p.index - 1].weight(STOP)
+            w = behaviours[p.index - 1].weight(STOP)
             if sr.is_zero(w):
                 ok = False
                 break
@@ -100,7 +109,7 @@ def _step(spec, term, memo):
         trans = rule.trans_premises()
         combos = [((), base)]
         for p in trans:
-            behaviour = child_behaviours[p.index - 1]
+            behaviour = behaviours[p.index - 1]
             matching = [
                 (e.target, w)
                 for e, w in behaviour.items()
@@ -121,7 +130,7 @@ def _step(spec, term, memo):
                 entries.append((STOP, weight))
                 continue
             subst = {Var("y", i): succ for i, succ in zip(trans_indices, picked)}
-            for j, child in enumerate(term.children, start=1):
+            for j, child in enumerate(children, start=1):
                 if j not in premised:
                     subst[Var("x", j)] = child
             entries.append((Step(rule.label, substitute(rule.target, subst)), weight))

@@ -38,6 +38,7 @@ class Var:
 
 class Leaf:
     __slots__ = ("payload", "_hash")
+    size = 0  # leaves carry payloads, not constructors
 
     def __init__(self, payload):
         object.__setattr__(self, "payload", payload)
@@ -62,12 +63,16 @@ class Leaf:
 
 
 class Node:
-    __slots__ = ("op", "children", "_hash")
+    __slots__ = ("op", "children", "size", "_hash")
 
     def __init__(self, op, children=()):
         children = tuple(children)
+        size = 1
+        for c in children:
+            size += c.size
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "children", children)
+        object.__setattr__(self, "size", size)
         object.__setattr__(self, "_hash", hash(("node", op, children)))
 
     def __setattr__(self, name, value):
@@ -106,6 +111,7 @@ class Signature:
                 raise ValueError(f"negative arity for {name!r}")
             self._ops[name] = arity
         self._index = {name: i for i, name in enumerate(self._ops)}
+        self._closed = {}  # size -> sorted closed terms, see closed_terms_of_size
 
     @property
     def ops(self):
@@ -140,9 +146,7 @@ class Signature:
 
 def term_size(t):
     """Number of Node constructors (leaves are size 0 carriers of payloads)."""
-    if isinstance(t, Leaf):
-        return 0
-    return 1 + sum(term_size(c) for c in t.children)
+    return t.size
 
 
 def is_closed(t):
@@ -306,7 +310,7 @@ def term_key(t, signature):
     if isinstance(t, Leaf):
         raise TypeError("term_key orders closed terms only")
     return (
-        term_size(t),
+        t.size,
         signature.op_index(t.op),
         tuple(term_key(c, signature) for c in t.children),
     )
@@ -327,12 +331,14 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def closed_terms_of_size(signature, size, _cache=None):
-    """All closed terms with exactly `size` Node constructors, sorted."""
-    if _cache is None:
-        _cache = {}
-    if size in _cache:
-        return _cache[size]
+def closed_terms_of_size(signature, size):
+    """All closed terms with exactly `size` Node constructors, sorted.
+
+    The tuples are kept on the signature: each size is built once.
+    """
+    cache = signature._closed
+    if size in cache:
+        return cache[size]
     out = []
     for op in signature.names():
         arity = signature.arity(op)
@@ -341,13 +347,13 @@ def closed_terms_of_size(signature, size, _cache=None):
                 out.append(Node(op))
             continue
         for split in _compositions(size - 1, arity):
-            pools = [closed_terms_of_size(signature, s, _cache) for s in split]
+            pools = [closed_terms_of_size(signature, s) for s in split]
             stack = [()]
             for pool in pools:
                 stack = [partial + (c,) for partial in stack for c in pool]
             out.extend(Node(op, children) for children in stack)
     out.sort(key=lambda t: term_key(t, signature))
-    _cache[size] = out
+    out = cache[size] = tuple(out)
     return out
 
 
@@ -355,6 +361,5 @@ def enumerate_closed_terms(signature, max_size):
     """Closed terms of size <= max_size, size-ascending, no duplicates."""
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
-    cache = {}
     for size in range(1, max_size + 1):
-        yield from closed_terms_of_size(signature, size, cache)
+        yield from closed_terms_of_size(signature, size)

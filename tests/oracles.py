@@ -10,6 +10,7 @@ from itertools import product
 
 from desimone import (
     BOOLEAN,
+    HOLE,
     INF,
     Leaf,
     Node,
@@ -189,6 +190,16 @@ def coarsest_bisimulation(spec, terms):
         if _stable(spec, blocks):
             best = blocks
     return frozenset(frozenset(b) for b in best)
+
+
+# --- contexts ---------------------------------------------------------------
+
+def plug(context_term, t):
+    """The context term with its hole replaced by t, every node rebuilt."""
+    if isinstance(context_term, Leaf):
+        assert context_term.payload is HOLE
+        return t
+    return Node(context_term.op, [plug(c, t) for c in context_term.children])
 
 
 # --- exact chain arithmetic --------------------------------------------------

@@ -43,7 +43,6 @@ from desimone import (
     generate_pairs,
     graft,
     law_star,
-    load_spec,
     naturality_check,
     parse_term,
     print_term,

@@ -22,6 +22,7 @@ from desimone import (
     generate_contexts,
     generate_pairs,
     load_spec,
+    model_cache,
     observably_equiv_bounded,
     parse_spec,
     parse_term,
@@ -31,7 +32,8 @@ from desimone import (
     trace_direct,
     trace_equiv_bounded,
 )
-from oracles import coarsest_bisimulation
+from desimone.analysis import _hole_blind
+from oracles import coarsest_bisimulation, plug
 
 F = Fraction
 
@@ -149,6 +151,29 @@ def test_applying_a_context_with_a_stray_leaf_fails(prob_par):
     bad = Context(Node("pre_a", [Leaf(Var("x", 1))]))
     with pytest.raises(ValueError):
         bad.apply(t(prob_par, "nil"))
+
+
+def _holds_hole(term):
+    return isinstance(term, Leaf) or any(_holds_hole(c) for c in term.children)
+
+
+def _assert_shared_off_path(context_term, plugged, filler):
+    if isinstance(context_term, Leaf):
+        assert plugged is filler
+    elif not _holds_hole(context_term):
+        assert plugged is context_term
+    else:
+        for c, p in zip(context_term.children, plugged.children):
+            _assert_shared_off_path(c, p, filler)
+
+
+def test_context_apply_matches_the_plug_oracle(prob_par, copy_nonaffine):
+    for spec in (prob_par, copy_nonaffine):
+        filler = t(spec, "pre_a(pre_b(nil))")
+        for c in generate_contexts(spec, 40, 5, 0):
+            plugged = c.apply(filler)
+            assert plugged == plug(c.term, filler), c.show()
+            _assert_shared_off_path(c.term, plugged, filler)
 
 
 # --- fingerprint buckets and candidate pairs ---------------------------------
@@ -334,6 +359,55 @@ def test_search_reuses_given_buckets(prob_par, monkeypatch):
     assert counterexample_search(prob_par, 4, 3, buckets=buckets) is None
     with pytest.raises(AssertionError, match="recomputed"):
         counterexample_search(prob_par, 4, 3)
+
+
+# computed before the search skipped hole-blind contexts: none of these
+# bounds reaches the size-7 copying witness
+PINNED_SEARCHES = [
+    ("copy_nonaffine", size, depth, seed, None)
+    for size in (5, 6)
+    for depth in (3, 4)
+    for seed in (0, 1, 2)
+] + [
+    ("pair_nonaffine", 5, 4, 0, None),
+    ("pair_nonaffine", 6, 4, 0, None),
+    ("prob_par", 4, 3, 0, None),
+    ("prob_par", 5, 4, 0, None),
+    ("de_simone_par", 5, 3, 0, None),
+    ("loop", 4, 4, 0, None),
+]
+
+
+@pytest.mark.parametrize("name, size, depth, seed, expected", PINNED_SEARCHES)
+def test_search_results_are_pinned(name, size, depth, seed, expected, request):
+    spec = request.getfixturevalue(name)
+    found = counterexample_search(spec, size, depth, seed=seed)
+    assert (None if found is None else found.describe(spec)) == expected
+
+
+@pytest.mark.parametrize(
+    "name, size, depth", [("copy_nonaffine", 5, 3), ("prob_par", 5, 4)]
+)
+def test_hole_blind_contexts_give_one_table_for_every_filler(
+    name, size, depth, request
+):
+    spec = request.getfixturevalue(name)
+    arity = sum(spec.signature.arity(op) for op in spec.signature.names())
+    contexts = generate_contexts(spec, arity + 100, size, 0)
+    blind = [c for c in contexts if _hole_blind(spec, c, depth)]
+    assert 0 < len(blind) < len(contexts)
+    fillers = list(enumerate_closed_terms(spec.signature, 4))
+    for c in blind:
+        tables = {trace_direct(spec, c.apply(u), depth - 1) for u in fillers}
+        assert len(tables) == 1, c.show()
+
+
+def test_copy_search_steps_only_what_its_tables_observe():
+    spec = load_spec("copy_nonaffine")  # fresh, so the memo counts this search
+    assert counterexample_search(spec, 6, 4) is None
+    # 39,034 behaviours under every hash seed tried; stepping every argument
+    # of every state and probing no context for blindness memoized 69,381
+    assert len(model_cache(spec).step) <= 45_000
 
 
 def test_search_finds_the_copying_violation(copy_nonaffine, copy_violation):

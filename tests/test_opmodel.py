@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from desimone import (
+    BOOLEAN,
     INF,
     FormalSum,
+    Leaf,
     Node,
     RATIONAL,
     STOP,
@@ -17,6 +19,8 @@ from desimone import (
     explore,
     fs_unit,
     is_affine,
+    load_spec,
+    model_cache,
     parse_spec,
     parse_term,
     print_term,
@@ -95,6 +99,29 @@ def test_step_rejects_unknown_operators(prob_par, de_simone_par):
                 stepper(spec, Node("nil", [Node("nil", [])]))
             with pytest.raises(ValueError):
                 stepper(spec, Node("par", [Node("nil", [])]))
+
+
+def test_step_steps_only_premised_arguments():
+    spec = load_spec("copy_nonaffine")  # fresh, so its memo starts empty
+    memo = model_cache(spec).step
+    arg, other = t(spec, "pre_b(nil)"), t(spec, "pre_c(nil)")
+    prefixed = Node("pre_a", [arg])
+    step(spec, prefixed)
+    assert prefixed in memo and arg not in memo
+    step(spec, Node("plus", [arg, other]))
+    assert arg in memo and other in memo
+
+
+def test_step_refuses_a_leaf_only_where_it_steps_it():
+    spec = load_spec("copy_nonaffine")
+    hole = Leaf("carried")
+    assert step(spec, Node("pre_a", [hole])) == FormalSum(
+        BOOLEAN, [(STOP, True), (Step("a", hole), True)]
+    )
+    with pytest.raises(TypeError):
+        step(spec, Node("plus", [hole, t(spec, "nil")]))
+    with pytest.raises(TypeError):
+        step(spec, hole)
 
 
 # --- two independent evaluation paths ----------------------------------------

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from desimone import (
-    INF,
     Leaf,
     Node,
     RuleSchema,

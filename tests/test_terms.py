@@ -7,7 +7,6 @@ from itertools import islice
 import pytest
 
 from desimone import (
-    BOOLEAN,
     FormalSum,
     Leaf,
     Node,
