@@ -25,17 +25,20 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .semiring import INF, SEMIRINGS
 from .terms import (
-    Leaf,
-    Node,
     Signature,
+    TermSyntaxError,
     Var,
     is_affine_term,
+    parse_tokens,
     print_term,
+    show_token,
     term_vars,
+    tokenize,
+    var_named,
 )
 
 
@@ -157,48 +160,17 @@ class RuleSpec:
 
 
 _IDENT = re.compile(r"[A-Za-z_]\w*")
-_VAR = re.compile(r"^([xy])([0-9]+)$")
-
-_TOKEN_SPEC = [
-    ("arrow", re.compile(r"-(?:(@?[A-Za-z_]\w*))?(?:\[([^\[\]]*)\])?->|->")),
-    ("metavar", re.compile(r"@[A-Za-z_]\w*")),
-    ("ident", re.compile(r"[A-Za-z_]\w*")),
-    ("number", re.compile(r"[0-9]+")),
-    ("lparen", re.compile(r"\(")),
-    ("rparen", re.compile(r"\)")),
-    ("comma", re.compile(r",")),
-    ("star", re.compile(r"\*")),
-    ("colon", re.compile(r":")),
-]
 
 
 def _tokenize(line_text, line_no):
-    pos = 0
-    out = []
-    while pos < len(line_text):
-        if line_text[pos].isspace():
-            pos += 1
-            continue
-        for kind, rx in _TOKEN_SPEC:
-            m = rx.match(line_text, pos)
-            if m:
-                if kind == "arrow":
-                    label = m.group(1) if m.lastindex else None
-                    weight = m.group(2) if m.lastindex and m.lastindex >= 2 else None
-                    out.append(("arrow", (label, weight), pos + 1))
-                else:
-                    out.append((kind, m.group(0), pos + 1))
-                pos = m.end()
-                break
-        else:
-            raise SpecParseError(
-                f"unexpected character {line_text[pos]!r}", line_no, pos + 1
-            )
-    return out
+    try:
+        return tokenize(line_text)
+    except TermSyntaxError as exc:
+        raise SpecParseError(exc.message, line_no, exc.col) from None
 
 
 class _RuleParser:
-    """Recursive descent over one tokenized ``rule`` line."""
+    """Descent over one tokenized ``rule`` line; terms go to ``parse_tokens``."""
 
     def __init__(self, tokens, line_no, signature, labels, semiring, dialect):
         self.toks = tokens
@@ -227,8 +199,10 @@ class _RuleParser:
     def take(self, kind, what):
         tok = self.peek(kind)
         if tok is None:
-            got = self.toks[self.pos][1] if self.pos < len(self.toks) else "end of line"
-            self.error(f"expected {what}, got {got!r}")
+            got = "'end of line'"
+            if self.pos < len(self.toks):
+                got = show_token(self.toks[self.pos])
+            self.error(f"expected {what}, got {got}")
         self.pos += 1
         return tok
 
@@ -238,57 +212,21 @@ class _RuleParser:
 
     def parse_var(self, want_kind=None):
         tok = self.take("ident", "a variable")
-        m = _VAR.match(tok[1])
-        if not m:
+        v = var_named(tok[1])
+        if v is None:
             self.error(f"expected a variable, got {tok[1]!r}", tok[2])
-        v = Var(m.group(1), int(m.group(2)))
         if want_kind and v.kind != want_kind:
             self.error(f"expected an {want_kind}-variable, got {v.name}", tok[2])
         return v
 
-    def parse_label(self, allow_metavar=True):
-        tok = self.peek("metavar") or self.peek("ident")
-        if tok is None:
-            self.error("expected a label")
-        self.pos += 1
-        name = tok[1]
-        if name.startswith("@"):
-            if not allow_metavar:
-                self.error(f"metavariable {name} not allowed here", tok[2])
-            return name
-        if name not in self.labels:
-            self.error(f"undeclared label {name!r}", tok[2])
-        return name
-
     def parse_term(self):
-        tok = self.take("ident", "a term")
-        name = tok[1]
-        m = _VAR.match(name)
-        if m:
-            if self.peek("lparen"):
-                self.error(f"variable {name} cannot take arguments", tok[2])
-            return Leaf(Var(m.group(1), int(m.group(2))))
-        if name not in self.signature:
-            self.error(f"unknown operator {name!r}", tok[2])
-        children = []
-        if self.peek("lparen"):
-            self.pos += 1
-            if self.peek("rparen"):
-                self.pos += 1
-            else:
-                while True:
-                    children.append(self.parse_term())
-                    if self.peek("rparen"):
-                        self.pos += 1
-                        break
-                    self.take("comma", "',' or ')'")
-        if len(children) != self.signature.arity(name):
-            self.error(
-                f"operator {name!r} expects {self.signature.arity(name)} "
-                f"arguments, got {len(children)}",
-                tok[2],
+        try:
+            term, self.pos = parse_tokens(
+                self.signature, self.toks, self.pos, allow_vars=True
             )
-        return Node(name, children)
+        except TermSyntaxError as exc:
+            raise SpecParseError(exc.message, self.line, exc.col) from None
+        return term
 
     def parse_weight(self, text, col):
         if text is None or text.strip() == "":
@@ -302,9 +240,7 @@ class _RuleParser:
         tok = self.take("arrow", "an arrow")
         label, weight_text = tok[1]
         col = tok[2]
-        if label is not None and label.startswith("@"):
-            pass
-        elif label is not None and label not in self.labels:
+        if label is not None and not label.startswith("@") and label not in self.labels:
             self.error(f"undeclared label {label!r}", col)
         if self.dialect == "desimone":
             if weight_text is not None:
@@ -321,8 +257,8 @@ class _RuleParser:
         if weight_text is not None:
             self.error("premises carry no weight", tok[2])
         if label is None:
-            star = self.take("star", "'*'")
-            return TermPremise(source.index), star
+            self.take("star", "'*'")
+            return TermPremise(source.index)
         if not label.startswith("@") and label not in self.labels:
             self.error(f"undeclared label {label!r}", tok[2])
         target = self.parse_var("y")
@@ -330,7 +266,7 @@ class _RuleParser:
             self.error(
                 f"premise successor must be y{source.index} to match x{source.index}"
             )
-        return TransPremise(source.index, label), None
+        return TransPremise(source.index, label)
 
     def parse(self):
         head_tok = self.take("ident", "an operator")
@@ -368,8 +304,7 @@ class _RuleParser:
         if self.at_keyword("when"):
             self.pos += 1
             while True:
-                premise, _ = self.parse_premise()
-                premises.append(premise)
+                premises.append(self.parse_premise())
                 if self.peek("comma"):
                     self.pos += 1
                     continue
@@ -389,7 +324,7 @@ class _RuleParser:
                 break
 
         if self.pos != len(self.toks):
-            self.error(f"trailing input {self.toks[self.pos][1]!r}")
+            self.error(f"trailing input {show_token(self.toks[self.pos])}")
 
         used = {p.label for p in premises if isinstance(p, TransPremise)}
         if label is not None:
@@ -471,15 +406,7 @@ def _merge_rules(rules, semiring, dialect):
             order.append(key)
         elif dialect == "weighted":
             old = merged[key]
-            merged[key] = Rule(
-                op=old.op,
-                arity=old.arity,
-                premises=old.premises,
-                label=old.label,
-                weight=semiring.add(old.weight, r.weight),
-                target=old.target,
-                line=old.line,
-            )
+            merged[key] = replace(old, weight=semiring.add(old.weight, r.weight))
         # desimone: boolean weights, duplicates collapse
     return [merged[k] for k in order]
 
@@ -498,7 +425,8 @@ def parse_spec(text):
         return s if i < 0 else s[:i]
 
     for line_no, raw in enumerate(lines, start=1):
-        line = strip_comment(raw).strip()
+        raw = strip_comment(raw)
+        line = raw.strip()
         if not line:
             continue
         word = line.split(None, 1)[0]
@@ -534,12 +462,12 @@ def parse_spec(text):
         elif word == "op":
             if semiring is None:
                 raise SpecParseError("op declarations must follow the header", line_no)
-            toks = _tokenize(rest, line_no)
+            toks = _tokenize(raw, line_no)[1:]  # columns count from the line start
             shape = [t[0] for t in toks]
             if shape != ["ident", "colon", "number"]:
                 raise SpecParseError("expected 'op name : arity'", line_no)
             name, arity = toks[0][1], int(toks[2][1])
-            if _VAR.match(name):
+            if var_named(name) is not None:
                 raise SpecParseError(
                     f"operator name {name!r} collides with variable syntax", line_no
                 )
@@ -552,9 +480,8 @@ def parse_spec(text):
                 raise SpecParseError("rules must follow the header", line_no)
             if signature is None:
                 signature = Signature(ops)
-            parser = _RuleParser(
-                _tokenize(rest, line_no), line_no, signature, labels, semiring, dialect
-            )
+            toks = _tokenize(raw, line_no)[1:]
+            parser = _RuleParser(toks, line_no, signature, labels, semiring, dialect)
             schemas.append(parser.parse())
         else:
             raise SpecParseError(f"unknown declaration {word!r}", line_no)

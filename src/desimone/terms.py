@@ -211,83 +211,144 @@ def map_leaves(t, f):
 
 
 # --- concrete syntax -------------------------------------------------------
+#
+# One token set serves closed terms (``parse_term``) and spec lines
+# (``rulespec``): a term is ``op(t, ...)`` in both, and rule lines add
+# arrows, metavariables, numbers and punctuation around it.
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\(|\)|,)")
-_VAR = re.compile(r"^([xy])([0-9]+)$")
+_TOKEN = re.compile(
+    r"\s+"
+    r"|(?P<arrow>-(?P<label>@?[A-Za-z_]\w*)?(?:\[(?P<weight>[^\[\]]*)\])?->|->)"
+    r"|(?P<metavar>@[A-Za-z_]\w*)"
+    r"|(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<number>[0-9]+)"
+    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)|(?P<star>\*)|(?P<colon>:)"
+)
+_VAR = re.compile(r"([xy])(0*[1-9][0-9]*)")  # x0 names no variable
 
 
 class TermSyntaxError(ValueError):
-    pass
+    """A malformed term or token; ``col`` is 1-based, None at end of input."""
+
+    def __init__(self, message, col=None):
+        self.message = message
+        self.col = col
+        super().__init__(message if col is None else f"{message} (column {col})")
 
 
-def _tokenize_term(text):
+def tokenize(text):
+    """``(kind, value, column)`` triples, 1-based columns, whitespace dropped.
+
+    An arrow's value is its ``(label, weight text)`` pair, either part None
+    when absent; every other value is the token's text.
+    """
+    out = []
     pos = 0
-    tokens = []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise TermSyntaxError(f"bad character at position {pos}: {text[pos:]!r}")
-        tokens.append((m.group(1), m.start(1)))
+        if m is None:
+            raise TermSyntaxError(f"unexpected character {text[pos]!r}", pos + 1)
+        kind = m.lastgroup
+        if kind == "arrow":
+            out.append((kind, (m.group("label"), m.group("weight")), pos + 1))
+        elif kind is not None:
+            out.append((kind, m.group(), pos + 1))
         pos = m.end()
-    return tokens
+    return out
+
+
+def var_named(name):
+    """The variable ``name`` spells (``x1``, ``y2``, ...), or None."""
+    m = _VAR.fullmatch(name)
+    return Var(m.group(1), int(m.group(2))) if m else None
+
+
+def show_token(token):
+    """A token as error messages name it: quoted text, or ``an arrow``."""
+    return "an arrow" if token[0] == "arrow" else repr(token[1])
+
+
+def _node(signature, op, children, col):
+    if len(children) != signature.arity(op):
+        raise TermSyntaxError(
+            f"operator {op!r} expects {signature.arity(op)} arguments, "
+            f"got {len(children)}",
+            col,
+        )
+    return Node(op, children)
+
+
+def parse_tokens(signature, tokens, pos, allow_vars):
+    """Parse one term from ``tokens[pos:]``; returns ``(term, next_pos)``.
+
+    Nullary parentheses are optional. A name spelled like a variable is a
+    variable leaf when ``allow_vars`` is set and an error otherwise. Open
+    argument lists wait on an explicit stack, so nesting depth is not
+    bounded by the recursion limit.
+    """
+    stack = []  # open argument lists: (op, op column, paren column, children)
+    while True:
+        if pos >= len(tokens):
+            raise TermSyntaxError("unexpected end of term")
+        token = tokens[pos]
+        kind, name, col = token
+        if kind != "ident":
+            raise TermSyntaxError(f"expected a term, got {show_token(token)}", col)
+        pos += 1
+        opens = pos < len(tokens) and tokens[pos][0] == "lparen"
+        var = var_named(name)
+        if var is not None:
+            if not allow_vars:
+                raise TermSyntaxError(
+                    f"variable {name!r} not allowed in a closed term", col
+                )
+            if opens:
+                raise TermSyntaxError(f"variable {name!r} cannot take arguments", col)
+            term = Leaf(var)
+        elif name not in signature:
+            raise TermSyntaxError(f"unknown operator {name!r}", col)
+        elif opens and not (pos + 1 < len(tokens) and tokens[pos + 1][0] == "rparen"):
+            stack.append((name, col, tokens[pos][2], []))
+            pos += 1
+            continue
+        else:
+            if opens:
+                pos += 2  # an empty argument list
+            term = _node(signature, name, (), col)
+        # the term is complete: hand it to the innermost open list, closing
+        # every list that ends here, until one continues after a comma
+        while stack:
+            op, op_col, paren_col, children = stack[-1]
+            children.append(term)
+            if pos >= len(tokens):
+                raise TermSyntaxError("unclosed argument list", paren_col)
+            kind = tokens[pos][0]
+            if kind == "comma":
+                pos += 1
+                break
+            if kind != "rparen":
+                raise TermSyntaxError(
+                    f"expected ',' or ')', got {show_token(tokens[pos])}", tokens[pos][2]
+                )
+            pos += 1
+            stack.pop()
+            term = _node(signature, op, children, op_col)
+        if not stack:
+            return term, pos
 
 
 def parse_term(signature, text, allow_vars=False):
     """Parse ``op(child, ...)`` concrete syntax; nullary parens optional.
 
-    Identifiers matching ``x<digits>``/``y<digits>`` are variables when
-    ``allow_vars`` is set, and rejected otherwise.
+    Identifiers spelling a variable (``x1``, ``y2``, ...; ``x0`` is an
+    ordinary identifier) are variables when ``allow_vars`` is set, and
+    rejected otherwise.
     """
-    tokens = _tokenize_term(text)
-    pos = 0
-
-    def error(msg, at):
-        raise TermSyntaxError(f"{msg} (column {at + 1})")
-
-    def parse_one():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise TermSyntaxError("unexpected end of term")
-        tok, at = tokens[pos]
-        if tok in ("(", ")", ","):
-            error(f"expected identifier, got {tok!r}", at)
-        pos += 1
-        m = _VAR.match(tok)
-        if m:
-            if not allow_vars:
-                error(f"variable {tok!r} not allowed in a closed term", at)
-            if pos < len(tokens) and tokens[pos][0] == "(":
-                error(f"variable {tok!r} cannot take arguments", at)
-            return Leaf(Var(m.group(1), int(m.group(2))))
-        if tok not in signature:
-            error(f"unknown operator {tok!r}", at)
-        arity = signature.arity(tok)
-        children = []
-        if pos < len(tokens) and tokens[pos][0] == "(":
-            pos += 1
-            if pos < len(tokens) and tokens[pos][0] == ")":
-                pos += 1
-            else:
-                while True:
-                    children.append(parse_one())
-                    if pos >= len(tokens):
-                        raise TermSyntaxError("unclosed argument list")
-                    tok2, at2 = tokens[pos]
-                    pos += 1
-                    if tok2 == ")":
-                        break
-                    if tok2 != ",":
-                        error(f"expected , or ), got {tok2!r}", at2)
-        if len(children) != arity:
-            error(f"operator {tok!r} expects {arity} arguments, got {len(children)}", at)
-        return Node(tok, children)
-
-    t = parse_one()
-    if pos != len(tokens):
-        error(f"trailing input {tokens[pos][0]!r}", tokens[pos][1])
-    return t
+    tokens = tokenize(text)
+    term, pos = parse_tokens(signature, tokens, 0, allow_vars)
+    if pos < len(tokens):
+        raise TermSyntaxError(f"trailing input {show_token(tokens[pos])}", tokens[pos][2])
+    return term
 
 
 def print_term(t):

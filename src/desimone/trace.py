@@ -196,53 +196,30 @@ def _mass_sequence(sr, walk, max_depth):
     return masses
 
 
-def _is_acyclic(walk):
-    state = {}  # 0 = visiting, 1 = done
+def _acyclic_limit(sr, walk, root):
+    """The root's limit mass, back-substituted over the closed walk.
 
-    def visit(t):
-        stack = [(t, _targets(walk.behaviours[t]))]
-        state[t] = 0
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state.get(nxt) == 0:
-                    return False
-                if nxt not in state:
-                    state[nxt] = 0
-                    stack.append((nxt, _targets(walk.behaviours[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 1
-                stack.pop()
-        return True
-
-    for t in walk.order:
-        if t not in state:
-            if not visit(t):
-                return False
-    return True
-
-
-def _exact_limit_acyclic(sr, walk):
-    """Back-substitute limit masses over an acyclic closed state space."""
+    One post-order pass: a state's limit is its one-step mass over its
+    targets' limits, computed once all of them are known. A back edge to a
+    state still on the path means the space is cyclic: None.
+    """
     limit = {}
-    for t in walk.order:
-        stack = [t]
-        while stack:
-            node = stack[-1]
-            if node in limit:
-                stack.pop()
-                continue
-            behaviour = walk.behaviours[node]
-            pending = [s for s in _targets(behaviour) if s not in limit]
-            if pending:
-                stack.extend(pending)
-                continue
-            limit[node] = _one_step(sr, behaviour, limit)
+    on_path = {root}
+    stack = [(root, _targets(walk.behaviours[root]))]
+    while stack:
+        node, targets = stack[-1]
+        for nxt in targets:
+            if nxt in on_path:
+                return None
+            if nxt not in limit:
+                on_path.add(nxt)
+                stack.append((nxt, _targets(walk.behaviours[nxt])))
+                break
+        else:
+            limit[node] = _one_step(sr, walk.behaviours[node], limit)
+            on_path.discard(node)
             stack.pop()
-    return limit
+    return limit[root]
 
 
 def ast_estimate(spec, term, max_depth, max_states=10000):
@@ -278,8 +255,8 @@ def ast_estimate(spec, term, max_depth, max_states=10000):
         prev = mass
 
     if walk.closed:
-        if _is_acyclic(walk):
-            limit = _exact_limit_acyclic(sr, walk)[term]
+        limit = _acyclic_limit(sr, walk, term)
+        if limit is not None:
             if limit == sr.one:
                 verdict = "ast-consistent"
                 detail = "closed acyclic state space; limit mass is exactly 1"

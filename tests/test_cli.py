@@ -479,6 +479,37 @@ def test_unparseable_term_is_a_semantic_failure(run):
     assert err == "desimone: bad term 'wat(nil)': unknown operator 'wat' (column 1)\n"
 
 
+def test_a_term_deeper_than_the_recursion_limit_is_refused(run):
+    # the term parses at any depth; step_law and print_term still recurse on it
+    deep = "pre_a(" * 10_000 + "nil" + ")" * 10_000
+    code, out, err = run("step", path("prob_par"), deep)
+    assert (code, out) == (2, "")
+    assert err == (
+        "desimone: input too deep for this command "
+        "(maximum recursion depth exceeded)\n"
+    )
+
+
+def test_operator_names_from_the_spec_are_typeable(run, tmp_path):
+    spec = tmp_path / "u.spec"
+    spec.write_text(
+        "dialect desimone\nsemiring boolean\nlabels a\nop café : 0\nop g : 1\n"
+        "rule g(x1) -a-> x1\n",
+        encoding="utf-8",
+    )
+    code, out, err = run("step", str(spec), "g(café)", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["term"] == "g(café)"
+    assert [e["target"] for e in payload["entries"] if e["kind"] == "step"] == ["café"]
+
+
+def test_bad_characters_in_a_term_are_named_by_column(run):
+    code, out, err = run("step", path("prob_par"), "nil $")
+    assert (code, out) == (1, "")
+    assert err == "desimone: bad term 'nil $': unexpected character '$' (column 5)\n"
+
+
 def test_ast_rejects_boolean_specs(run):
     code, _, err = run("ast", path("de_simone_par"), "nil")
     assert code == 2

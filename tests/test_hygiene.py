@@ -1,0 +1,65 @@
+"""Source hygiene: no uncalled functions, no unread imports.
+
+Both checks read the syntax trees of the package, the tests and the demos
+with ``ast``; nothing is imported or run.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "desimone"
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted(d.rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _referenced(tree):
+    """Every identifier the module reads, calls or imports by name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+    return out
+
+
+def test_every_function_is_named_somewhere():
+    named = set()
+    for _, tree in _trees(ROOT / "src", ROOT / "tests", ROOT / "demos"):
+        named |= _referenced(tree)
+    unnamed = []
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if not dunder and node.name not in named:
+                    unnamed.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unnamed == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = []
+    for path, tree in _trees(PACKAGE):
+        if path.name == "__init__.py":
+            continue  # the package namespace re-exports what it imports
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unread.append(f"{path.name}:{node.lineno} {bound}")
+    assert unread == []

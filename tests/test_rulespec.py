@@ -122,6 +122,33 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 5
 
 
+@pytest.mark.parametrize(
+    "line, col, fragment",
+    [
+        ("rule c -a[1]-> zz", 16, "unknown operator 'zz'"),
+        ("   rule   c -z[1]-> c", 13, "undeclared label 'z'"),
+        ("\trule c -a[1]-> c(c", 18, "unclosed argument list"),
+        ("rule c -a[1]-> c $  # comment", 18, "unexpected character '$'"),
+        ("op d : 1 $", 10, "unexpected character '$'"),
+        ("rule c -a[1]-> c -a->", 18, "trailing input an arrow"),
+    ],
+)
+def test_parse_error_columns_count_from_the_line_start(line, col, fragment):
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(HEADER + "op c : 0\n" + line + "\n")
+    assert (err.value.line, err.value.col) == (5, col)
+    assert fragment in str(err.value)
+
+
+def test_x0_is_an_operator_name_not_a_variable():
+    # variable indices start at 1, so x0 is an ordinary identifier
+    spec = parse_spec(HEADER + "op x0 : 0\nop f : 1\nrule f(x1) -a[1]-> x0\n")
+    assert spec.rules[0].target == Node("x0", [])
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(HEADER + "op f : 1\nrule f(x1) -a[1]-> x0\n")
+    assert "unknown operator 'x0'" in str(err.value)
+
+
 def test_comments_and_blank_lines_are_ignored():
     spec = parse_spec(
         "# leading comment\n\ndialect weighted\nsemiring rational\n"

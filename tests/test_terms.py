@@ -12,6 +12,7 @@ from desimone import (
     Node,
     RATIONAL,
     Signature,
+    SpecParseError,
     TermSyntaxError,
     UnboundVariableError,
     Var,
@@ -25,6 +26,7 @@ from desimone import (
     is_closed,
     leaves,
     map_leaves,
+    parse_spec,
     parse_term,
     print_term,
     substitute,
@@ -95,11 +97,13 @@ def test_parse_variables_when_allowed(sig):
         parse_term(sig, "par(x1, nil)")
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["par(nil", "par(nil,)", "nil extra", "zzz", "par(nil)", "par(nil, nil, nil)",
-     "", "par(,nil)", "pre_a nil"],
-)
+BAD_TEXTS = [
+    "par(nil", "par(nil,)", "nil extra", "zzz", "par(nil)", "par(nil, nil, nil)",
+    "", "par(,nil)", "pre_a nil",
+]
+
+
+@pytest.mark.parametrize("text", BAD_TEXTS)
 def test_parse_rejects_bad_text(sig, text):
     with pytest.raises(TermSyntaxError):
         parse_term(sig, text)
@@ -114,6 +118,85 @@ def test_parse_errors_carry_position(sig):
 def test_print_parse_identity_on_enumerated_terms(sig):
     for t in enumerate_closed_terms(sig, 5):
         assert parse_term(sig, print_term(t)) == t
+
+
+# --- one grammar for closed terms and rule targets ---------------------------
+
+def _target_spec(sig, targets):
+    """A spec over ``sig`` plus a constant ``probe`` with one rule per target."""
+    lines = ["dialect weighted", "semiring rational", "labels a"]
+    lines += [f"op {name} : {arity}" for name, arity in sig.ops.items()]
+    lines.append("op probe : 0")
+    lines += [f"rule probe -a[1]-> {text}" for text in targets]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text", BAD_TEXTS)
+def test_bad_text_is_rejected_as_a_closed_term_and_as_a_rule_target(sig, text):
+    with pytest.raises(TermSyntaxError):
+        parse_term(sig, text)
+    with pytest.raises(SpecParseError):
+        parse_spec(_target_spec(sig, [text]))
+
+
+def test_closed_terms_and_rule_targets_parse_alike(sig):
+    terms = list(enumerate_closed_terms(sig, 5))
+    spec = parse_spec(_target_spec(sig, [print_term(t) for t in terms]))
+    targets = [rule.target for rule in spec.rules_for("probe")]
+    assert targets == terms
+    assert [parse_term(sig, print_term(t)) for t in terms] == terms
+
+
+DEPTH = 10_000
+
+
+def _deep_text(depth):
+    return "pre_a(" * depth + "nil" + ")" * depth
+
+
+def test_nesting_depth_is_not_bounded_by_the_recursion_limit(sig):
+    assert parse_term(sig, _deep_text(DEPTH)).size == DEPTH + 1
+    spec = parse_spec(_target_spec(sig, [_deep_text(DEPTH)]))
+    assert spec.rules_for("probe")[0].target.size == DEPTH + 1
+
+
+def test_identifiers_follow_the_spec_token_set():
+    spec = parse_spec(
+        "dialect desimone\nsemiring boolean\nlabels a\nop café : 0\n"
+        "op g : 1\nrule café -a-> g(café)\n"
+    )
+    t = parse_term(spec.signature, "g(café)")
+    assert t == Node("g", [Node("café")])
+    assert parse_term(spec.signature, print_term(t)) == t
+    assert spec.rules[0].target == t
+
+
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        ("nil $", "unexpected character '$'", 5),
+        ("par(nil", "unclosed argument list", 4),
+        ("par(nil,)", "expected a term, got ')'", 9),
+        ("par(nil nil)", "expected ',' or ')', got 'nil'", 9),
+        ("pre_a(x1)", "variable 'x1' not allowed in a closed term", 7),
+        ("nil -a-> nil", "trailing input an arrow", 5),
+        ("", "unexpected end of term", None),
+    ],
+)
+def test_syntax_errors_name_a_column(sig, text, message, col):
+    with pytest.raises(TermSyntaxError) as err:
+        parse_term(sig, text)
+    assert (err.value.message, err.value.col) == (message, col)
+    assert str(err.value) == message + ("" if col is None else f" (column {col})")
+
+
+def test_x0_names_no_variable(sig):
+    with pytest.raises(TermSyntaxError) as err:
+        parse_term(sig, "pre_a(x0)", allow_vars=True)
+    assert err.value.message == "unknown operator 'x0'"
+    assert parse_term(sig, "par(x01, y2)", allow_vars=True) == parse_term(
+        sig, "par(x1, y2)", allow_vars=True
+    )
 
 
 # --- substitution ------------------------------------------------------------

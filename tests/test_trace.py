@@ -255,6 +255,46 @@ def test_cycle_that_still_terminates_is_consistent():
     assert report.masses[-1][1] >= 1 - AST_TOLERANCE
 
 
+SHARED = (
+    "dialect weighted\nsemiring rational\nlabels a, b\n"
+    "op r : 0\nop a : 0\nop b : 0\nop s : 0\nop t : 0\n"
+    "rule r -a[1/2]-> a\nrule r -b[1/2]-> b\nrule a -a[1]-> s\n"
+)
+# two paths from r into s; s stops with weight {w}
+DIAMOND = SHARED + "rule b -a[1/2]-> s\nrule b -[1/2]-> *\nrule s -[{w}]-> *\n"
+# the cycle s -> t -> s is entered only through the shared state s
+SHARED_CYCLE = SHARED + (
+    "rule b -a[1]-> s\nrule s -a[1/2]-> t\nrule s -[{w}]-> *\nrule t -b[1]-> s\n"
+)
+SHARED_SPECS = {"diamond": DIAMOND, "shared_cycle": SHARED_CYCLE}
+
+
+@pytest.mark.parametrize(
+    "name, w, depth, verdict, limit, detail",
+    [
+        ("diamond", "1/3", 6, "non-ast", F(1, 2),
+         "closed acyclic state space; limit mass is exactly 1/2 < 1"),
+        ("diamond", "1", 6, "ast-consistent", F(1),
+         "closed acyclic state space; limit mass is exactly 1"),
+        ("diamond", "0", 12, "non-ast", F(1, 4),
+         "closed acyclic state space; limit mass is exactly 1/4 < 1"),
+        ("shared_cycle", "1/2", 12, "inconclusive", None,
+         "mass 31/32 at depth 12; no closure argument applies"),
+        ("shared_cycle", "1/2", 60, "ast-consistent", None,
+         "mass reached 536870911/536870912 >= 1 - 10^-6 by depth 60"),
+        ("shared_cycle", "1", 6, "inconclusive", None,
+         "mass 3/2 at depth 6 exceeds 1, so it is not a termination probability"),
+        ("shared_cycle", "0", 6, "non-ast", F(0),
+         "no reachable state has positive termination weight"),
+    ],
+)
+def test_shared_states_and_cycles_behind_them(name, w, depth, verdict, limit, detail):
+    spec = parse_spec(SHARED_SPECS[name].format(w=w))
+    report = ast_estimate(spec, t(spec, "r"), depth)
+    assert (report.verdict, report.limit, report.detail) == (verdict, limit, detail)
+    assert report.exact == (limit is not None)
+
+
 EXTREME_WEIGHTS = (
     "dialect weighted\nsemiring rational\nlabels a, b\n"
     "op nil : 0\nop hot : 0\nop spin : 0\nop pre_a : 1\nop par : 2\n"
