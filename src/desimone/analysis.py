@@ -14,10 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .formalsum import STOP
+from .formalsum import STOP, payload_key
 from .opmodel import explore
-from .ordering import payload_key
 from .terms import (
+    HOLE,
     Leaf,
     Node,
     enumerate_closed_terms,
@@ -25,33 +25,6 @@ from .terms import (
     term_size,
 )
 from .trace import partial_trace_bounded, trace_bounded, trace_direct
-
-
-class _Hole:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "HOLE"
-
-    def __str__(self):
-        return "[]"
-
-    def __hash__(self):
-        return hash("desimone-hole")
-
-    def __eq__(self, other):
-        return isinstance(other, _Hole)
-
-    def _canon_key(self):
-        return ("hole",)
-
-
-HOLE = _Hole()
 
 
 @dataclass(frozen=True)

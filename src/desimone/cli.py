@@ -8,9 +8,12 @@ followed by its decimal approximation.
 
 Exit codes: 0 success / property holds, 1 semantic failure (format
 violation, witness, inequivalence, bad term), 2 usage, file or spec-parse
-error, or an input nested or chained too deeply for Python's recursion
-limit (``traces`` and ``equiv`` recurse once per depth), refused with one
-line on stderr.
+error, or an input too deep for Python's recursion limit, refused with one
+line on stderr. Two inputs meet that refusal: a ``traces``/``equiv``
+depth past the limit (tables recurse once per depth), and a term whose
+premised arguments nest past it (``step`` recurses once per premised level,
+so ``step --direct`` refuses ``par`` nested 10,000 deep). Term depth alone
+is answered: printing, ordering, comparing and ``step_law`` do not recurse.
 """
 
 from __future__ import annotations

@@ -5,13 +5,18 @@ boolean sums are finite sets and rational sums are weight tables. ``Step``/
 ``STOP`` are the elements of B X = L x X + 1; ``Pure``/``Obs`` tag the
 coproduct B0 X = X + B X. The four distributivity transformations used by the
 law pipeline live here as well.
+
+``payload_key`` is the one total order on payloads. Wherever output must be
+deterministic (rendering, witness reports, first-difference selection),
+entries are listed in its order.
 """
 
 from __future__ import annotations
 
-from .ordering import payload_key
-from .semiring import Semiring
-from .terms import Leaf, Node
+from fractions import Fraction
+
+from .semiring import INF, Semiring
+from .terms import HOLE, Leaf, Node, Var, fold
 
 
 class FormalSum:
@@ -78,14 +83,6 @@ class FormalSum:
             f"{p!r}: {self.semiring.show(w)}" for p, w in self.sorted_items()
         )
         return f"<{body}>"
-
-    def _canon_key(self):
-        from .semiring import weight_key
-
-        return (
-            "fs",
-            tuple((payload_key(p), weight_key(w)) for p, w in self.sorted_items()),
-        )
 
 
 def fs_unit(semiring, payload):
@@ -171,29 +168,12 @@ class Step:
     def __repr__(self):
         return f"Step({self.label!r}, {self.target!r})"
 
-    def _canon_key(self):
-        return ("belem", 1, self.label, payload_key(self.target))
-
 
 class _Stop:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The type of ``STOP``, the element 1 of B X; compared with ``is``."""
 
     def __repr__(self):
         return "STOP"
-
-    def __hash__(self):
-        return hash("desimone-stop")
-
-    def __eq__(self, other):
-        return isinstance(other, _Stop)
-
-    def _canon_key(self):
-        return ("belem", 0)
 
 
 STOP = _Stop()
@@ -201,7 +181,7 @@ STOP = _Stop()
 
 def belem_map(e, f):
     """Apply f to the successor position; STOP is fixed."""
-    if e is STOP or isinstance(e, _Stop):
+    if e is STOP:
         return STOP
     return Step(e.label, f(e.target))
 
@@ -226,9 +206,6 @@ class Pure:
     def __repr__(self):
         return f"Pure({self.value!r})"
 
-    def _canon_key(self):
-        return ("b0", 0, payload_key(self.value))
-
 
 class Obs:
     __slots__ = ("elem",)
@@ -248,15 +225,61 @@ class Obs:
     def __repr__(self):
         return f"Obs({self.elem!r})"
 
-    def _canon_key(self):
-        return ("b0", 1, payload_key(self.elem))
+
+# --- the payload order -----------------------------------------------------
+
+def _leaf_key(payload):
+    return ("leaf", payload_key(payload))
+
+
+def _node_key(n, child_keys):
+    return ("node", n.op, tuple(child_keys))
+
+
+def payload_key(x):
+    """Sort key of the total order on payloads; keys compare as tuples.
+
+    Numbers (weights) are in numeric order with ``INF`` above every
+    rational, tuples (trace words) length-major and then letter by letter,
+    terms by operator and then children, a sum by its sorted entries.
+    """
+    if isinstance(x, str):
+        return ("str", x)
+    if x is INF:
+        return ("num", 1, 0)
+    if isinstance(x, (int, Fraction)):  # bool included
+        return ("num", 0, Fraction(x))
+    if isinstance(x, tuple):
+        return ("tuple", len(x), tuple(payload_key(i) for i in x))
+    if isinstance(x, (Leaf, Node)):
+        return fold(x, _leaf_key, _node_key)
+    if isinstance(x, Var):
+        return ("var", x.kind, x.index)
+    if x is HOLE:
+        return ("hole",)
+    if x is STOP:
+        return ("belem", 0)
+    if isinstance(x, Step):
+        return ("belem", 1, x.label, payload_key(x.target))
+    if isinstance(x, Pure):
+        return ("b0", 0, payload_key(x.value))
+    if isinstance(x, Obs):
+        return ("b0", 1, payload_key(x.elem))
+    if isinstance(x, FormalSum):
+        return (
+            "fs",
+            tuple((payload_key(p), payload_key(w)) for p, w in x.sorted_items()),
+        )
+    if x is None:
+        return ("none",)
+    raise TypeError(f"no canonical order for payload {x!r}")
 
 
 # --- distributivity transformations ---------------------------------------
 
 def dist_b(semiring, e):
     """B T -> T B: move the weight out of the successor; STOP gets weight one."""
-    if e is STOP or isinstance(e, _Stop):
+    if e is STOP:
         return fs_unit(semiring, STOP)
     inner = e.target
     if not isinstance(inner, FormalSum):

@@ -31,8 +31,8 @@ from .formalsum import (
     fs_map,
     fs_pair_join,
     fs_unit,
+    payload_key,
 )
-from .ordering import payload_key
 from .terms import Leaf, Var, graft, map_leaves, substitute
 
 

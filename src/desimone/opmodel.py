@@ -151,13 +151,23 @@ def step_law(spec, term):
 
 
 def _step_law(spec, term, memo):
-    hit = memo.get(term)
-    if hit is not None:
-        return hit
-    pairs = [(child, _step_law(spec, child, memo)) for child in term.children]
-    stepped = bar_rho_step(spec, term.op, pairs)
-    result = memo[term] = fs_map(lambda e: belem_map(e, graft), stepped)
-    return result
+    # post-order on an explicit stack: a node is stepped once its children
+    # are memoized, the leftmost subterm first
+    todo = [term]
+    while todo:
+        t = todo[-1]
+        if t in memo:
+            todo.pop()
+            continue
+        pending = [child for child in t.children if child not in memo]
+        if pending:
+            todo.extend(reversed(pending))
+            continue
+        todo.pop()
+        pairs = [(child, memo[child]) for child in t.children]
+        stepped = bar_rho_step(spec, t.op, pairs)
+        memo[t] = fs_map(lambda e: belem_map(e, graft), stepped)
+    return memo[term]
 
 
 class Walk(NamedTuple):

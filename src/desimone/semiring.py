@@ -13,23 +13,10 @@ from fractions import Fraction
 
 
 class _Infinity:
-    """The top element of [0, inf]. A singleton; compares above every rational."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The type of ``INF``, the top element of [0, inf]; compared with ``is``."""
 
     def __repr__(self):
         return "inf"
-
-    def __hash__(self):
-        return hash("desimone-inf")
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinity)
 
 
 INF = _Infinity()
@@ -175,10 +162,3 @@ RATIONAL = Semiring(
 )
 
 SEMIRINGS = {"boolean": BOOLEAN, "rational": RATIONAL}
-
-
-def weight_key(w):
-    """Sort key putting finite weights in numeric order below INF."""
-    if w is INF:
-        return (1, 0)
-    return (0, Fraction(w))

@@ -2,8 +2,12 @@
 
 A term is either ``Leaf(payload)`` or ``Node(op, children)``. Leaf payloads are
 rule variables (``Var``), closed subterms (when a term-over-terms is about to be
-grafted), or formal sums (inside the distributivity transformations). Closed
-terms are all-``Node`` trees over a signature.
+grafted), formal sums (inside the distributivity transformations) or a
+context's ``HOLE``. Closed terms are all-``Node`` trees over a signature.
+
+Walkers that visit every node (``fold``, ``leaves``, ``Node.__eq__``) keep
+their work on an explicit stack, so term depth is not bounded by the
+recursion limit.
 """
 
 from __future__ import annotations
@@ -32,8 +36,18 @@ class Var:
     def __repr__(self):
         return self.name
 
-    def _canon_key(self):
-        return ("var", self.kind, self.index)
+
+class _Hole:
+    """The type of ``HOLE``, the one hole leaf of a context; compared with ``is``."""
+
+    def __repr__(self):
+        return "HOLE"
+
+    def __str__(self):
+        return "[]"
+
+
+HOLE = _Hole()
 
 
 class Leaf:
@@ -56,11 +70,6 @@ class Leaf:
     def __repr__(self):
         return f"Leaf({self.payload!r})"
 
-    def _canon_key(self):
-        from .ordering import payload_key
-
-        return ("leaf", payload_key(self.payload))
-
 
 class Node:
     __slots__ = ("op", "children", "size", "_hash")
@@ -79,24 +88,31 @@ class Node:
         raise AttributeError("Node is immutable")
 
     def __eq__(self, other):
-        return (
-            self is other
-            or (
-                isinstance(other, Node)
-                and self._hash == other._hash
-                and self.op == other.op
-                and self.children == other.children
-            )
-        )
+        # node pairs wait on a stack; shared subterms are skipped by identity
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if not (
+                isinstance(b, Node)
+                and a._hash == b._hash
+                and a.op == b.op
+                and len(a.children) == len(b.children)
+            ):
+                return False
+            for x, y in zip(a.children, b.children):
+                if x is y:
+                    continue
+                if isinstance(x, Node):
+                    pairs.append((x, y))
+                elif x != y:  # a leaf compares its payload
+                    return False
+        return True
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
         return f"Node({self.op!r}, {list(self.children)!r})"
-
-    def _canon_key(self):
-        return ("node", self.op, tuple(c._canon_key() for c in self.children))
 
 
 class Signature:
@@ -110,8 +126,7 @@ class Signature:
             if arity < 0:
                 raise ValueError(f"negative arity for {name!r}")
             self._ops[name] = arity
-        self._index = {name: i for i, name in enumerate(self._ops)}
-        self._closed = {}  # size -> sorted closed terms, see closed_terms_of_size
+        self._closed = {}  # size -> closed terms in order, see closed_terms_of_size
 
     @property
     def ops(self):
@@ -122,9 +137,6 @@ class Signature:
 
     def arity(self, name):
         return self._ops[name]
-
-    def op_index(self, name):
-        return self._index[name]
 
     def check_arity(self, name, count):
         """Refuse an unknown operator (KeyError) or a wrong argument count (ValueError)."""
@@ -149,20 +161,44 @@ def term_size(t):
     return t.size
 
 
-def is_closed(t):
-    if isinstance(t, Leaf):
-        return False
-    return all(is_closed(c) for c in t.children)
+def fold(t, leaf, node):
+    """Fold a term bottom-up: ``leaf(payload)`` at each leaf, ``node(n,
+    results)`` at each node ``n`` with its children's results in order.
+
+    Post-order on an explicit stack, so depth costs no recursion.
+    """
+    done = []  # results of finished subterms, in post-order
+    todo = [(t, False)]
+    while todo:
+        u, expanded = todo.pop()
+        if isinstance(u, Leaf):
+            done.append(leaf(u.payload))
+        elif expanded:
+            k = len(u.children)
+            results = done[len(done) - k:]
+            del done[len(done) - k:]
+            done.append(node(u, results))
+        else:
+            todo.append((u, True))
+            todo.extend((c, False) for c in reversed(u.children))
+    return done[0]
 
 
 def leaves(t):
     """Leaf payloads in left-to-right order (occurrences, with repeats)."""
-    if isinstance(t, Leaf):
-        return [t.payload]
     out = []
-    for c in t.children:
-        out.extend(leaves(c))
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, Leaf):
+            out.append(u.payload)
+        else:
+            todo.extend(reversed(u.children))
     return out
+
+
+def is_closed(t):
+    return not leaves(t)
 
 
 def term_vars(t):
@@ -205,9 +241,7 @@ def graft(t):
 
 
 def map_leaves(t, f):
-    if isinstance(t, Leaf):
-        return Leaf(f(t.payload))
-    return Node(t.op, [map_leaves(c, f) for c in t.children])
+    return fold(t, lambda p: Leaf(f(p)), lambda n, children: Node(n.op, children))
 
 
 # --- concrete syntax -------------------------------------------------------
@@ -357,45 +391,20 @@ def print_term(t):
     A leaf prints as ``str`` of its payload: a variable by its name, a
     carrier element as itself, a context's hole as ``[]``.
     """
-    if isinstance(t, Leaf):
-        return str(t.payload)
-    if not t.children:
-        return t.op
-    return f"{t.op}({', '.join(print_term(c) for c in t.children)})"
+    return fold(
+        t, str, lambda n, args: f"{n.op}({', '.join(args)})" if args else n.op
+    )
 
 
 # --- enumeration -----------------------------------------------------------
 
-def term_key(t, signature):
-    """Total order: size-major, then op declaration order, then children."""
-    if isinstance(t, Leaf):
-        raise TypeError("term_key orders closed terms only")
-    return (
-        t.size,
-        signature.op_index(t.op),
-        tuple(term_key(c, signature) for c in t.children),
-    )
-
-
-def _compositions(total, parts):
-    """All ways to write total as an ordered sum of `parts` positive ints."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def closed_terms_of_size(signature, size):
-    """All closed terms with exactly `size` Node constructors, sorted.
+    """All closed terms with exactly `size` Node constructors, in order.
 
-    The tuples are kept on the signature: each size is built once.
+    The order is operator declaration order, then the arguments from the
+    first: each position by size, then in its own size's order. Argument
+    tuples are generated in exactly that order, so nothing is sorted. The
+    tuples are kept on the signature: each size is built once.
     """
     cache = signature._closed
     if size in cache:
@@ -407,13 +416,20 @@ def closed_terms_of_size(signature, size):
             if size == 1:
                 out.append(Node(op))
             continue
-        for split in _compositions(size - 1, arity):
-            pools = [closed_terms_of_size(signature, s) for s in split]
-            stack = [()]
-            for pool in pools:
-                stack = [partial + (c,) for partial in stack for c in pool]
-            out.extend(Node(op, children) for children in stack)
-    out.sort(key=lambda t: term_key(t, signature))
+        partials = [((), size - 1)]  # argument prefixes, with the size left
+        for later in reversed(range(arity)):  # positions after this one
+            grown = []
+            for args, rest in partials:
+                # the last position takes what is left; earlier ones leave
+                # at least one node to each later position
+                low = max(rest, 1) if later == 0 else 1
+                for s in range(low, rest - later + 1):
+                    grown.extend(
+                        (args + (c,), rest - s)
+                        for c in closed_terms_of_size(signature, s)
+                    )
+            partials = grown
+        out.extend(Node(op, args) for args, _ in partials)
     out = cache[size] = tuple(out)
     return out
 

@@ -74,6 +74,14 @@ def count_closed_terms(signature, size):
     return terms_of(size) if size >= 1 else 0
 
 
+def term_key(t, signature):
+    """The enumeration order as a sort key: size first, then operator
+    declaration order, then the children's keys left to right."""
+    children = tuple(term_key(c, signature) for c in t.children)
+    size = 1 + sum(key[0] for key in children)
+    return (size, signature.names().index(t.op), children)
+
+
 # --- rule-format recheck ----------------------------------------------------
 
 def recheck_conditions(dialect, rule):

@@ -479,10 +479,28 @@ def test_unparseable_term_is_a_semantic_failure(run):
     assert err == "desimone: bad term 'wat(nil)': unknown operator 'wat' (column 1)\n"
 
 
-def test_a_term_deeper_than_the_recursion_limit_is_refused(run):
-    # the term parses at any depth; step_law and print_term still recurse on it
-    deep = "pre_a(" * 10_000 + "nil" + ")" * 10_000
-    code, out, err = run("step", path("prob_par"), deep)
+DEEP = 10_000
+DEEP_CHAIN = "pre_a(" * DEEP + "nil" + ")" * DEEP
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--oracle"]])
+def test_step_answers_on_a_term_deeper_than_the_recursion_limit(run, flags):
+    code, out, err = run("step", path("prob_par"), DEEP_CHAIN, *flags)
+    assert (code, err) == (0, "")
+    target = "pre_a(" * (DEEP - 1) + "nil" + ")" * (DEEP - 1)
+    assert target in out and DEEP_CHAIN in out
+
+
+def test_equiv_answers_on_terms_deeper_than_the_recursion_limit(run):
+    code, out, err = run("equiv", path("prob_par"), DEEP_CHAIN, DEEP_CHAIN, "--depth", "3")
+    assert (code, err) == (0, "")
+    assert out.endswith(" have equal trace tables at depth 3\n")
+
+
+def test_the_engine_refuses_a_deeply_nested_premised_argument(run):
+    # par steps its arguments, so the engine recurses once per level
+    nested = "par(" * DEEP + "nil" + ", nil)" * DEEP
+    code, out, err = run("step", path("prob_par"), nested, "--direct")
     assert (code, out) == (2, "")
     assert err == (
         "desimone: input too deep for this command "

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from desimone import (
     BOOLEAN,
+    HOLE,
     INF,
     FormalSum,
     Leaf,
@@ -18,6 +19,7 @@ from desimone import (
     RATIONAL,
     STOP,
     Step,
+    Var,
     belem_map,
     dist_b,
     dist_b0,
@@ -32,6 +34,7 @@ from desimone import (
     fs_total,
     fs_unit,
     is_affine,
+    payload_key,
 )
 from oracles import as_set, set_flatten, set_product_terms
 
@@ -84,6 +87,40 @@ def test_rejects_negative_weights():
 def test_sorted_items_are_deterministic():
     s = FormalSum(RATIONAL, [("b", F(1)), ("a", F(2))])
     assert s.sorted_items() == [("a", F(2)), ("b", F(1))]
+
+
+def test_payload_order_over_every_payload_kind_is_pinned():
+    nil = Node("nil")
+    half = FormalSum(RATIONAL, [("x", F(1, 2)), ("y", F(1, 2))])
+    inf_x = FormalSum(RATIONAL, [("x", INF)])
+    empty = FormalSum(RATIONAL)
+    hole_left = Node("par", [Leaf(HOLE), nil])
+    hole_right = Node("par", [nil, Leaf(HOLE)])
+    pre_nil = Node("pre_a", [nil])
+    step_a, step_b = Step("a", pre_nil), Step("b", nil)
+    obs_step = Obs(Step("a", half))
+    items = [
+        "b", ("b",), Obs(STOP), hole_left, F(1, 2), Var("y", 1), inf_x, step_b,
+        3, Leaf("c"), ("a", "b"), STOP, Pure(half), INF, Leaf(HOLE), "a",
+        Var("x", 2), pre_nil, obs_step, (), half, nil, step_a, 0, hole_right,
+        Leaf(Var("x", 1)), empty,
+    ]
+    assert sorted(items, key=payload_key) == [
+        Pure(half), Obs(STOP), obs_step, STOP, step_a, step_b,
+        empty, half, inf_x,
+        Leaf(HOLE), Leaf("c"), Leaf(Var("x", 1)),
+        nil, hole_left, hole_right, pre_nil,
+        0, F(1, 2), 3, INF, "a", "b", (), ("b",), ("a", "b"),
+        Var("x", 2), Var("y", 1),
+    ]
+
+
+def test_sorted_items_of_a_deep_target():
+    deep = Node("nil")
+    for _ in range(1200):
+        deep = Node("pre_a", [deep])
+    s = FormalSum(RATIONAL, [(Step("a", deep), F(1, 2)), (STOP, F(1, 2))])
+    assert s.sorted_items() == [(STOP, F(1, 2)), (Step("a", deep), F(1, 2))]
 
 
 def test_basic_constructors():

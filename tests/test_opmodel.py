@@ -202,6 +202,13 @@ def test_desimone_stop_conclusions_add_nothing_to_either_reading():
     )
 
 
+def test_step_law_does_not_recurse_on_term_depth(prob_par):
+    chain = t(prob_par, "pre_a(" * 1200 + "nil" + ")" * 1200)
+    assert step_law(prob_par, chain) == step(prob_par, chain)
+    nested = t(prob_par, "par(" * 1200 + "nil" + ", nil)" * 1200)
+    assert is_affine(step_law(prob_par, nested))
+
+
 def test_memoized_step_is_stable(prob_par):
     term = t(prob_par, "par(pre_a(nil), nil)")
     assert step(prob_par, term) is step(prob_par, term)

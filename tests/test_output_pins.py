@@ -1,0 +1,88 @@
+"""Byte-identity of CLI output across refactors.
+
+Runs a fixed set of in-process CLI commands over every bundled spec and
+compares the sha256 of each command's ``(argv, exit code, stdout)`` with
+``output_pins.json``. A change that should keep every byte keeps every pin.
+A change that alters output on purpose rewrites the pins with
+
+    PYTHONPATH=src python tests/test_output_pins.py --write
+
+and says in its description which commands moved.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from itertools import islice
+from pathlib import Path
+
+from desimone import SPEC_NAMES, enumerate_closed_terms, load_spec, print_term, spec_path
+from desimone.cli import main
+
+PINS = Path(__file__).with_name("output_pins.json")
+TERMS_PER_SPEC = 6
+
+
+def _terms(spec):
+    """Up to six terms spread over the spec's enumeration up to size 4."""
+    pool = list(enumerate_closed_terms(spec.signature, 4))
+    stride = max(1, len(pool) // TERMS_PER_SPEC)
+    return [print_term(t) for t in islice(pool, 0, None, stride)][:TERMS_PER_SPEC]
+
+
+def commands():
+    """Every pinned command; argv[1] is a bundled spec's name."""
+    out = []
+    for name in SPEC_NAMES:
+        out.append(["validate", name])
+        out.append(["naturality", name, "--carrier", "2"])
+        out.append(["congruence", name, "--size", "4", "--depth", "3"])
+        spec = load_spec(name)
+        terms = _terms(spec)
+        weighted = spec.semiring.name == "rational"
+        for i, term in enumerate(terms):
+            other = terms[(i + 1) % len(terms)]
+            out.append(["step", name, term, "--oracle"])
+            out.append(["traces", name, term, "--depth", "3"])
+            out.append(["equiv", name, term, other, "--depth", "3"])
+            if weighted:
+                out.append(["ast", name, term, "--depth", "8"])
+    return [argv + flag for argv in out for flag in ([], ["--json"])]
+
+
+def _digest(argv):
+    """sha256 of ``(argv, exit code, stdout)``. The command runs in the
+    specs' directory, so ``validate`` prints the same path in any checkout."""
+    command, name, *rest = argv
+    stdout = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(Path(spec_path(name)).parent)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, f"{name}.spec", *rest])
+    finally:
+        os.chdir(cwd)
+    record = json.dumps([argv, code, stdout.getvalue()])
+    return hashlib.sha256(record.encode("utf-8")).hexdigest()
+
+
+def _key(argv):
+    return " ".join(argv)
+
+
+def test_cli_output_matches_the_pins():
+    pins = json.loads(PINS.read_text(encoding="utf-8"))
+    got = {_key(argv): _digest(argv) for argv in commands()}
+    assert sorted(got) == sorted(pins)
+    assert [k for k in got if got[k] != pins[k]] == []
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_output_pins.py --write")
+    pins = {_key(argv): _digest(argv) for argv in commands()}
+    PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(pins)} pins to {PINS}")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from desimone import BOOLEAN, INF, RATIONAL, SEMIRINGS, weight_key
+from desimone import BOOLEAN, INF, RATIONAL, SEMIRINGS, payload_key
 
 finite = st.fractions(min_value=0, max_value=10)
 weights = st.one_of(finite, st.just(INF))
@@ -129,7 +129,7 @@ def test_order_transitive_and_add_monotone(a, b, c):
 
 
 @given(st.lists(weights, min_size=2, max_size=6))
-def test_weight_key_sorts_like_leq(ws):
-    ordered = sorted(ws, key=weight_key)
+def test_payload_key_sorts_weights_like_leq(ws):
+    ordered = sorted(ws, key=payload_key)
     assert all(RATIONAL.leq(x, y) for x, y in zip(ordered, ordered[1:]))
-    assert weight_key(INF) > weight_key(Fraction(10**9))
+    assert payload_key(INF) > payload_key(Fraction(10**9))

@@ -11,6 +11,7 @@ from desimone import (
     Leaf,
     Node,
     RATIONAL,
+    SPEC_NAMES,
     Signature,
     SpecParseError,
     TermSyntaxError,
@@ -19,22 +20,23 @@ from desimone import (
     closed_terms_of_size,
     dist_sigma_star,
     enumerate_closed_terms,
+    fold,
     fs_total,
     fs_unit,
     graft,
     is_affine_term,
     is_closed,
     leaves,
+    load_spec,
     map_leaves,
     parse_spec,
     parse_term,
     print_term,
     substitute,
-    term_key,
     term_size,
     term_vars,
 )
-from oracles import count_closed_terms
+from oracles import count_closed_terms, term_key
 
 F = Fraction
 
@@ -158,6 +160,19 @@ def test_nesting_depth_is_not_bounded_by_the_recursion_limit(sig):
     assert parse_term(sig, _deep_text(DEPTH)).size == DEPTH + 1
     spec = parse_spec(_target_spec(sig, [_deep_text(DEPTH)]))
     assert spec.rules_for("probe")[0].target.size == DEPTH + 1
+
+
+def test_walkers_do_not_recurse_on_term_depth(sig):
+    text = _deep_text(DEPTH)
+    t, u = parse_term(sig, text), parse_term(sig, text)
+    assert t is not u and t == u
+    assert t != parse_term(sig, _deep_text(DEPTH - 1))
+    assert print_term(t) == text
+    assert leaves(t) == [] and is_closed(t)
+    assert fold(t, lambda p: 0, lambda n, sizes: 1 + sum(sizes)) == DEPTH + 1
+    open_term = parse_term(sig, text.replace("nil", "x1"), allow_vars=True)
+    assert leaves(open_term) == [Var("x", 1)] and not is_closed(open_term)
+    assert leaves(map_leaves(open_term, lambda v: v.index + 6)) == [7]
 
 
 def test_identifiers_follow_the_spec_token_set():
@@ -318,6 +333,20 @@ def test_enumeration_order_is_op_order_then_children(sig):
     ]
     everything = list(enumerate_closed_terms(sig, 5))
     assert everything == sorted(everything, key=lambda t: term_key(t, sig))
+
+
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_each_bundled_enumeration_is_in_term_key_order(name):
+    signature = load_spec(name).signature
+    terms = list(enumerate_closed_terms(signature, 6))
+    assert terms == sorted(terms, key=lambda t: term_key(t, signature))
+
+
+def test_enumeration_with_a_ternary_operator_is_in_term_key_order():
+    signature = Signature([("a", 0), ("t", 3), ("b", 0), ("u", 1)])
+    terms = list(enumerate_closed_terms(signature, 6))
+    assert len(terms) == sum(count_closed_terms(signature, n) for n in range(1, 7))
+    assert terms == sorted(terms, key=lambda t: term_key(t, signature))
 
 
 def test_closed_terms_of_size_partitions_enumeration(sig):
