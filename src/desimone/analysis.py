@@ -2,11 +2,11 @@
 
 Congruence failures are what the affineness condition is about: two terms
 with equal bounded trace tables whose tables split under some one-hole
-context. Pair candidates come from bucketing enumerated terms by trace
-fingerprint; contexts are the complete depth-1 layer followed by seeded
-random one-hole terms. Search iterates buckets in enumeration order and
-splits each bucket by per-context fingerprints, so the first reported
-violation is deterministic.
+context. ``counterexample_search`` is the congruence check. Pair candidates
+come from bucketing enumerated terms by trace fingerprint; contexts are the
+complete depth-1 layer followed by seeded random one-hole terms. The search
+iterates buckets in enumeration order and splits each bucket by per-context
+fingerprints, so the first reported violation is deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +24,12 @@ from .terms import (
     print_term,
     term_size,
 )
-from .trace import partial_trace_bounded, trace_bounded, trace_direct
+from .trace import (
+    partial_trace_bounded,
+    trace_bounded,
+    trace_direct,
+    word_to_str,
+)
 
 
 @dataclass(frozen=True)
@@ -179,8 +184,6 @@ class CongruenceViolation:
     deep_context: bool = False  # split found beyond the depth-1 layer only
 
     def describe(self, spec):
-        from .trace import word_to_str
-
         return {
             "pair": [print_term(self.left), print_term(self.right)],
             "context": self.context.show(),
@@ -190,19 +193,6 @@ class CongruenceViolation:
             "verified": self.verified,
             "deep_context": self.deep_context,
         }
-
-
-@dataclass
-class CongruenceReport:
-    depth: int
-    contexts: int
-    pairs_checked: int
-    violations: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)  # pairs not trace-equivalent
-
-    @property
-    def passed(self):
-        return not self.violations
 
 
 def _verify_violation(spec, violation, depth):
@@ -243,31 +233,6 @@ def _split_violation(spec, members, context, depth, depth1_clean):
             v.verified = _verify_violation(spec, v, depth)
             return v
     return None
-
-
-def congruence_test(spec, pairs, contexts, depth):
-    """Check each trace-equivalent pair under every context.
-
-    Pairs failing the equivalence precondition (completed tables at ``depth``
-    plus partial words below it) are recorded as skipped. For a violating
-    pair only the first splitting context is reported; the ``deep_context``
-    flag marks splits that the complete depth-1 layer missed.
-    """
-    depth1_arity = sum(spec.signature.arity(op) for op in spec.signature.names())
-    report = CongruenceReport(depth=depth, contexts=len(contexts), pairs_checked=0)
-    for t, s in pairs:
-        if not observably_equiv_bounded(spec, t, s, depth):
-            report.skipped.append((t, s))
-            continue
-        report.pairs_checked += 1
-        for i, context in enumerate(contexts):
-            # contexts from generate_contexts lead with the complete
-            # depth-1 layer, so a first split past it is an anomaly
-            v = _split_violation(spec, [t, s], context, depth, i >= depth1_arity)
-            if v is not None:
-                report.violations.append(v)
-                break
-    return report
 
 
 def bisim_partition(spec, terms, max_states=200000):
@@ -320,18 +285,6 @@ def fingerprint_buckets(spec, size_bound, depth):
             order.append(fp)
         buckets[fp].append(t)
     return [(fp, buckets[fp]) for fp in order]
-
-
-def generate_pairs(spec, size_bound, depth, max_pairs):
-    """Trace-equivalent candidate pairs: within-bucket, enumeration order."""
-    pairs = []
-    for _, members in fingerprint_buckets(spec, size_bound, depth):
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.append((members[i], members[j]))
-                if len(pairs) >= max_pairs:
-                    return pairs
-    return pairs
 
 
 def counterexample_search(

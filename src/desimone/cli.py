@@ -23,12 +23,12 @@ import json
 import sys
 
 from .analysis import counterexample_search, fingerprint_buckets, first_difference
-from .formalsum import STOP, Pure
+from .formalsum import STOP, Pure, fs_empty
 from .law import naturality_check
 from .opmodel import step, step_law
 from .rulespec import SpecParseError, parse_spec, validate_format
 from .terms import TermSyntaxError, parse_term, print_term
-from .trace import ast_estimate, empty_table, total_mass, trace_bounded, trace_direct, word_to_str
+from .trace import ast_estimate, total_mass, trace_bounded, trace_direct, word_to_str
 
 
 class CliError(Exception):
@@ -211,7 +211,7 @@ def cmd_traces(args):
         oracle = (
             trace_direct(spec, term, args.depth - 1)
             if args.depth > 0
-            else empty_table(spec.semiring)
+            else fs_empty(spec.semiring)
         )
         payload["oracle"] = _table_entries(spec, oracle, args.float)
         payload["agree"] = oracle == table

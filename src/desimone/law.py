@@ -133,7 +133,13 @@ def bar_rho_step(spec, op, pairs):
         fs_pair_join(fs_unit(sr, x), behaviour, left=Pure, right=Obs)
         for x, behaviour in pairs
     ]
-    combined = dist_sigma(sr, op, arg_sums)
+    return _distribute_and_apply(spec, op, arg_sums)
+
+
+def _distribute_and_apply(spec, op, arg_sums):
+    """Distribute sums of B0 elements over ``op``, apply the law to each
+    resulting term and flatten."""
+    combined = dist_sigma(spec.semiring, op, arg_sums)
     applied = fs_map(
         lambda flat: rho_apply(spec, flat.op, [c.payload for c in flat.children]),
         combined,
@@ -190,48 +196,23 @@ def leg_law_first(spec, op, args):
 
 def leg_args_first(spec, op, args):
     """Distribute each argument's sums first, then apply the law pointwise."""
-    sr = spec.semiring
-    arg_sums = [dist_b0(sr, a) for a in args]
-    combined = dist_sigma(sr, op, arg_sums)
-    applied = fs_map(
-        lambda flat: rho_apply(spec, flat.op, [c.payload for c in flat.children]),
-        combined,
-    )
-    return fs_flatten(applied)
+    return _distribute_and_apply(spec, op, [dist_b0(spec.semiring, a) for a in args])
 
 
-def _affine_sums(spec, carrier):
-    """The affine formal sums over the carrier used as argument payloads.
+def _argument_sums(spec, carrier, include_nonaffine):
+    """The formal sums over the carrier used as argument payloads.
 
-    Boolean: all nonempty subsets. Rational: all distributions with
-    denominator dividing 4 (point masses included).
+    Weights are 0/1 (boolean) or multiples of 1/4 (rational). The sums of
+    total weight one are the affine ones: all nonempty subsets, all
+    distributions with denominator dividing 4 (point masses included).
+    ``include_nonaffine`` adds the sub-unit sums, the empty sum included.
     """
     sr = spec.semiring
-    if sr.name == "boolean":
-        subsets = []
-        n = len(carrier)
-        for mask in range(1, 1 << n):
-            subsets.append(
-                FormalSum(sr, [(x, 1) for i, x in enumerate(carrier) if mask >> i & 1])
-            )
-        return subsets
-    quarters = [Fraction(k, 4) for k in range(5)]
+    grid = (0, 1) if sr.name == "boolean" else [Fraction(k, 4) for k in range(5)]
     out = []
-    for weights in product(quarters, repeat=len(carrier)):
-        if sum(weights) == 1:
-            out.append(FormalSum(sr, zip(carrier, weights)))
-    return out
-
-
-def _nonaffine_extras(spec, carrier):
-    """Sub-unit sums (empty included) added in include-nonaffine mode."""
-    sr = spec.semiring
-    if sr.name == "boolean":
-        return [FormalSum(sr)]
-    quarters = [Fraction(k, 4) for k in range(5)]
-    out = []
-    for weights in product(quarters, repeat=len(carrier)):
-        if sum(weights) < 1:
+    for weights in product(grid, repeat=len(carrier)):
+        total = sr.sum(weights)
+        if total == sr.one or (include_nonaffine and total < sr.one):
             out.append(FormalSum(sr, zip(carrier, weights)))
     return out
 
@@ -249,10 +230,7 @@ def naturality_check(spec, carrier_size=2, include_nonaffine=False):
     if not 1 <= carrier_size <= MAX_CARRIER:
         raise ValueError(f"carrier size must be between 1 and {MAX_CARRIER}")
     carrier = tuple(f"x{i}" for i in range(carrier_size))
-    sums = _affine_sums(spec, carrier)
-    if include_nonaffine:
-        sums = sums + _nonaffine_extras(spec, carrier)
-    sums.sort(key=payload_key)
+    sums = sorted(_argument_sums(spec, carrier, include_nonaffine), key=payload_key)
 
     pool = [Pure(s) for s in sums]
     pool.extend(Obs(Step(label, s)) for label in spec.labels for s in sums)

@@ -68,6 +68,13 @@ def step(spec, term):
     malformed subterm in such a position is refused only once it is stepped.
     An operator outside the signature raises ``KeyError``, a wrong argument
     count ``ValueError``, a leaf where a term is stepped ``TypeError``.
+
+    Every analysis follows this rule-by-rule reading, also on specs whose
+    premises break the format, which ``validate`` rejects
+    (``distinct-premise-sources``, ``dialect-term-premise``): a source
+    premised twice is matched once per premise, the weights multiplied, and
+    a desimone termination premise always holds. ``step_law`` observes each
+    argument once and fires neither kind of rule, so the two disagree there.
     """
     return _step(spec, term, model_cache(spec).step)
 

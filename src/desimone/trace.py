@@ -36,10 +36,6 @@ from .terms import Node
 Word = tuple
 
 
-def empty_table(semiring):
-    return FormalSum(semiring)
-
-
 def trace_functional(spec, table, term):
     """One application of the trace transformer at ``term``.
 

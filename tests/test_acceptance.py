@@ -29,10 +29,11 @@ from desimone import (
     bar_rho_step,
     belem_map,
     check_probabilistic,
-    congruence_test,
+    counterexample_search,
     dist_sigma,
     dist_sigma_star,
     enumerate_closed_terms,
+    fingerprint_buckets,
     fs_empty,
     fs_flatten,
     fs_leq,
@@ -40,7 +41,6 @@ from desimone import (
     fs_pair_join,
     fs_unit,
     generate_contexts,
-    generate_pairs,
     graft,
     law_star,
     naturality_check,
@@ -171,13 +171,17 @@ def test_06_trace_equivalence_is_a_congruence_on_the_parallel_specs(
 ):
     for name in ("de_simone_par", "prob_par"):
         spec = request.getfixturevalue(name)
-        pairs = generate_pairs(spec, size_bound=7, depth=6, max_pairs=20)
-        assert len(pairs) >= 20
-        contexts = generate_contexts(spec, count=206, max_size=7, seed=0)
+        buckets = fingerprint_buckets(spec, size_bound=7, depth=6)
+        pairs = sum(len(ms) * (len(ms) - 1) // 2 for _, ms in buckets)
+        assert pairs >= 20
+        # the search tries the depth-1 layer and then 200 sampled contexts
+        arity = sum(spec.signature.arity(op) for op in spec.signature.names())
+        contexts = generate_contexts(spec, count=arity + 200, max_size=7, seed=0)
         assert len(contexts) >= 200
-        report = congruence_test(spec, pairs, contexts, depth=6)
-        assert report.passed and report.violations == []
-        assert report.pairs_checked >= 20 and report.skipped == []
+        found = counterexample_search(
+            spec, 7, 6, extra_contexts=200, seed=0, buckets=buckets
+        )
+        assert found is None
     budget(300)
 
 

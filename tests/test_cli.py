@@ -465,6 +465,48 @@ def test_desimone_stop_conclusion_runs_through_the_law(run, tmp_path, argv):
         assert out.startswith("naturality holds on carrier (x0, x1)")
 
 
+# specs whose premises break the format (validate rejects both): the engine,
+# which every analysis steps through, and the law pipeline read them apart
+MALFORMED_PREMISES = [
+    (
+        "dialect weighted\nsemiring rational\nlabels a\n"
+        "op nil : 0\nop p : 1\nop g : 1\n"
+        "rule p(x1) -a[1]-> p(x1)\nrule p(x1) -[1/2]-> *\n"
+        "rule g(x1) -a[1]-> g(y1) when x1 -a-> y1, x1 -> *\n",
+        "distinct-premise-sources",
+        ["  (empty)"],
+        ["  -a-> g(p(nil))  [1/2]"],
+    ),
+    (
+        "dialect desimone\nsemiring boolean\nlabels a\n"
+        "op nil : 0\nop p : 1\nop g : 1\n"
+        "rule p(x1) -a-> p(x1)\nrule g(x1) -a-> nil when x1 -> *\n",
+        "dialect-term-premise",
+        ["  -> *  [1]"],
+        ["  -> *  [1]", "  -a-> nil  [1]"],
+    ),
+]
+
+
+@pytest.mark.parametrize("text, violation, law, engine", MALFORMED_PREMISES)
+def test_step_on_premises_that_break_the_format(
+    run, tmp_path, text, violation, law, engine
+):
+    spec = tmp_path / "malformed.spec"
+    spec.write_text(text)
+    code, out, _ = run("validate", str(spec))
+    assert code == 1 and f"error {violation}:" in out
+    code, out, err = run("step", str(spec), "g(p(nil))")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == law
+    code, out, err = run("step", str(spec), "g(p(nil))", "--direct")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == engine
+    code, out, err = run("step", str(spec), "g(p(nil))", "--oracle", "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["agree"] is False
+
+
 # --- error routing ----------------------------------------------------------
 
 def test_missing_spec_file_is_a_usage_error(run):

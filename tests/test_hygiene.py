@@ -1,4 +1,5 @@
-"""Source hygiene: no uncalled functions, no unread imports.
+"""Source hygiene: no uncalled functions, no unread imports, and a package
+``__all__`` that lists exactly what the package imports.
 
 Both checks read the syntax trees of the package, the tests and the demos
 with ``ast``; nothing is imported or run.
@@ -63,3 +64,20 @@ def test_no_module_imports_a_name_it_never_reads():
                     if bound not in read:
                         unread.append(f"{path.name}:{node.lineno} {bound}")
     assert unread == []
+
+
+def test_all_lists_exactly_what_the_package_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = set()
+    exported = None
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            exported = ast.literal_eval(node.value)
+    assert exported is not None
+    assert len(exported) == len(set(exported))
+    assert set(exported) == imported

@@ -12,8 +12,8 @@ from desimone import (
     INF,
     RATIONAL,
     ast_estimate,
-    empty_table,
     enumerate_closed_terms,
+    fs_empty,
     fs_leq,
     parse_spec,
     parse_term,
@@ -46,7 +46,7 @@ def test_functional_from_bottom_sees_only_stopping(prob_par):
     assert trace_functional(prob_par, {}, t(prob_par, "nil")) == FormalSum(
         RATIONAL, [((), F(1))]
     )
-    assert trace_functional(prob_par, {}, t(prob_par, "pre_a(nil)")) == empty_table(
+    assert trace_functional(prob_par, {}, t(prob_par, "pre_a(nil)")) == fs_empty(
         RATIONAL
     )
 
@@ -62,7 +62,7 @@ def test_functional_missing_successors_contribute_nothing(prob_par, par_term):
     nil = t(prob_par, "nil")
     table = {nil: trace_functional(prob_par, {}, nil)}
     # both successors of the parallel term are absent from the table
-    assert trace_functional(prob_par, table, par_term) == empty_table(RATIONAL)
+    assert trace_functional(prob_par, table, par_term) == fs_empty(RATIONAL)
 
 
 # --- bounded tables ----------------------------------------------------------
@@ -76,8 +76,8 @@ def test_parallel_trace_table_at_depth_three(prob_par, par_term):
 
 
 def test_depth_zero_is_the_empty_table(prob_par, de_simone_par, par_term):
-    assert trace_bounded(prob_par, par_term, 0) == empty_table(RATIONAL)
-    assert trace_bounded(de_simone_par, t(de_simone_par, "nil"), 0) == empty_table(
+    assert trace_bounded(prob_par, par_term, 0) == fs_empty(RATIONAL)
+    assert trace_bounded(de_simone_par, t(de_simone_par, "nil"), 0) == fs_empty(
         BOOLEAN
     )
 
@@ -140,7 +140,7 @@ def test_direct_ignores_words_longer_than_the_bound(prob_par, par_term):
 
 def test_total_mass_examples(prob_par, par_term, de_simone_par):
     assert total_mass(trace_bounded(prob_par, par_term, 3)) == 1
-    assert total_mass(empty_table(RATIONAL)) == 0
+    assert total_mass(fs_empty(RATIONAL)) == 0
     assert total_mass(trace_bounded(de_simone_par, t(de_simone_par, "nil"), 1)) == 1
 
 
