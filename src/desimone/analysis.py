@@ -2,11 +2,12 @@
 
 Congruence failures are what the affineness condition is about: two terms
 with equal bounded trace tables whose tables split under some one-hole
-context. ``counterexample_search`` is the congruence check. Pair candidates
-come from bucketing enumerated terms by trace fingerprint; contexts are the
-complete depth-1 layer followed by seeded random one-hole terms. The search
-iterates buckets in enumeration order and splits each bucket by per-context
-fingerprints, so the first reported violation is deterministic.
+context. ``counterexample_search`` is the congruence check. It quotients
+first: one ``bisim_partition`` over the enumerated terms, one trace
+fingerprint per block, and buckets of equal fingerprints whose block
+representatives are split by contexts: the complete depth-1 layer, then
+seeded random one-hole terms. Buckets go in enumeration order, so the first
+reported violation is deterministic.
 """
 
 from __future__ import annotations
@@ -87,11 +88,6 @@ def _fingerprint(spec, t, depth):
         trace_bounded(spec, t, depth),
         partial_trace_bounded(spec, t, depth - 1),
     )
-
-
-def observably_equiv_bounded(spec, t, s, depth):
-    """Bounded trace equivalence refined with partial-trace agreement."""
-    return _fingerprint(spec, t, depth) == _fingerprint(spec, s, depth)
 
 
 def first_difference(spec, t, s, depth):
@@ -238,53 +234,73 @@ def _split_violation(spec, members, context, depth, depth1_clean):
 def bisim_partition(spec, terms, max_states=200000):
     """Partition terms, and everything they reach, by weighted bisimilarity.
 
-    Returns {term: block id} with dense integer ids, deterministic for a
-    fixed input order. Partition refinement on the behaviours ``explore``
-    stepped once per reachable state: a state's signature is its termination
-    weight plus its per-(label, block) summed transition weight; blocks split
-    until the count is stable.
+    Returns {term: block id}, dense ids numbered in walk order, so
+    deterministic for a fixed input order; a walk past ``max_states`` raises
+    ``ValueError``. ``explore`` steps each state once, and the walk is
+    indexed once (a stop weight and ``(label, target index, weight)`` edges
+    per state), so refinement rounds work on integers: a state's signature
+    is its block, stop weight and summed weight into each (label, block),
+    and blocks split until their count is stable.
 
-    Bisimilar terms have equal bounded trace tables under every context,
-    copying contexts included, so the congruence search only ever needs one
-    representative per block.
+    Bisimilarity is a congruence for every GSOS law, so bisimilar terms have
+    equal completed and partial tables under every context, copying ones too.
     """
-    sr = spec.semiring
+    add = spec.semiring.add
     walk = explore(spec, terms, -1, max_states)
     if not walk.closed:
         raise ValueError(f"reachable state space exceeds {max_states} states")
-    current = dict.fromkeys(walk.order, 0)
-    blocks = 1
+    index = {t: i for i, t in enumerate(walk.order)}
+    moves = [walk.behaviours[t] for t in walk.order]
+    stops = [behaviour.weight(STOP) for behaviour in moves]
+    edges = [
+        [(e.label, index[e.target], w) for e, w in behaviour.items() if e is not STOP]
+        for behaviour in moves
+    ]
+    current, blocks = [0] * len(moves), 1
     while True:
         ids = {}
-        refined = {}
-        for t, behaviour in walk.behaviours.items():  # in walk order
+        refined = []
+        for i, out in enumerate(edges):
             agg = {}
-            for e, w in behaviour.items():
-                if e is not STOP:
-                    key = (e.label, current[e.target])
-                    agg[key] = sr.add(agg.get(key, sr.zero), w)
-            sig = (current[t], behaviour.weight(STOP), frozenset(agg.items()))
-            refined[t] = ids.setdefault(sig, len(ids))
+            for label, j, w in out:
+                key = (label, current[j])
+                seen = agg.get(key)
+                agg[key] = w if seen is None else add(seen, w)
+            sig = (current[i], stops[i], frozenset(agg.items()))
+            refined.append(ids.setdefault(sig, len(ids)))
         if len(ids) == blocks:
-            return refined
+            return dict(zip(walk.order, refined))
         current, blocks = refined, len(ids)
 
 
 def fingerprint_buckets(spec, size_bound, depth):
     """Group enumerated closed terms by what bounded contexts can observe.
 
-    The fingerprint is the completed trace table at ``depth``, refined in
-    the weighted dialect with the partial-word table below it.
+    Returns ``[(fingerprint, members, representatives)]`` in enumeration
+    order of first members; the representatives are the first member of each
+    bisimulation block in the bucket. The fingerprint is the completed table
+    at ``depth``, in the weighted dialect with the partial table below it.
+    One ``bisim_partition`` over the enumeration comes first, and each block
+    is fingerprinted once, on its first member. Past the state cap every
+    term is its own block.
     """
+    terms = list(enumerate_closed_terms(spec.signature, size_bound))
+    try:
+        blocks = bisim_partition(spec, terms)
+    except ValueError:
+        blocks = {t: i for i, t in enumerate(terms)}
+    fingerprints = {}  # block -> the fingerprint of its first member
     buckets = {}
-    order = []
-    for t in enumerate_closed_terms(spec.signature, size_bound):
-        fp = _fingerprint(spec, t, depth)
-        if fp not in buckets:
-            buckets[fp] = []
-            order.append(fp)
-        buckets[fp].append(t)
-    return [(fp, buckets[fp]) for fp in order]
+    for t in terms:
+        first = blocks[t] not in fingerprints
+        if first:
+            fingerprints[blocks[t]] = _fingerprint(spec, t, depth)
+        fp = fingerprints[blocks[t]]
+        _, members, reps = buckets.setdefault(fp, (fp, [], []))
+        members.append(t)
+        if first:
+            reps.append(t)
+    return list(buckets.values())
 
 
 def counterexample_search(
@@ -292,12 +308,12 @@ def counterexample_search(
 ):
     """First congruence violation among enumerated trace-equivalent terms.
 
-    Buckets are visited in enumeration order of their least member, with
-    members first deduplicated up to bisimilarity (a context that splits a
-    member splits its representative too). Within a bucket the complete
+    Each bucket's representatives are split, in bucket order: a context that
+    splits a member splits its block's first member alike, which is also why
+    the quotient-free fallback reports the same pair. Within a bucket the
     depth-1 context layer is tried before the sampled ones, and the reported
-    pair is the bucket's least member against the representative of the
-    first block that splits away from it. ``buckets``, when given, must be
+    pair is the bucket's first member against the first representative that
+    splits away from it. ``buckets``, when given, must be
     ``fingerprint_buckets(spec, size_bound, depth)``, already computed.
 
     Hole-blind contexts are skipped for every bucket: when the unplugged
@@ -308,13 +324,6 @@ def counterexample_search(
         raise ValueError("extra_contexts must be >= 0")
     if buckets is None:
         buckets = fingerprint_buckets(spec, size_bound, depth)
-    buckets = [(fp, members) for fp, members in buckets if len(members) > 1]
-    try:
-        blocks = bisim_partition(
-            spec, [m for _, members in buckets for m in members]
-        )
-    except ValueError:
-        blocks = None  # state space too large to quotient; scan everything
     depth1_arity = sum(spec.signature.arity(op) for op in spec.signature.names())
     count = depth1_arity + extra_contexts
     # a signature of constants only has no one-hole context at all
@@ -325,15 +334,7 @@ def counterexample_search(
         for i, context in enumerate(contexts)
         if not _hole_blind(spec, context, depth)
     ]
-    for _, members in buckets:
-        if blocks is not None:
-            reps, seen = [], set()
-            for m in members:
-                if blocks[m] not in seen:
-                    seen.add(blocks[m])
-                    reps.append(m)
-        else:
-            reps = members
+    for _, _, reps in buckets:
         if len(reps) < 2:
             continue
         for i, context in live:

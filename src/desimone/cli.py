@@ -8,12 +8,13 @@ followed by its decimal approximation.
 
 Exit codes: 0 success / property holds, 1 semantic failure (format
 violation, witness, inequivalence, bad term), 2 usage, file or spec-parse
-error, or an input too deep for Python's recursion limit, refused with one
-line on stderr. Two inputs meet that refusal: a ``traces``/``equiv``
-depth past the limit (tables recurse once per depth), and a term whose
-premised arguments nest past it (``step`` recurses once per premised level,
-so ``step --direct`` refuses ``par`` nested 10,000 deep). Term depth alone
-is answered: printing, ordering, comparing and ``step_law`` do not recurse.
+error, a fired rule whose target names an unbound variable, or an input too
+deep for Python's recursion limit, each refused with one line on stderr.
+Two inputs meet the depth refusal: a ``traces``/``equiv`` depth past the
+limit (tables recurse once per depth), and a term whose premised arguments
+nest past it (``step`` recurses once per premised level, so ``step
+--direct`` refuses ``par`` nested 10,000 deep). Term depth alone is
+answered: printing, ordering, comparing and ``step_law`` do not recurse.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .analysis import counterexample_search, fingerprint_buckets, first_differen
 from .formalsum import STOP, Pure, fs_empty
 from .law import naturality_check
 from .opmodel import step, step_law
-from .rulespec import SpecParseError, parse_spec, validate_format
+from .rulespec import RuleTargetError, SpecParseError, parse_spec, validate_format
 from .terms import TermSyntaxError, parse_term, print_term
 from .trace import ast_estimate, total_mass, trace_bounded, trace_direct, word_to_str
 
@@ -367,9 +368,9 @@ def cmd_congruence(args):
         "depth": args.depth,
         "extra_contexts": args.contexts,
         "seed": args.seed,
-        "terms": sum(len(members) for _, members in buckets),
+        "terms": sum(len(members) for _, members, _ in buckets),
         "equivalent_pairs": sum(
-            len(members) * (len(members) - 1) // 2 for _, members in buckets
+            len(members) * (len(members) - 1) // 2 for _, members, _ in buckets
         ),
         "violation": violation.describe(spec) if violation else None,
         "passed": violation is None,
@@ -551,6 +552,9 @@ def main(argv=None):
     except CliError as exc:
         print(f"desimone: {exc}", file=sys.stderr)
         return exc.code
+    except RuleTargetError as exc:
+        print(f"desimone: {args.spec}: {exc}", file=sys.stderr)
+        return 2
     except RecursionError:
         print(
             "desimone: input too deep for this command "

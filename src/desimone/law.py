@@ -33,7 +33,7 @@ from .formalsum import (
     fs_unit,
     payload_key,
 )
-from .terms import Leaf, Var, graft, map_leaves, substitute
+from .terms import Leaf, Var, graft, map_leaves
 
 
 def _decompose(args):
@@ -76,7 +76,7 @@ def _rule_substitution(rule, steps, pures, stops):
     for i, value in pures.items():
         subst[Var("x", i)] = Leaf(value)
     # stop-observed arguments have no carried value; their variables are
-    # outside the allowed target vocabulary and hit UnboundVariableError
+    # outside the allowed target vocabulary and raise RuleTargetError
     return subst
 
 
@@ -102,9 +102,7 @@ def rho_apply(spec, op, args):
             if rule.target is None or not _rule_matches(rule, steps, set()):
                 continue
             subst = _rule_substitution(rule, steps, pures, stops)
-            entries.append(
-                (Step(rule.label, substitute(rule.target, subst)), sr.one)
-            )
+            entries.append((Step(rule.label, rule.instantiate(subst)), sr.one))
         return FormalSum(sr, entries)
 
     entries = []
@@ -115,9 +113,7 @@ def rho_apply(spec, op, args):
             entries.append((STOP, rule.weight))
         else:
             subst = _rule_substitution(rule, steps, pures, stops)
-            entries.append(
-                (Step(rule.label, substitute(rule.target, subst)), rule.weight)
-            )
+            entries.append((Step(rule.label, rule.instantiate(subst)), rule.weight))
     return FormalSum(sr, entries)
 
 

@@ -33,7 +33,7 @@ from .formalsum import (
     is_affine,
 )
 from .law import bar_rho_step
-from .terms import Node, Var, enumerate_closed_terms, graft, print_term, substitute
+from .terms import Node, Var, enumerate_closed_terms, graft, print_term
 
 
 class ModelCache:
@@ -67,7 +67,8 @@ def step(spec, term):
     are stepped; the others are carried into targets as they are, so a
     malformed subterm in such a position is refused only once it is stepped.
     An operator outside the signature raises ``KeyError``, a wrong argument
-    count ``ValueError``, a leaf where a term is stepped ``TypeError``.
+    count ``ValueError``, a leaf where a term is stepped ``TypeError``, and a
+    fired rule whose target names an unbound variable ``RuleTargetError``.
 
     Every analysis follows this rule-by-rule reading, also on specs whose
     premises break the format, which ``validate`` rejects
@@ -140,7 +141,7 @@ def _step(spec, term, memo):
             for j, child in enumerate(children, start=1):
                 if j not in premised:
                     subst[Var("x", j)] = child
-            entries.append((Step(rule.label, substitute(rule.target, subst)), weight))
+            entries.append((Step(rule.label, rule.instantiate(subst)), weight))
 
     result = memo[term] = FormalSum(sr, entries)
     return result

@@ -31,11 +31,13 @@ from .semiring import INF, SEMIRINGS
 from .terms import (
     Signature,
     TermSyntaxError,
+    UnboundVariableError,
     Var,
     is_affine_term,
     parse_tokens,
     print_term,
     show_token,
+    substitute,
     term_vars,
     tokenize,
     var_named,
@@ -53,6 +55,18 @@ class SpecParseError(ValueError):
                 where += f", column {col}"
             where += ": "
         super().__init__(where + message)
+
+
+class RuleTargetError(Exception):
+    """A fired rule whose target names a variable its premises leave unbound:
+    ``validate_format``'s ``target-vars``, refused only once the rule fires."""
+
+    def __init__(self, rule, var):
+        self.line, self.var = rule.line, var
+        super().__init__(
+            f"line {rule.line}: the rule's target names {var}, "
+            "which is unbound when the rule fires"
+        )
 
 
 @dataclass(frozen=True)
@@ -93,6 +107,13 @@ class Rule:
 
     def term_premises(self):
         return [p for p in self.premises if isinstance(p, TermPremise)]
+
+    def instantiate(self, subst):
+        """The target under ``subst``; unbound variables raise ``RuleTargetError``."""
+        try:
+            return substitute(self.target, subst)
+        except UnboundVariableError as exc:
+            raise RuleTargetError(self, exc.args[0]) from None
 
     def show(self, semiring=None):
         head = self.op

@@ -36,27 +36,6 @@ from .terms import Node
 Word = tuple
 
 
-def trace_functional(spec, table, term):
-    """One application of the trace transformer at ``term``.
-
-    ``table`` maps terms to trace tables (absent terms mean the empty
-    table). The result gives each word ``(a,) + w`` the step-weighted mass
-    of ``w`` at the successor, plus the termination weight on the empty word.
-    """
-    sr = spec.semiring
-    entries = []
-    for e, w in step(spec, term).items():
-        if e is STOP:
-            entries.append(((), w))
-            continue
-        succ_table = table.get(e.target)
-        if succ_table is None:
-            continue
-        for word, mass in succ_table.items():
-            entries.append(((e.label,) + word, sr.mul(w, mass)))
-    return FormalSum(sr, entries)
-
-
 def trace_bounded(spec, term, depth):
     """The depth-th iterate of the trace functional from the empty table.
 

@@ -42,6 +42,23 @@ def pair_nonaffine():
     return load_spec("pair_nonaffine")
 
 
+@pytest.fixture
+def quotient_calls(monkeypatch):
+    """The term lists ``bisim_partition`` is called on, from inside
+    ``desimone.analysis``, while the test runs."""
+    import desimone.analysis as analysis_module
+
+    calls = []
+    partition = analysis_module.bisim_partition
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return partition(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_module, "bisim_partition", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def copy_violation(copy_nonaffine):
     """The congruence counterexample on the copying spec, searched once.

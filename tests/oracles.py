@@ -2,7 +2,11 @@
 
 Everything here deliberately avoids the package's own code paths, so that
 agreement between an oracle and the real implementation is evidence rather
-than tautology. Oracles are slow and simple on purpose.
+than tautology. Oracles are slow and simple on purpose. The exceptions are
+the two references for the quotient-first search, ``per_term_buckets`` and
+``round_based_bisimulation``: they read the package's trace tables and walk,
+and differ from it only in the step they check (tabling every term, and
+re-reading every behaviour each refinement round).
 """
 
 from fractions import Fraction
@@ -12,14 +16,19 @@ from desimone import (
     BOOLEAN,
     HOLE,
     INF,
+    STOP,
+    FormalSum,
     Leaf,
     Node,
-    STOP,
     Step,
     TermPremise,
     TransPremise,
+    enumerate_closed_terms,
+    explore,
+    partial_trace_bounded,
     step,
     term_vars,
+    trace_bounded,
 )
 
 
@@ -143,6 +152,82 @@ def boolean_partial_words(spec, term, max_len):
         words |= set(nxt)
         frontier = nxt
     return frozenset(words)
+
+
+# --- the trace functional, one application --------------------------------
+
+def trace_functional(spec, table, term):
+    """One application of the trace transformer at ``term``.
+
+    ``table`` maps terms to trace tables (absent terms mean the empty
+    table). The result gives each word ``(a,) + w`` the step-weighted mass
+    of ``w`` at the successor, plus the termination weight on the empty word.
+    """
+    sr = spec.semiring
+    entries = []
+    for e, w in step(spec, term).items():
+        if e is STOP:
+            entries.append(((), w))
+            continue
+        succ_table = table.get(e.target)
+        if succ_table is None:
+            continue
+        for word, mass in succ_table.items():
+            entries.append(((e.label,) + word, sr.mul(w, mass)))
+    return FormalSum(sr, entries)
+
+
+# --- fingerprints and buckets, one term at a time ----------------------------
+
+def fingerprint(spec, t, depth):
+    """The completed table at ``depth``, with the partial-word table below
+    it in the weighted dialect: everything a depth-bounded context sees."""
+    if spec.dialect == "desimone":
+        return trace_bounded(spec, t, depth)
+    return trace_bounded(spec, t, depth), partial_trace_bounded(spec, t, depth - 1)
+
+
+def observably_equiv_bounded(spec, t, s, depth):
+    """Bounded trace equivalence refined with partial-trace agreement."""
+    return fingerprint(spec, t, depth) == fingerprint(spec, s, depth)
+
+
+def per_term_buckets(spec, size_bound, depth):
+    """Enumerated closed terms grouped by fingerprint, every term tabled.
+
+    Returns ``[(fingerprint, members)]``, buckets in enumeration order of
+    their first member, members in enumeration order.
+    """
+    buckets = {}
+    for t in enumerate_closed_terms(spec.signature, size_bound):
+        buckets.setdefault(fingerprint(spec, t, depth), []).append(t)
+    return list(buckets.items())
+
+
+# --- bisimulation by signature rounds ----------------------------------------
+
+def round_based_bisimulation(spec, terms, max_states=200000):
+    """Signature refinement on terms, reading each state's behaviour anew
+    every round: {term: dense block id}, numbered in walk order."""
+    sr = spec.semiring
+    walk = explore(spec, terms, -1, max_states)
+    assert walk.closed
+    current = dict.fromkeys(walk.order, 0)
+    blocks = 1
+    while True:
+        ids = {}
+        refined = {}
+        for t, behaviour in walk.behaviours.items():
+            agg = {}
+            for e, w in behaviour.items():
+                if e is not STOP:
+                    key = (e.label, current[e.target])
+                    agg[key] = sr.add(agg.get(key, sr.zero), w)
+            sig = (current[t], behaviour.weight(STOP), frozenset(agg.items()))
+            refined[t] = ids.setdefault(sig, len(ids))
+        if len(ids) == blocks:
+            return refined
+        current, blocks = refined, len(ids)
 
 
 # --- coarsest bisimulation by exhaustion -------------------------------------

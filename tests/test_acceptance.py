@@ -172,7 +172,7 @@ def test_06_trace_equivalence_is_a_congruence_on_the_parallel_specs(
     for name in ("de_simone_par", "prob_par"):
         spec = request.getfixturevalue(name)
         buckets = fingerprint_buckets(spec, size_bound=7, depth=6)
-        pairs = sum(len(ms) * (len(ms) - 1) // 2 for _, ms in buckets)
+        pairs = sum(len(ms) * (len(ms) - 1) // 2 for _, ms, _ in buckets)
         assert pairs >= 20
         # the search tries the depth-1 layer and then 200 sampled contexts
         arity = sum(spec.signature.arity(op) for op in spec.signature.names())

@@ -21,7 +21,6 @@ from desimone import (
     generate_contexts,
     load_spec,
     model_cache,
-    observably_equiv_bounded,
     parse_spec,
     parse_term,
     partial_trace_bounded,
@@ -31,7 +30,13 @@ from desimone import (
     trace_equiv_bounded,
 )
 from desimone.analysis import _hole_blind
-from oracles import coarsest_bisimulation, plug
+from oracles import (
+    coarsest_bisimulation,
+    observably_equiv_bounded,
+    per_term_buckets,
+    plug,
+    round_based_bisimulation,
+)
 
 F = Fraction
 
@@ -178,19 +183,56 @@ def test_context_apply_matches_the_plug_oracle(prob_par, copy_nonaffine):
 
 def test_buckets_partition_the_enumeration(prob_par):
     buckets = fingerprint_buckets(prob_par, 4, 3)
-    members = [m for _, ms in buckets for m in ms]
+    members = [m for _, ms, _ in buckets for m in ms]
     assert sorted(map(print_term, members)) == sorted(
         print_term(x) for x in enumerate_closed_terms(prob_par.signature, 4)
     )
-    for _, ms in buckets:
+    for _, ms, _ in buckets:
         for a in ms:
             for b in ms:
                 assert observably_equiv_bounded(prob_par, a, b, 3)
-    reps = [ms[0] for _, ms in buckets]
+    reps = [ms[0] for _, ms, _ in buckets]
     assert [print_term(m) for m in buckets[0][1][:2]] == ["nil", "par(nil, nil)"]
     for i, a in enumerate(reps):
         for b in reps[i + 1:]:
             assert not observably_equiv_bounded(prob_par, a, b, 3)
+
+
+# (spec, enumeration size, table depth): small enough to table every term
+ORACLE_SIZES = [
+    ("copy_nonaffine", 5, 4),
+    ("prob_par", 6, 5),
+    ("de_simone_par", 5, 6),
+    ("pair_affine", 4, 4),
+    ("pair_nonaffine", 4, 4),
+    ("loop", 4, 4),
+    ("leaky", 3, 5),
+]
+
+
+@pytest.mark.parametrize("name, size, depth", ORACLE_SIZES)
+def test_buckets_match_fingerprinting_every_term(name, size, depth, monkeypatch):
+    import desimone.analysis as analysis_module
+
+    spec = load_spec(name)  # fresh: no table is shared with the oracle
+    expected = per_term_buckets(load_spec(name), size, depth)
+    buckets = fingerprint_buckets(spec, size, depth)
+    assert [(fp, ms) for fp, ms, _ in buckets] == expected
+    blocks = bisim_partition(spec, list(enumerate_closed_terms(spec.signature, size)))
+    for _, ms, reps in buckets:
+        firsts = {}
+        for m in ms:
+            firsts.setdefault(blocks[m], m)
+        assert reps == list(firsts.values())
+
+    def too_large(*args, **kwargs):
+        raise ValueError("reachable state space exceeds the cap")
+
+    # past the state cap every term is its own block and its own representative
+    monkeypatch.setattr(analysis_module, "bisim_partition", too_large)
+    fallback = fingerprint_buckets(load_spec(name), size, depth)
+    assert [(fp, ms) for fp, ms, _ in fallback] == expected
+    assert all(reps == ms for _, ms, reps in fallback)
 
 
 # --- bisimulation quotient ---------------------------------------------------
@@ -290,6 +332,16 @@ def test_bisim_state_cap(prob_par):
         )
 
 
+@pytest.mark.parametrize("name, size, depth", ORACLE_SIZES)
+def test_indexed_refinement_matches_signature_rounds(name, size, depth):
+    spec = load_spec(name)
+    seeds = list(enumerate_closed_terms(spec.signature, size))
+    got = bisim_partition(spec, seeds)
+    expected = round_based_bisimulation(spec, seeds)
+    assert got == expected
+    assert list(got) == list(expected)
+
+
 # --- counterexample search ---------------------------------------------------
 
 def test_search_is_silent_on_well_formed_specs(prob_par, de_simone_par, loop):
@@ -304,18 +356,25 @@ def test_search_refuses_a_negative_context_count(copy_nonaffine):
         counterexample_search(copy_nonaffine, size_bound=3, depth=2, extra_contexts=-4)
 
 
-def test_search_reuses_given_buckets(prob_par, monkeypatch):
+def test_search_reuses_given_buckets(prob_par, monkeypatch, quotient_calls):
     import desimone.analysis as analysis_module
 
     buckets = fingerprint_buckets(prob_par, 4, 3)
+    quotient_calls.clear()
 
     def recomputed(*args):
         raise AssertionError("buckets were recomputed")
 
     monkeypatch.setattr(analysis_module, "fingerprint_buckets", recomputed)
     assert counterexample_search(prob_par, 4, 3, buckets=buckets) is None
+    assert quotient_calls == []  # given buckets carry their representatives
     with pytest.raises(AssertionError, match="recomputed"):
         counterexample_search(prob_par, 4, 3)
+
+
+def test_search_quotients_the_enumeration_once(prob_par, quotient_calls):
+    assert counterexample_search(prob_par, 4, 3) is None
+    assert quotient_calls == [list(enumerate_closed_terms(prob_par.signature, 4))]
 
 
 # computed before the search skipped hole-blind contexts: none of these

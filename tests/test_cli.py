@@ -328,6 +328,14 @@ def test_congruence_over_constants_only_has_no_context_to_try(run):
     )
 
 
+def test_congruence_quotients_the_enumeration_once(run, quotient_calls):
+    code, _, _ = run(
+        "congruence", path("copy_nonaffine"), "--size", "5", "--depth", "3",
+        "--contexts", "10",
+    )
+    assert code == 0 and len(quotient_calls) == 1
+
+
 # --- ast --------------------------------------------------------------------
 
 def test_ast_loop_json(run):
@@ -505,6 +513,47 @@ def test_step_on_premises_that_break_the_format(
     code, out, err = run("step", str(spec), "g(p(nil))", "--oracle", "--json")
     assert (code, err) == (1, "")
     assert json.loads(out)["agree"] is False
+
+
+# rules whose targets name a variable their premises leave unbound (validate
+# reports each as target-vars): refused with one line once the rule fires
+MALFORMED_TARGETS = [
+    ("rule p(x1) -a[1]-> x2", "x2"),
+    ("rule p(x1) -a[1]-> y1", "y1"),
+    ("rule p(x1) -a[1]-> x1 when x1 -a-> y1", "x1"),
+]
+FIRING_COMMANDS = [
+    ["step", "p(q)"],
+    ["step", "p(q)", "--direct"],
+    ["step", "p(q)", "--oracle"],
+    ["traces", "p(q)"],
+    ["congruence", "--size", "3", "--depth", "2", "--contexts", "5"],
+    ["naturality"],
+]
+
+
+@pytest.mark.parametrize("rule, var", MALFORMED_TARGETS)
+def test_a_fired_rule_with_an_unbound_target_variable_is_refused(
+    run, tmp_path, rule, var
+):
+    spec = tmp_path / "target.spec"
+    spec.write_text(
+        "dialect weighted\nsemiring rational\nlabels a\n"
+        f"op nil : 0\nop q : 0\nop p : 1\nrule q -a[1]-> nil\n{rule}\n"
+    )
+    code, out, _ = run("validate", str(spec))
+    assert code == 1 and "line 8 error target-vars:" in out
+    for command, *rest in FIRING_COMMANDS:
+        code, out, err = run(command, str(spec), *rest)
+        assert (code, out) == (2, ""), command
+        assert err == (
+            f"desimone: {spec}: line 8: the rule's target names {var}, "
+            "which is unbound when the rule fires\n"
+        )
+    # a term that never fires the rule still answers
+    code, out, err = run("step", str(spec), "q", "--oracle")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "  -a-> nil  [1]"
 
 
 # --- error routing ----------------------------------------------------------

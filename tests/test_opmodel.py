@@ -12,6 +12,7 @@ from desimone import (
     Leaf,
     Node,
     RATIONAL,
+    RuleTargetError,
     STOP,
     Step,
     check_probabilistic,
@@ -178,6 +179,28 @@ def test_rules_premised_out_of_range_never_fire():
     )
     term = t(spec, "f(nil, nil)")
     assert step(spec, term) == step_law(spec, term) == FormalSum(RATIONAL)
+
+
+WEIGHTED = "dialect weighted\nsemiring rational\n", "q -a[1]-> q"
+BOOLEAN_Q = "dialect desimone\nsemiring boolean\n", "q -a-> q"
+
+
+@pytest.mark.parametrize(
+    "dialect, rule, var",
+    [
+        (WEIGHTED, "p(x1) -a[1]-> x2", "x2"),
+        (BOOLEAN_Q, "p(x1) -a-> y1", "y1"),
+        (WEIGHTED, "p(x1) -a[1]-> x1 when x1 -a-> y1", "x1"),
+    ],
+)
+def test_a_fired_rule_with_an_unbound_target_variable_is_refused(dialect, rule, var):
+    head, q_rule = dialect
+    spec = parse_spec(f"{head}labels a\nop q : 0\nop p : 1\nrule {q_rule}\nrule {rule}\n")
+    for stepper in (step, step_law):
+        with pytest.raises(RuleTargetError) as refused:
+            stepper(spec, t(spec, "p(q)"))
+        assert (refused.value.line, refused.value.var) == (7, var)
+        stepper(spec, t(spec, "q"))  # a term that never fires the rule answers
 
 
 STOP_CONCLUSION_SPEC = (

@@ -21,10 +21,9 @@ from desimone import (
     total_mass,
     trace_bounded,
     trace_direct,
-    trace_functional,
     word_to_str,
 )
-from oracles import boolean_partial_words, chain_completed_mass
+from oracles import boolean_partial_words, chain_completed_mass, trace_functional
 
 F = Fraction
 
