@@ -3,11 +3,15 @@
 Congruence failures are what the affineness condition is about: two terms
 with equal bounded trace tables whose tables split under some one-hole
 context. ``counterexample_search`` is the congruence check. It quotients
-first: one ``bisim_partition`` over the enumerated terms, one trace
-fingerprint per block, and buckets of equal fingerprints whose block
-representatives are split by contexts: the complete depth-1 layer, then
-seeded random one-hole terms. Buckets go in enumeration order, so the first
-reported violation is deterministic.
+first, by bisimilarity up to the table depth: a depth-``d`` table observes
+only ``d`` steps, and ``d``-step bisimilarity is preserved by every context
+for ``d`` steps under any GSOS law, copying ones included (the stepwise
+congruence proof of Bloom, Istrail and Meyer, J. ACM 1995). So one
+``bisim_partition`` over the enumerated terms, walked no deeper than the
+tables look, gives one trace fingerprint per block, and buckets of equal
+fingerprints whose block representatives are split by contexts: the
+complete depth-1 layer, then seeded random one-hole terms. Buckets go in
+enumeration order, so the first reported violation is deterministic.
 """
 
 from __future__ import annotations
@@ -231,33 +235,35 @@ def _split_violation(spec, members, context, depth, depth1_clean):
     return None
 
 
-def bisim_partition(spec, terms, max_states=200000):
-    """Partition terms, and everything they reach, by weighted bisimilarity.
+def bisim_partition(spec, terms, depth):
+    """Partition terms, and what they reach, by bisimilarity up to ``depth``.
+
+    ``k``-step bisimilar states stop with the same weight and, per label,
+    move with the same summed weight into each ``(k - 1)``-step class; all
+    states are 0-step bisimilar. The walk steps each state within ``depth -
+    1`` steps of a root once and indexes it (a stop weight and ``(label,
+    target index, weight)`` edges), so refinement rounds work on integers.
+    States past the horizon are not stepped and keep one fixed signature.
+    At most ``depth`` rounds run, fewer once the block count is stable, so
+    the roots are classified exactly up to ``depth`` steps; a reachable
+    space of at most ``depth`` states gets full bisimilarity. The depth
+    bounds the walk, so there is no state cap, even on an infinite space.
 
     Returns {term: block id}, dense ids numbered in walk order, so
-    deterministic for a fixed input order; a walk past ``max_states`` raises
-    ``ValueError``. ``explore`` steps each state once, and the walk is
-    indexed once (a stop weight and ``(label, target index, weight)`` edges
-    per state), so refinement rounds work on integers: a state's signature
-    is its block, stop weight and summed weight into each (label, block),
-    and blocks split until their count is stable.
-
-    Bisimilarity is a congruence for every GSOS law, so bisimilar terms have
-    equal completed and partial tables under every context, copying ones too.
+    deterministic for a fixed input order.
     """
     add = spec.semiring.add
-    walk = explore(spec, terms, -1, max_states)
-    if not walk.closed:
-        raise ValueError(f"reachable state space exceeds {max_states} states")
+    walk = explore(spec, terms, depth - 1, 0)
     index = {t: i for i, t in enumerate(walk.order)}
-    moves = [walk.behaviours[t] for t in walk.order]
-    stops = [behaviour.weight(STOP) for behaviour in moves]
+    moves = [walk.behaviours.get(t) for t in walk.order]  # None past the horizon
+    stops = [None if b is None else b.weight(STOP) for b in moves]
     edges = [
-        [(e.label, index[e.target], w) for e, w in behaviour.items() if e is not STOP]
-        for behaviour in moves
+        () if b is None else
+        [(e.label, index[e.target], w) for e, w in b.items() if e is not STOP]
+        for b in moves
     ]
-    current, blocks = [0] * len(moves), 1
-    while True:
+    current, blocks = [0] * len(edges), 1
+    for _ in range(depth):
         ids = {}
         refined = []
         for i, out in enumerate(edges):
@@ -269,8 +275,9 @@ def bisim_partition(spec, terms, max_states=200000):
             sig = (current[i], stops[i], frozenset(agg.items()))
             refined.append(ids.setdefault(sig, len(ids)))
         if len(ids) == blocks:
-            return dict(zip(walk.order, refined))
+            break
         current, blocks = refined, len(ids)
+    return dict(zip(walk.order, current))
 
 
 def fingerprint_buckets(spec, size_bound, depth):
@@ -278,17 +285,14 @@ def fingerprint_buckets(spec, size_bound, depth):
 
     Returns ``[(fingerprint, members, representatives)]`` in enumeration
     order of first members; the representatives are the first member of each
-    bisimulation block in the bucket. The fingerprint is the completed table
-    at ``depth``, in the weighted dialect with the partial table below it.
-    One ``bisim_partition`` over the enumeration comes first, and each block
-    is fingerprinted once, on its first member. Past the state cap every
-    term is its own block.
+    ``bisim_partition(spec, terms, depth)`` block in the bucket. The
+    fingerprint is the completed table at ``depth``, in the weighted dialect
+    with the partial table below it. Both are functions of a term's
+    ``depth``-step bisimulation class, so the quotient comes first and each
+    block is fingerprinted once, on its first member.
     """
     terms = list(enumerate_closed_terms(spec.signature, size_bound))
-    try:
-        blocks = bisim_partition(spec, terms)
-    except ValueError:
-        blocks = {t: i for i, t in enumerate(terms)}
+    blocks = bisim_partition(spec, terms, depth)
     fingerprints = {}  # block -> the fingerprint of its first member
     buckets = {}
     for t in terms:
@@ -308,13 +312,14 @@ def counterexample_search(
 ):
     """First congruence violation among enumerated trace-equivalent terms.
 
-    Each bucket's representatives are split, in bucket order: a context that
-    splits a member splits its block's first member alike, which is also why
-    the quotient-free fallback reports the same pair. Within a bucket the
-    depth-1 context layer is tried before the sampled ones, and the reported
-    pair is the bucket's first member against the first representative that
-    splits away from it. ``buckets``, when given, must be
-    ``fingerprint_buckets(spec, size_bound, depth)``, already computed.
+    Each bucket's representatives are split, in bucket order. Whether a
+    context splits a member from the bucket's first member depends only on
+    the member's ``depth``-step bisimulation class, so the first
+    representative that splits is the first member that splits: the
+    reported pair is the one tabling every member would report. Within a
+    bucket the depth-1 context layer is tried before the sampled ones.
+    ``buckets``, when given, must be ``fingerprint_buckets(spec, size_bound,
+    depth)``, already computed.
 
     Hole-blind contexts are skipped for every bucket: when the unplugged
     context's table at ``depth`` is computed without ever stepping its hole,

@@ -98,11 +98,6 @@ def fs_map(f, s):
     return FormalSum(s.semiring, ((f(p), w) for p, w in s.items()))
 
 
-def fs_scale(weight, s):
-    sr = s.semiring
-    return FormalSum(sr, ((p, sr.mul(weight, w)) for p, w in s.items()))
-
-
 def fs_flatten(s):
     """Monad multiplication: outer weights distribute multiplicatively."""
     sr = s.semiring
@@ -122,12 +117,6 @@ def fs_total(s):
 def is_affine(s):
     """Total weight exactly one: nonempty set / probability distribution."""
     return fs_total(s) == s.semiring.one
-
-
-def fs_leq(s, t):
-    """Pointwise order; the approximation order used for trace prefixes."""
-    sr = s.semiring
-    return all(sr.leq(w, t.weight(p)) for p, w in s.items())
 
 
 def fs_pair_join(s, t, left, right):

@@ -12,9 +12,9 @@ the rules so the two can check each other. Both memoize per spec in
 ``model_cache``.
 
 ``explore`` is the one breadth-first walk over the states reachable from a
-set of roots: ``reachable``, ``check_probabilistic``, bisimulation and the
-termination analysis all read its walk order, distances and the behaviour
-it stepped for each state.
+set of roots: ``check_probabilistic``, bisimulation and the termination
+analysis all read its walk order, distances and the behaviour it stepped
+for each state.
 """
 
 from __future__ import annotations
@@ -209,11 +209,6 @@ def explore(spec, roots, horizon, max_states):
                 dist[e.target] = d + 1
                 order.append(e.target)
     return Walk(order, dist, behaviours, len(order) <= max_states)
-
-
-def reachable(spec, term, depth):
-    """The set of terms visitable in at most `depth` transitions."""
-    return set(explore(spec, [term], depth - 1, 0).order)
 
 
 @dataclass

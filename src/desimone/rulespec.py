@@ -307,9 +307,13 @@ class _RuleParser:
                         self.pos += 1
                         break
                     self.take("comma", "',' or ')'")
-        expected = [Var("x", i) for i in range(1, arity + 1)]
-        if seen != expected:
-            want = ", ".join(v.name for v in expected) or "()"
+        # lengths first: a declared arity can be far larger than any head
+        if len(seen) != arity or seen != [Var("x", i) for i in range(1, arity + 1)]:
+            want = (
+                ", ".join(f"x{i}" for i in range(1, arity + 1)) or "()"
+                if arity <= 10
+                else f"x1, ..., x{arity}"
+            )
             self.error(f"rule head for {op!r} must list exactly ({want})", head_tok[2])
 
         label, weight, arrow_col = self.parse_conclusion_arrow()

@@ -39,19 +39,10 @@ class Semiring:
     def is_zero(self, w):
         return w == self.zero
 
-    def is_one(self, w):
-        return w == self.one
-
     def sum(self, weights):
         acc = self.zero
         for w in weights:
             acc = self.add(acc, w)
-        return acc
-
-    def prod(self, weights):
-        acc = self.one
-        for w in weights:
-            acc = self.mul(acc, w)
         return acc
 
     def as_float(self, w):

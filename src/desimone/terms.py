@@ -197,10 +197,6 @@ def leaves(t):
     return out
 
 
-def is_closed(t):
-    return not leaves(t)
-
-
 def term_vars(t):
     return [p for p in leaves(t) if isinstance(p, Var)]
 
@@ -416,6 +412,8 @@ def closed_terms_of_size(signature, size):
             if size == 1:
                 out.append(Node(op))
             continue
+        if arity >= size:
+            continue  # each argument takes at least one node
         partials = [((), size - 1)]  # argument prefixes, with the size left
         for later in reversed(range(arity)):  # positions after this one
             grown = []

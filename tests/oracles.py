@@ -3,10 +3,11 @@
 Everything here deliberately avoids the package's own code paths, so that
 agreement between an oracle and the real implementation is evidence rather
 than tautology. Oracles are slow and simple on purpose. The exceptions are
-the two references for the quotient-first search, ``per_term_buckets`` and
-``round_based_bisimulation``: they read the package's trace tables and walk,
-and differ from it only in the step they check (tabling every term, and
-re-reading every behaviour each refinement round).
+``reachable``, a bounded ``explore``, and the two references for the
+quotient-first search, ``per_term_buckets`` and ``round_based_bisimulation``:
+they read the package's trace tables and walk, and differ from it only in
+the step they check (tabling every term, and re-reading every behaviour
+each refinement round).
 """
 
 from fractions import Fraction
@@ -30,6 +31,14 @@ from desimone import (
     term_vars,
     trace_bounded,
 )
+
+
+# --- formal sums ------------------------------------------------------------
+
+def fs_leq(s, t):
+    """Pointwise order; the approximation order used for trace prefixes."""
+    sr = s.semiring
+    return all(sr.leq(w, t.weight(p)) for p, w in s.items())
 
 
 # --- boolean sums as plain frozensets --------------------------------------
@@ -230,6 +239,32 @@ def round_based_bisimulation(spec, terms, max_states=200000):
         current, blocks = refined, len(ids)
 
 
+# --- bisimulation up to a depth, by nested signatures -----------------------
+
+def bounded_signatures(spec, terms, depth):
+    """``sig(t, depth)`` for each term, straight from the definition:
+    ``sig(t, k)`` is the stop weight and the summed weight of each
+    ``(label, sig(target, k - 1))``, and ``sig(t, 0) = ()``. Two terms are
+    ``depth``-step bisimilar exactly when their signatures are equal."""
+    sr = spec.semiring
+    memo = {}
+
+    def sig(t, k):
+        if k == 0:
+            return ()
+        if (t, k) not in memo:
+            behaviour = step(spec, t)
+            agg = {}
+            for e, w in behaviour.items():
+                if e is not STOP:
+                    key = (e.label, sig(e.target, k - 1))
+                    agg[key] = sr.add(agg.get(key, sr.zero), w)
+            memo[t, k] = (behaviour.weight(STOP), frozenset(agg.items()))
+        return memo[t, k]
+
+    return [sig(t, depth) for t in terms]
+
+
 # --- coarsest bisimulation by exhaustion -------------------------------------
 
 def _partitions(items):
@@ -283,6 +318,13 @@ def coarsest_bisimulation(spec, terms):
         if _stable(spec, blocks):
             best = blocks
     return frozenset(frozenset(b) for b in best)
+
+
+# --- reachability -----------------------------------------------------------
+
+def reachable(spec, term, depth):
+    """The set of terms visitable in at most `depth` transitions."""
+    return set(explore(spec, [term], depth - 1, 0).order)
 
 
 # --- contexts ---------------------------------------------------------------

@@ -36,7 +36,6 @@ from desimone import (
     fingerprint_buckets,
     fs_empty,
     fs_flatten,
-    fs_leq,
     fs_map,
     fs_pair_join,
     fs_unit,
@@ -52,7 +51,7 @@ from desimone import (
     trace_bounded,
     trace_direct,
 )
-from oracles import as_set, set_flatten, set_product_terms
+from oracles import as_set, fs_leq, set_flatten, set_product_terms
 
 F = Fraction
 

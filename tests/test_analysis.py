@@ -16,6 +16,7 @@ from desimone import (
     bisim_partition,
     counterexample_search,
     enumerate_closed_terms,
+    explore,
     fingerprint_buckets,
     first_difference,
     generate_contexts,
@@ -31,6 +32,7 @@ from desimone import (
 )
 from desimone.analysis import _hole_blind
 from oracles import (
+    bounded_signatures,
     coarsest_bisimulation,
     observably_equiv_bounded,
     per_term_buckets,
@@ -43,6 +45,14 @@ F = Fraction
 
 def t(spec, text):
     return parse_term(spec.signature, text)
+
+
+def full_depth(spec, terms):
+    """The size of the closed reachable space: ``bisim_partition`` at this
+    depth is full bisimilarity."""
+    walk = explore(spec, terms, -1, 10**6)
+    assert walk.closed
+    return len(walk.order)
 
 
 @pytest.fixture
@@ -211,47 +221,33 @@ ORACLE_SIZES = [
 
 
 @pytest.mark.parametrize("name, size, depth", ORACLE_SIZES)
-def test_buckets_match_fingerprinting_every_term(name, size, depth, monkeypatch):
-    import desimone.analysis as analysis_module
-
+def test_buckets_match_fingerprinting_every_term(name, size, depth):
     spec = load_spec(name)  # fresh: no table is shared with the oracle
     expected = per_term_buckets(load_spec(name), size, depth)
     buckets = fingerprint_buckets(spec, size, depth)
     assert [(fp, ms) for fp, ms, _ in buckets] == expected
-    blocks = bisim_partition(spec, list(enumerate_closed_terms(spec.signature, size)))
+    terms = list(enumerate_closed_terms(spec.signature, size))
+    blocks = bisim_partition(spec, terms, depth)
     for _, ms, reps in buckets:
         firsts = {}
         for m in ms:
             firsts.setdefault(blocks[m], m)
         assert reps == list(firsts.values())
 
-    def too_large(*args, **kwargs):
-        raise ValueError("reachable state space exceeds the cap")
-
-    # past the state cap every term is its own block and its own representative
-    monkeypatch.setattr(analysis_module, "bisim_partition", too_large)
-    fallback = fingerprint_buckets(load_spec(name), size, depth)
-    assert [(fp, ms) for fp, ms, _ in fallback] == expected
-    assert all(reps == ms for _, ms, reps in fallback)
-
 
 # --- bisimulation quotient ---------------------------------------------------
 
 def test_bisim_worked_examples(prob_par, de_simone_par):
-    blocks = bisim_partition(
-        prob_par,
-        [t(prob_par, "nil"), t(prob_par, "par(nil, nil)"), t(prob_par, "pre_a(nil)")],
-    )
+    terms = [t(prob_par, "nil"), t(prob_par, "par(nil, nil)"), t(prob_par, "pre_a(nil)")]
+    blocks = bisim_partition(prob_par, terms, full_depth(prob_par, terms))
     assert blocks[t(prob_par, "nil")] == blocks[t(prob_par, "par(nil, nil)")]
     assert blocks[t(prob_par, "nil")] != blocks[t(prob_par, "pre_a(nil)")]
-    blocks = bisim_partition(
-        de_simone_par,
-        [
-            t(de_simone_par, "pre_a(nil)"),
-            t(de_simone_par, "plus(pre_a(nil), pre_a(nil))"),
-            t(de_simone_par, "pre_b(nil)"),
-        ],
-    )
+    terms = [
+        t(de_simone_par, "pre_a(nil)"),
+        t(de_simone_par, "plus(pre_a(nil), pre_a(nil))"),
+        t(de_simone_par, "pre_b(nil)"),
+    ]
+    blocks = bisim_partition(de_simone_par, terms, full_depth(de_simone_par, terms))
     assert (
         blocks[t(de_simone_par, "pre_a(nil)")]
         == blocks[t(de_simone_par, "plus(pre_a(nil), pre_a(nil))")]
@@ -266,14 +262,15 @@ def test_bisim_collapses_dead_terms():
         "dialect weighted\nsemiring rational\nlabels a\n"
         "op d1 : 0\nop d2 : 0\nop c : 0\nrule c -a[1]-> d1\n"
     )
-    blocks = bisim_partition(spec, [t(spec, "d1"), t(spec, "d2"), t(spec, "c")])
+    terms = [t(spec, "d1"), t(spec, "d2"), t(spec, "c")]
+    blocks = bisim_partition(spec, terms, full_depth(spec, terms))
     assert blocks[t(spec, "d1")] == blocks[t(spec, "d2")]
     assert blocks[t(spec, "c")] != blocks[t(spec, "d1")]
 
 
 def test_bisim_matches_exhaustive_search(prob_par):
     seeds = list(enumerate_closed_terms(prob_par.signature, 3))
-    got = bisim_partition(prob_par, seeds)
+    got = bisim_partition(prob_par, seeds, full_depth(prob_par, seeds))
     blocks = {}
     for term, b in got.items():
         blocks.setdefault(b, set()).add(term)
@@ -284,15 +281,17 @@ def test_bisim_matches_exhaustive_search(prob_par):
 
 def test_bisim_block_ids_are_dense_and_deterministic(prob_par):
     seeds = list(enumerate_closed_terms(prob_par.signature, 4))
-    got = bisim_partition(prob_par, seeds)
-    ids = set(got.values())
-    assert ids == set(range(len(ids)))
-    assert got == bisim_partition(prob_par, seeds)
+    for depth in (0, 1, 3, full_depth(prob_par, seeds)):
+        got = bisim_partition(prob_par, seeds, depth)
+        ids = set(got.values())
+        assert ids == set(range(len(ids)))
+        assert got == bisim_partition(prob_par, seeds, depth)
 
 
 def test_bisimilar_terms_share_trace_tables(prob_par):
+    # bisimilarity up to the table depth is all the tables need
     seeds = list(enumerate_closed_terms(prob_par.signature, 4))
-    blocks = bisim_partition(prob_par, seeds)
+    blocks = bisim_partition(prob_par, seeds, 5)
     by_block = {}
     for term in seeds:
         by_block.setdefault(blocks[term], []).append(term)
@@ -311,6 +310,8 @@ def test_bisim_steps_each_reachable_state_once(monkeypatch):
     import desimone.opmodel as opmodel_module
 
     spec = load_spec("prob_par")  # a fresh spec, so no memo is warm
+    seeds = list(enumerate_closed_terms(spec.signature, 4))
+    depth = full_depth(load_spec("prob_par"), seeds)  # walked on another spec
     calls = Counter()
     step = opmodel_module.step
 
@@ -319,27 +320,54 @@ def test_bisim_steps_each_reachable_state_once(monkeypatch):
         return step(spec, term, *args)
 
     monkeypatch.setattr(opmodel_module, "step", counting)
-    blocks = bisim_partition(spec, list(enumerate_closed_terms(spec.signature, 4)))
+    blocks = bisim_partition(spec, seeds, depth)
     assert len(set(blocks.values())) > 1  # several refinement rounds
     assert set(calls) == set(blocks)
     assert set(calls.values()) == {1}
-
-
-def test_bisim_state_cap(prob_par):
-    with pytest.raises(ValueError):
-        bisim_partition(
-            prob_par, list(enumerate_closed_terms(prob_par.signature, 5)), max_states=3
-        )
 
 
 @pytest.mark.parametrize("name, size, depth", ORACLE_SIZES)
 def test_indexed_refinement_matches_signature_rounds(name, size, depth):
     spec = load_spec(name)
     seeds = list(enumerate_closed_terms(spec.signature, size))
-    got = bisim_partition(spec, seeds)
     expected = round_based_bisimulation(spec, seeds)
+    got = bisim_partition(spec, seeds, len(expected))
     assert got == expected
     assert list(got) == list(expected)
+
+
+@pytest.mark.parametrize("name, size, depth", ORACLE_SIZES)
+def test_bounded_partition_matches_nested_signatures(name, size, depth):
+    spec = load_spec(name)
+    seeds = list(enumerate_closed_terms(spec.signature, size))
+    for d in (1, depth):
+        partition = bisim_partition(spec, seeds, d)
+        blocks = [partition[s] for s in seeds]
+        sigs = bounded_signatures(spec, seeds, d)
+        # one block per signature class, and one signature per block
+        assert len(set(zip(blocks, sigs))) == len(set(blocks)) == len(set(sigs))
+
+
+# f(t) moves to f(f(t)) forever: an infinite reachable space
+GROWING = (
+    "dialect weighted\nsemiring rational\nlabels a\n"
+    "op nil : 0\nop f : 1\nrule f(x1) -a[1/2]-> f(f(x1))\n"
+)
+
+
+def test_bisim_walks_only_within_its_depth():
+    spec = parse_spec(GROWING)
+    seeds = list(enumerate_closed_terms(spec.signature, 6))
+    blocks = bisim_partition(spec, seeds, 3)
+    assert set(blocks) == set(explore(spec, seeds, 2, 0).order)
+    assert len({blocks[s] for s in seeds}) == 2  # nil, and every f(...)
+
+
+def test_search_on_an_infinite_reachable_space_stays_within_its_depth():
+    spec = parse_spec(GROWING)  # fresh, so the memo counts this search
+    assert counterexample_search(spec, 6, 3) is None
+    # a walk to a fixed point stepped about 200,000 states before giving up
+    assert len(model_cache(spec).step) < 1000
 
 
 # --- counterexample search ---------------------------------------------------

@@ -25,10 +25,10 @@ from desimone import (
     parse_spec,
     parse_term,
     print_term,
-    reachable,
     step,
     step_law,
 )
+from oracles import reachable
 
 F = Fraction
 

@@ -1,6 +1,11 @@
 """Parsing the rule DSL, metavariable expansion, and format validation."""
 
+import random
+import re
+import time
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -9,10 +14,13 @@ from desimone import (
     Leaf,
     Node,
     RuleSchema,
+    RuleTargetError,
     SPEC_NAMES,
     SpecParseError,
     TransPremise,
     Var,
+    ast_estimate,
+    enumerate_closed_terms,
     expand_forall,
     format_errors,
     leaky_spec_text,
@@ -22,6 +30,7 @@ from desimone import (
     spec_path,
     spec_text,
     step,
+    trace_bounded,
     validate_format,
 )
 from oracles import recheck_conditions
@@ -309,3 +318,102 @@ def test_rules_for_groups_by_operator(de_simone_par):
     assert len(de_simone_par.rules_for("par")) == 4
     assert len(de_simone_par.rules_for("nil")) == 0
     assert all(r.op == "plus" for r in de_simone_par.rules_for("plus"))
+
+
+def test_a_huge_declared_arity_is_neither_listed_nor_enumerated():
+    text = WT + "op nil : 0\nop p : 20971541\nrule p(x1) -a-> x1\n"
+    start = time.perf_counter()
+    with pytest.raises(SpecParseError, match=r"exactly \(x1, \.\.\., x20971541\)"):
+        parse_spec(text)
+    assert time.perf_counter() - start < 1
+    # declared without a rule, it parses, and the enumeration skips it
+    spec = parse_spec(WT + "op nil : 0\nop p : 20971541\n")
+    assert list(enumerate_closed_terms(spec.signature, 3)) == [Node("nil", [])]
+    assert time.perf_counter() - start < 2
+    with pytest.raises(SpecParseError, match=r"exactly \(x1, x2\)"):
+        parse_spec(WT + "op p : 2\nrule p(x1) -a-> x1\n")
+
+
+# --- a seeded mutation fuzz of the bundled specs -----------------------------
+
+_TOKEN = re.compile(r"-\S*?->|\w+|[^\w\s]")  # an arrow is one token
+
+
+def _kind(token):
+    if re.fullmatch(r"[xy]\d+", token):
+        return "variable"
+    if token.endswith("->"):
+        return "arrow"
+    if token.isdigit():
+        return "number"
+    return "name" if re.fullmatch(r"\w+", token) else "punctuation"
+
+
+def _mutate(rng, text):
+    """One or two edits, nine in ten on a rule line: delete or duplicate the
+    line, or delete a token, add one after it, glue one onto it, or swap it
+    for one of the same kind. Added tokens come from the same spec."""
+    lines = text.splitlines()
+    pool = _TOKEN.findall(text)
+    for _ in range(rng.randint(1, 2)):
+        rules = [i for i, line in enumerate(lines) if line.startswith("rule")]
+        if rules and rng.random() < 0.9:
+            i = rng.choice(rules)
+        else:
+            i = rng.randrange(len(lines))
+        edit = rng.randrange(7)
+        if edit == 0:
+            del lines[i]
+            lines = lines or [""]
+            continue
+        if edit == 1:
+            lines.insert(i, lines[i])
+            continue
+        spans = [m.span() for m in _TOKEN.finditer(lines[i])]
+        if not spans:
+            continue
+        a, b = rng.choice(spans)
+        old = lines[i][a:b]
+        if edit == 2:
+            new = ""
+        elif edit == 3:
+            new = old + " " + rng.choice(pool)
+        elif edit == 4:
+            new = old + rng.choice(pool)
+        else:
+            new = rng.choice([t for t in pool if _kind(t) == _kind(old)])
+        lines[i] = lines[i][:a] + new + lines[i][b:]
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_specs_answer_or_refuse():
+    """Every mutant is refused at parse time, or each analysis on its small
+    terms answers or refuses a fired rule with an unbound target variable.
+    The one other refusal is ``ast_estimate``'s on a boolean spec."""
+    rng = random.Random(0)
+    texts = [spec_text(name) for name in SPEC_NAMES]
+    analyses = [
+        step,
+        lambda spec, term: trace_bounded(spec, term, 3),
+        lambda spec, term: ast_estimate(spec, term, 4, max_states=200),
+    ]
+    outcomes = Counter()
+    for _ in range(400):
+        try:
+            spec = parse_spec(_mutate(rng, rng.choice(texts)))
+        except SpecParseError:
+            outcomes["parse"] += 1
+            continue
+        validate_format(spec)
+        for term in islice(enumerate_closed_terms(spec.signature, 3), 20):
+            for analysis in analyses:
+                try:
+                    analysis(spec, term)
+                    outcomes["answer"] += 1
+                except RuleTargetError:
+                    outcomes["target"] += 1
+                except ValueError as exc:
+                    assert analysis is analyses[2] and spec.semiring.name == "boolean"
+                    assert "rational semiring" in str(exc)
+                    outcomes["boolean"] += 1
+    assert min(outcomes[k] for k in ("parse", "answer", "target", "boolean")) > 0

@@ -23,7 +23,7 @@ def test_boolean_tables():
     assert [BOOLEAN.add(a, b) for a in (0, 1) for b in (0, 1)] == [0, 1, 1, 1]
     assert [BOOLEAN.mul(a, b) for a in (0, 1) for b in (0, 1)] == [0, 0, 0, 1]
     assert BOOLEAN.zero == 0 and BOOLEAN.one == 1
-    assert BOOLEAN.is_zero(0) and BOOLEAN.is_one(1)
+    assert BOOLEAN.is_zero(0) and not BOOLEAN.is_zero(1)
 
 
 def test_rational_identities():
@@ -31,9 +31,8 @@ def test_rational_identities():
     assert RATIONAL.add(RATIONAL.zero, half) == half
     assert RATIONAL.mul(RATIONAL.one, half) == half
     assert RATIONAL.mul(RATIONAL.zero, half) == 0
-    assert RATIONAL.sum([]) == 0 and RATIONAL.prod([]) == 1
+    assert RATIONAL.sum([]) == 0
     assert RATIONAL.sum([Fraction(1, 3), Fraction(1, 6)]) == half
-    assert RATIONAL.prod([half, half]) == Fraction(1, 4)
 
 
 def test_infinity_is_a_singleton_absorbing_element():

@@ -25,7 +25,6 @@ from desimone import (
     fs_unit,
     graft,
     is_affine_term,
-    is_closed,
     leaves,
     load_spec,
     map_leaves,
@@ -56,8 +55,8 @@ def test_node_equality_and_size():
     assert t == Node("par", [Node("nil", []), Node("nil", [])])
     assert term_size(t) == 3
     assert term_size(Node("nil", [])) == 1
-    assert is_closed(t)
-    assert not is_closed(Leaf(Var("x", 1)))
+    assert leaves(t) == []
+    assert leaves(Leaf(Var("x", 1))) == [Var("x", 1)]
 
 
 def test_leaves_and_map_leaves():
@@ -168,10 +167,10 @@ def test_walkers_do_not_recurse_on_term_depth(sig):
     assert t is not u and t == u
     assert t != parse_term(sig, _deep_text(DEPTH - 1))
     assert print_term(t) == text
-    assert leaves(t) == [] and is_closed(t)
+    assert leaves(t) == []
     assert fold(t, lambda p: 0, lambda n, sizes: 1 + sum(sizes)) == DEPTH + 1
     open_term = parse_term(sig, text.replace("nil", "x1"), allow_vars=True)
-    assert leaves(open_term) == [Var("x", 1)] and not is_closed(open_term)
+    assert leaves(open_term) == [Var("x", 1)]
     assert leaves(map_leaves(open_term, lambda v: v.index + 6)) == [7]
 
 

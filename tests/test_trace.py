@@ -14,7 +14,6 @@ from desimone import (
     ast_estimate,
     enumerate_closed_terms,
     fs_empty,
-    fs_leq,
     parse_spec,
     parse_term,
     partial_trace_bounded,
@@ -23,7 +22,12 @@ from desimone import (
     trace_direct,
     word_to_str,
 )
-from oracles import boolean_partial_words, chain_completed_mass, trace_functional
+from oracles import (
+    boolean_partial_words,
+    chain_completed_mass,
+    fs_leq,
+    trace_functional,
+)
 
 F = Fraction
 
