@@ -11,9 +11,9 @@ from fractions import Fraction
 from desimone import (
     ast_estimate,
     check_probabilistic,
+    fs_total,
     load_spec,
     parse_term,
-    total_mass,
     trace_bounded,
 )
 
@@ -27,7 +27,7 @@ table = trace_bounded(prob, t, 3)
 print("completed traces of a.nil || b.nil at depth 3:")
 for word, w in table.sorted_items():
     print(f"  {''.join(word):<4} {w}")
-print(f"total mass {total_mass(table)} -> terminates almost surely")
+print(f"total mass {fs_total(table)} -> terminates almost surely")
 print()
 
 loop = load_spec("loop")

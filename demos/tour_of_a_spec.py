@@ -14,7 +14,6 @@ from desimone import (
     spec_text,
     step,
     trace_bounded,
-    trace_equiv_bounded,
     validate_format,
 )
 
@@ -49,10 +48,11 @@ def compare(l_text, r_text):
     right = parse_term(spec.signature, r_text)
     print(f"=== {print_term(left)}  vs  {print_term(right)} ===")
     for depth in (2, 3, 5):
-        if trace_equiv_bounded(spec, left, right, depth):
+        difference = first_difference(spec, left, right, depth)
+        if difference is None:
             print(f"  depth {depth}: equal tables")
         else:
-            word, wl, wr = first_difference(spec, left, right, depth)
+            word, wl, wr = difference
             print(f"  depth {depth}: differ on word {''.join(word) or '(empty)'}: {wl} vs {wr}")
     print()
 

@@ -27,7 +27,6 @@ from .terms import (
     Node,
     enumerate_closed_terms,
     print_term,
-    term_size,
 )
 from .trace import (
     partial_trace_bounded,
@@ -69,11 +68,6 @@ def _hole_paths(c, prefix=()):
         return
     for i, child in enumerate(c.children):
         yield from _hole_paths(child, prefix + (i,))
-
-
-def trace_equiv_bounded(spec, t, s, depth):
-    """Exact equality of bounded trace tables."""
-    return trace_bounded(spec, t, depth) == trace_bounded(spec, s, depth)
 
 
 def _fingerprint(spec, t, depth):
@@ -142,7 +136,7 @@ def generate_contexts(spec, count, max_size, seed):
             add(Node(op, children))
 
     rng = random.Random(seed)
-    hosts = [t for t in filler_pool if term_size(t) >= 2]
+    hosts = [t for t in filler_pool if t.size >= 2]
     attempts = 0
     while len(contexts) < count and hosts and attempts < 50 * count:
         attempts += 1

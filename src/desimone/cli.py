@@ -24,12 +24,12 @@ import json
 import sys
 
 from .analysis import counterexample_search, fingerprint_buckets, first_difference
-from .formalsum import STOP, Pure, fs_empty
+from .formalsum import STOP, Pure, fs_empty, fs_total
 from .law import naturality_check
 from .opmodel import step, step_law
 from .rulespec import RuleTargetError, SpecParseError, parse_spec, validate_format
 from .terms import TermSyntaxError, parse_term, print_term
-from .trace import ast_estimate, total_mass, trace_bounded, trace_direct, word_to_str
+from .trace import ast_estimate, trace_bounded, trace_direct, word_to_str
 
 
 class CliError(Exception):
@@ -205,7 +205,7 @@ def cmd_traces(args):
         "depth": args.depth,
         "traces": _table_entries(spec, table, args.float),
     }
-    _weighed(spec, payload, "mass", total_mass(table), args.float)
+    _weighed(spec, payload, "mass", fs_total(table), args.float)
     if args.oracle:
         # the fixpoint iterate at depth d holds words of length <= d - 1,
         # the path-sum oracle is parameterized by word length

@@ -3,8 +3,11 @@
 ``FormalSum`` is the monad T: canonical form keeps nonzero weights only, so
 boolean sums are finite sets and rational sums are weight tables. ``Step``/
 ``STOP`` are the elements of B X = L x X + 1; ``Pure``/``Obs`` tag the
-coproduct B0 X = X + B X. The four distributivity transformations used by the
-law pipeline live here as well.
+coproduct B0 X = X + B X, and ``fs_pair_join`` pairs a sum of values with a
+sum of observations under those tags. The law pipeline's distributive laws
+live here as well: B T -> T B (``dist_b``), B0 T -> T B0 (``dist_b0``) and
+Sigma T -> T Sigma (``dist_sigma``), which ``dist_sigma_star`` applies at
+every node of a term.
 
 ``payload_key`` is the one total order on payloads. Wherever output must be
 deterministic (rendering, witness reports, first-difference selection),
@@ -13,10 +16,11 @@ entries are listed in its order.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .semiring import INF, Semiring
-from .terms import HOLE, Leaf, Node, Var, fold
+from .terms import HOLE, Leaf, Node, Var, fold, graft
 
 
 class FormalSum:
@@ -28,8 +32,7 @@ class FormalSum:
         if not isinstance(semiring, Semiring):
             raise TypeError("first argument must be a Semiring")
         merged = {}
-        it = entries.items() if hasattr(entries, "items") else entries
-        for payload, weight in it:
+        for payload, weight in entries:
             semiring.check(weight)
             if payload in merged:
                 merged[payload] = semiring.add(merged[payload], weight)
@@ -119,13 +122,13 @@ def is_affine(s):
     return fs_total(s) == s.semiring.one
 
 
-def fs_pair_join(s, t, left, right):
-    """The pairing iso T X x T Y = T(X + Y): the entries of ``s`` tagged by
-    ``left`` and those of ``t`` by ``right``, as a disjoint union."""
+def fs_pair_join(s, t):
+    """The pairing iso T X x T Y = T(X + B X): the entries of ``s`` tagged
+    ``Pure`` and those of ``t`` tagged ``Obs``, as a disjoint union."""
     if s.semiring is not t.semiring:
         raise ValueError("fs_pair_join needs sums over the same semiring")
-    entries = [(left(p), w) for p, w in s.items()]
-    entries.extend((right(p), w) for p, w in t.items())
+    entries = [(Pure(p), w) for p, w in s.items()]
+    entries.extend((Obs(p), w) for p, w in t.items())
     return FormalSum(s.semiring, entries)
 
 
@@ -177,42 +180,18 @@ def belem_map(e, f):
 
 # --- coproduct tagging B0 X = X + B X -------------------------------------
 
+@dataclass(frozen=True, slots=True)
 class Pure:
-    __slots__ = ("value",)
+    """An argument seen as its value, the left summand X of B0 X."""
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Pure is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Pure) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("pure", self.value))
-
-    def __repr__(self):
-        return f"Pure({self.value!r})"
+    value: object
 
 
+@dataclass(frozen=True, slots=True)
 class Obs:
-    __slots__ = ("elem",)
+    """An argument seen by its behaviour: a ``Step`` or ``STOP`` of B X."""
 
-    def __init__(self, elem):
-        object.__setattr__(self, "elem", elem)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Obs is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Obs) and self.elem == other.elem
-
-    def __hash__(self):
-        return hash(("obs", self.elem))
-
-    def __repr__(self):
-        return f"Obs({self.elem!r})"
+    elem: object
 
 
 # --- the payload order -----------------------------------------------------
@@ -319,13 +298,4 @@ def dist_sigma_star(semiring, t):
             raise TypeError(f"dist_sigma_star expects formal-sum leaves, got {inner!r}")
         return fs_map(Leaf, inner)
     child_sums = [dist_sigma_star(semiring, c) for c in t.children]
-    combos = [((), semiring.one)]
-    for s in child_sums:
-        combos = [
-            (chosen + (p,), semiring.mul(acc, w))
-            for chosen, acc in combos
-            for p, w in s.items()
-        ]
-    return FormalSum(
-        semiring, ((Node(t.op, chosen), w) for chosen, w in combos)
-    )
+    return fs_map(graft, dist_sigma(semiring, t.op, child_sums))

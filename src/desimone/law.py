@@ -1,13 +1,14 @@
 """From rule specifications to distributive laws, and the affineness check.
 
 ``rho_apply`` evaluates the plain law on one operator applied to tagged
-arguments (pure / one observed transition / observed termination).
+arguments (pure / one observed transition / observed termination), with one
+rule loop for both dialects: the desimone dialect only adds the stop every
+state observes, and answers an observed termination with the stop alone.
 ``bar_rho_step`` is the composite law on behaviour-carrying arguments,
 assembled literally from unit, pairing, argument distribution, rule
-application and flattening, in that order. ``law_star`` is its free extension
-to whole terms over behaviour-carrying leaves. ``naturality_check``
-enumerates the two evaluation orders of the affineness square and reports the
-first input on which they disagree.
+application and flattening, in that order; ``opmodel.step_law`` extends it
+to closed terms. ``naturality_check`` enumerates the two evaluation orders of
+the affineness square and reports the first input on which they disagree.
 """
 
 from __future__ import annotations
@@ -33,27 +34,30 @@ from .formalsum import (
     fs_unit,
     payload_key,
 )
-from .terms import Leaf, Var, graft, map_leaves
+from .terms import Leaf, Var
 
 
 def _decompose(args):
-    """Split argument positions into observed-step, observed-stop and pure."""
+    """Split argument positions into observed steps and observed stops, and
+    bind the target variables: ``x_i`` to a pure argument's value, ``y_i``
+    to an observed step's successor."""
     steps = {}
     stops = set()
-    pures = {}
+    subst = {}
     for i, arg in enumerate(args, start=1):
         if isinstance(arg, Pure):
-            pures[i] = arg.value
+            subst[Var("x", i)] = Leaf(arg.value)
         elif isinstance(arg, Obs):
             if arg.elem is STOP:
                 stops.add(i)
             elif isinstance(arg.elem, Step):
                 steps[i] = arg.elem
+                subst[Var("y", i)] = Leaf(arg.elem.target)
             else:
                 raise TypeError(f"bad observation {arg.elem!r}")
         else:
             raise TypeError(f"argument {i} is not a B0 element: {arg!r}")
-    return steps, stops, pures
+    return steps, stops, subst
 
 
 def _rule_matches(rule, steps, stops):
@@ -69,50 +73,32 @@ def _rule_matches(rule, steps, stops):
     return term_indices == stops
 
 
-def _rule_substitution(rule, steps, pures, stops):
-    subst = {}
-    for i, step in steps.items():
-        subst[Var("y", i)] = Leaf(step.target)
-    for i, value in pures.items():
-        subst[Var("x", i)] = Leaf(value)
-    # stop-observed arguments have no carried value; their variables are
-    # outside the allowed target vocabulary and raise RuleTargetError
-    return subst
-
-
 def rho_apply(spec, op, args):
     """Evaluate the law on one operator over tagged arguments.
 
     Returns a formal sum of Step(label, target-term) / STOP where target
-    terms carry the argument payloads in their leaves.
+    terms carry the argument payloads in their leaves. A stop-observed
+    argument binds no variable, so a target naming it raises
+    ``RuleTargetError``.
     """
     args = tuple(args)
     spec.signature.check_arity(op, len(args))
     sr = spec.semiring
-    steps, stops, pures = _decompose(args)
-
+    steps, stops, subst = _decompose(args)
+    entries = []
     if spec.dialect == "desimone":
-        # any observed termination collapses the result to the stop unit
+        # every state observes termination: an observed one collapses the
+        # result to the stop unit, and a `-> *` conclusion adds a stop
+        # weight that boolean addition absorbs
         if stops:
             return fs_unit(sr, STOP)
-        # every state observes termination already, so a `-> *`
-        # conclusion adds nothing
-        entries = [(STOP, sr.one)]
-        for rule in spec.rules_for(op):
-            if rule.target is None or not _rule_matches(rule, steps, set()):
-                continue
-            subst = _rule_substitution(rule, steps, pures, stops)
-            entries.append((Step(rule.label, rule.instantiate(subst)), sr.one))
-        return FormalSum(sr, entries)
-
-    entries = []
+        entries.append((STOP, sr.one))
     for rule in spec.rules_for(op):
         if not _rule_matches(rule, steps, stops):
             continue
         if rule.target is None:
             entries.append((STOP, rule.weight))
         else:
-            subst = _rule_substitution(rule, steps, pures, stops)
             entries.append((Step(rule.label, rule.instantiate(subst)), rule.weight))
     return FormalSum(sr, entries)
 
@@ -125,10 +111,7 @@ def bar_rho_step(spec, op, pairs):
     unit x id, pairing, argument distribution, rule application, flattening.
     """
     sr = spec.semiring
-    arg_sums = [
-        fs_pair_join(fs_unit(sr, x), behaviour, left=Pure, right=Obs)
-        for x, behaviour in pairs
-    ]
+    arg_sums = [fs_pair_join(fs_unit(sr, x), behaviour) for x, behaviour in pairs]
     return _distribute_and_apply(spec, op, arg_sums)
 
 
@@ -141,24 +124,6 @@ def _distribute_and_apply(spec, op, arg_sums):
         combined,
     )
     return fs_flatten(applied)
-
-
-def law_star(spec, t):
-    """Free extension of the composite law to terms over behaviour leaves.
-
-    Leaves are (payload, behaviour) pairs; a leaf contributes its behaviour
-    with successors wrapped as leaf terms, a node runs ``bar_rho_step`` on
-    its children's recursive results and grafts the two term layers flat.
-    """
-    if isinstance(t, Leaf):
-        x, behaviour = t.payload
-        return fs_map(lambda e: belem_map(e, Leaf), behaviour)
-    pairs = []
-    for child in t.children:
-        projected = map_leaves(child, lambda p: p[0])
-        pairs.append((projected, law_star(spec, child)))
-    stepped = bar_rho_step(spec, t.op, pairs)
-    return fs_map(lambda e: belem_map(e, graft), stepped)
 
 
 # --- the affineness square -------------------------------------------------

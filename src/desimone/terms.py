@@ -76,7 +76,7 @@ class Node:
 
     def __init__(self, op, children=()):
         children = tuple(children)
-        size = 1
+        size = 1  # the term's Node constructors
         for c in children:
             size += c.size
         object.__setattr__(self, "op", op)
@@ -156,11 +156,6 @@ class Signature:
         return f"Signature({body})"
 
 
-def term_size(t):
-    """Number of Node constructors (leaves are size 0 carriers of payloads)."""
-    return t.size
-
-
 def fold(t, leaf, node):
     """Fold a term bottom-up: ``leaf(payload)`` at each leaf, ``node(n,
     results)`` at each node ``n`` with its children's results in order.
@@ -234,10 +229,6 @@ def graft(t):
             return t.payload
         raise TypeError(f"graft on non-term leaf payload {t.payload!r}")
     return Node(t.op, [graft(c) for c in t.children])
-
-
-def map_leaves(t, f):
-    return fold(t, lambda p: Leaf(f(p)), lambda n, children: Node(n.op, children))
 
 
 # --- concrete syntax -------------------------------------------------------
@@ -367,15 +358,13 @@ def parse_tokens(signature, tokens, pos, allow_vars):
             return term, pos
 
 
-def parse_term(signature, text, allow_vars=False):
-    """Parse ``op(child, ...)`` concrete syntax; nullary parens optional.
-
-    Identifiers spelling a variable (``x1``, ``y2``, ...; ``x0`` is an
-    ordinary identifier) are variables when ``allow_vars`` is set, and
-    rejected otherwise.
+def parse_term(signature, text):
+    """Parse a closed term in ``op(child, ...)`` concrete syntax; nullary
+    parens optional. Identifiers spelling a variable (``x1``, ``y2``, ...;
+    ``x0`` is an ordinary identifier) are rejected.
     """
     tokens = tokenize(text)
-    term, pos = parse_tokens(signature, tokens, 0, allow_vars)
+    term, pos = parse_tokens(signature, tokens, 0, allow_vars=False)
     if pos < len(tokens):
         raise TermSyntaxError(f"trailing input {show_token(tokens[pos])}", tokens[pos][2])
     return term

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formalsum import STOP, FormalSum, Step, fs_total
+from .formalsum import STOP, FormalSum, Step
 from .opmodel import explore, model_cache, step
 from .terms import Node
 
@@ -109,10 +109,6 @@ def trace_direct(spec, term, max_len):
 
     walk(term, (), sr.one)
     return FormalSum(sr, entries)
-
-
-def total_mass(table):
-    return fs_total(table)
 
 
 def word_to_str(word, labels):

@@ -7,7 +7,9 @@ than tautology. Oracles are slow and simple on purpose. The exceptions are
 quotient-first search, ``per_term_buckets`` and ``round_based_bisimulation``:
 they read the package's trace tables and walk, and differ from it only in
 the step they check (tabling every term, and re-reading every behaviour
-each refinement round).
+each refinement round). ``law_star`` extends the package's composite law to
+terms over behaviour-carrying leaves, so that hand compositions of
+``bar_rho_step`` can check it level by level.
 """
 
 from fractions import Fraction
@@ -24,8 +26,13 @@ from desimone import (
     Step,
     TermPremise,
     TransPremise,
+    bar_rho_step,
+    belem_map,
     enumerate_closed_terms,
     explore,
+    fold,
+    fs_map,
+    graft,
     partial_trace_bounded,
     step,
     term_vars,
@@ -61,6 +68,33 @@ def set_product_terms(op, arg_sets):
     return frozenset(
         Node(op, [Leaf(x) for x in combo]) for combo in product(*arg_sets)
     )
+
+
+# --- terms over payloads -----------------------------------------------------
+
+def map_leaves(t, f):
+    """The term with each leaf payload ``p`` replaced by ``f(p)``."""
+    return fold(t, lambda p: Leaf(f(p)), lambda n, children: Node(n.op, children))
+
+
+# --- the free extension of the composite law ----------------------------------
+
+def law_star(spec, t):
+    """Free extension of the composite law to terms over behaviour leaves.
+
+    Leaves are (payload, behaviour) pairs; a leaf contributes its behaviour
+    with successors wrapped as leaf terms, a node runs ``bar_rho_step`` on
+    its children's recursive results and grafts the two term layers flat.
+    """
+    if isinstance(t, Leaf):
+        x, behaviour = t.payload
+        return fs_map(lambda e: belem_map(e, Leaf), behaviour)
+    pairs = []
+    for child in t.children:
+        projected = map_leaves(child, lambda p: p[0])
+        pairs.append((projected, law_star(spec, child)))
+    stepped = bar_rho_step(spec, t.op, pairs)
+    return fs_map(lambda e: belem_map(e, graft), stepped)
 
 
 # --- closed-term counting ---------------------------------------------------

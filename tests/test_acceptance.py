@@ -38,20 +38,19 @@ from desimone import (
     fs_flatten,
     fs_map,
     fs_pair_join,
+    fs_total,
     fs_unit,
     generate_contexts,
     graft,
-    law_star,
     naturality_check,
     parse_term,
     print_term,
     step,
     step_law,
-    total_mass,
     trace_bounded,
     trace_direct,
 )
-from oracles import as_set, fs_leq, set_flatten, set_product_terms
+from oracles import as_set, fs_leq, law_star, set_flatten, set_product_terms
 
 F = Fraction
 
@@ -140,8 +139,8 @@ def test_04_parallel_spec_is_stochastic_and_interleaves_fairly(prob_par, budget)
         [(("a",), F(1, 4)), (("b",), F(1, 4)),
          (("a", "b"), F(1, 4)), (("b", "a"), F(1, 4))],
     )
-    assert total_mass(trace_bounded(prob_par, term, 2)) < 1
-    assert total_mass(trace_bounded(prob_par, term, 3)) == 1
+    assert fs_total(trace_bounded(prob_par, term, 2)) < 1
+    assert fs_total(trace_bounded(prob_par, term, 3)) == 1
     budget(10)
 
 
@@ -161,7 +160,7 @@ def test_05_leaky_chain_is_not_almost_surely_terminating(leaky, loop, budget):
 
     c = parse_term(loop.signature, "c")
     for depth in range(16):
-        assert total_mass(trace_bounded(loop, c, depth)) == 0
+        assert fs_total(trace_bounded(loop, c, depth)) == 0
     budget(10)
 
 
@@ -282,7 +281,7 @@ def test_10_effect_monad_and_distribution_algebra_hold_exhaustively(budget):
 
         # tagged pairing is a bijection
         for s, t in product(sums, repeat=2):
-            joined = fs_pair_join(s, t, left=Pure, right=Obs)
+            joined = fs_pair_join(s, t)
             back_left = FormalSum(
                 BOOLEAN, [(p.value, w) for p, w in joined.items() if isinstance(p, Pure)]
             )

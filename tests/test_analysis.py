@@ -28,7 +28,6 @@ from desimone import (
     print_term,
     trace_bounded,
     trace_direct,
-    trace_equiv_bounded,
 )
 from desimone.analysis import _hole_blind
 from oracles import (
@@ -67,25 +66,25 @@ def depth_artifact_pair(prob_par):
 # --- bounded equivalences ----------------------------------------------------
 
 def test_trace_equiv_worked_examples(prob_par, de_simone_par):
-    assert trace_equiv_bounded(
+    assert first_difference(
         prob_par, t(prob_par, "nil"), t(prob_par, "par(nil, nil)"), 6
-    )
-    assert not trace_equiv_bounded(
+    ) is None
+    assert first_difference(
         prob_par, t(prob_par, "pre_a(nil)"), t(prob_par, "pre_b(nil)"), 2
-    )
-    assert trace_equiv_bounded(
+    ) is not None
+    assert first_difference(
         de_simone_par,
         t(de_simone_par, "plus(pre_a(nil), pre_a(nil))"),
         t(de_simone_par, "pre_a(nil)"),
         5,
-    )
+    ) is None
 
 
 def test_completed_tables_can_hide_a_pending_difference(prob_par, depth_artifact_pair):
     t1, t2 = depth_artifact_pair
-    assert trace_equiv_bounded(prob_par, t1, t2, 4)
+    assert trace_bounded(prob_par, t1, 4) == trace_bounded(prob_par, t2, 4)
     assert not observably_equiv_bounded(prob_par, t1, t2, 4)
-    assert not trace_equiv_bounded(prob_par, t1, t2, 5)
+    assert trace_bounded(prob_par, t1, 5) != trace_bounded(prob_par, t2, 5)
     # a context can surface the pending letters inside completed words of
     # the same depth, so the refined precondition is what congruence needs
     context = Context(Node("par", [Leaf(HOLE), t(prob_par, "nil")]))
@@ -99,9 +98,10 @@ def test_observable_equivalence_is_plain_trace_equality_when_boolean(de_simone_p
     for depth in (1, 2, 4):
         for a in terms:
             for b in terms:
-                assert observably_equiv_bounded(
-                    de_simone_par, a, b, depth
-                ) == trace_equiv_bounded(de_simone_par, a, b, depth)
+                assert observably_equiv_bounded(de_simone_par, a, b, depth) == (
+                    trace_bounded(de_simone_par, a, depth)
+                    == trace_bounded(de_simone_par, b, depth)
+                )
 
 
 def test_first_difference_reports_length_lex_first_word(prob_par, de_simone_par):

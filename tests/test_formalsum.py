@@ -217,7 +217,7 @@ def split_tagged(j):
 @given(rat_sum, rat_sum)
 def test_pair_join_then_split_recovers_both(s, t):
     # the tags keep the two sums apart even on overlapping supports
-    joined = fs_pair_join(s, t, left=Pure, right=Obs)
+    joined = fs_pair_join(s, t)
     assert split_tagged(joined) == (s, t)
     assert fs_total(joined) == RATIONAL.add(fs_total(s), fs_total(t))
 
@@ -228,12 +228,12 @@ def test_split_then_join_is_identity_on_tag_separable_sums():
         [(Pure("x"), F(1, 3)), (Obs("u"), F(1, 6)), (Pure("y"), F(1, 2))],
     )
     s, t = split_tagged(j)
-    assert fs_pair_join(s, t, left=Pure, right=Obs) == j
+    assert fs_pair_join(s, t) == j
 
 
 def test_pair_join_boolean_exhaustive():
     for s, t in product(bool_sums("pq"), bool_sums("uv")):
-        joined = fs_pair_join(s, t, left=Pure, right=Obs)
+        joined = fs_pair_join(s, t)
         assert as_set(joined) == {Pure(x) for x in s.payloads()} | {
             Obs(y) for y in t.payloads()
         }

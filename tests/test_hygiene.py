@@ -4,7 +4,8 @@
 The checks read syntax trees with ``ast``; nothing is imported or run. A
 package function counts as called only when the package, the demos or the
 benchmark harness name it: a function only tests name belongs with the
-test oracles.
+test oracles. A function naming itself inside its own body (recursion) and
+the package ``__init__`` re-exporting it do not count.
 """
 
 import ast
@@ -20,23 +21,32 @@ def _trees(*dirs):
             yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
-def _referenced(tree):
-    """Every identifier the module reads, calls or imports by name."""
+def _referenced(path, tree):
+    """Every identifier the module reads, calls or imports by name, except a
+    function's own name inside its body and the names ``__init__`` imports."""
     out = set()
-    for node in ast.walk(tree):
+    todo = [(tree, frozenset())]  # node, names of the functions around it
+    while todo:
+        node, enclosing = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        name = None
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            name = node.id
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name.split(".")[-1])
+            name = node.attr
+        elif isinstance(node, ast.alias) and path.name != "__init__.py":
+            name = node.name.split(".")[-1]
+        if name is not None and name not in enclosing:
+            out.add(name)
+        todo.extend((child, enclosing) for child in ast.iter_child_nodes(node))
     return out
 
 
 def test_every_function_is_named_somewhere():
     named = set()
-    for _, tree in _trees(ROOT / "src", ROOT / "demos", ROOT / "bench"):
-        named |= _referenced(tree)
+    for path, tree in _trees(ROOT / "src", ROOT / "demos", ROOT / "bench"):
+        named |= _referenced(path, tree)
     unnamed = []
     for path, tree in _trees(PACKAGE):
         for node in ast.walk(tree):

@@ -18,18 +18,21 @@ from desimone import (
     Step,
     bar_rho_step,
     belem_map,
+    enumerate_closed_terms,
     fs_empty,
     fs_map,
     fs_unit,
     graft,
-    law_star,
     leg_args_first,
     leg_law_first,
-    map_leaves,
     naturality_check,
     parse_spec,
+    print_term,
     rho_apply,
+    step,
+    step_law,
 )
+from oracles import law_star, map_leaves
 
 F = Fraction
 
@@ -135,6 +138,75 @@ def test_rho_is_natural_for_renamings(pair_affine, prob_par):
                 direct = rho_apply(spec, op, tuple(rename_arg(u) for u in args))
                 mapped = fs_map(rename_belem, rho_apply(spec, op, args))
                 assert direct == mapped
+
+
+# --- rules that break the format ---------------------------------------------
+#
+# ``validate`` rejects every rule below; the law still reads them, and these
+# pins keep that reading. ``step`` disagrees on the premised ones (see its
+# docstring).
+
+BROKEN_DESIMONE = (
+    "dialect desimone\nsemiring boolean\nlabels a, b\n"
+    "op c : 0\nop e : 0\nop g : 1\nop h : 1\n"
+    "rule c -> *\nrule c -a-> *\nrule e -a-> c\n"
+    "rule g(x1) -b-> c when x1 -> *\n"
+    "rule h(x1) -a-> y1 when x1 -a-> y1, x1 -b-> y1\n"
+)
+BROKEN_WEIGHTED = (
+    "dialect weighted\nsemiring rational\nlabels a\n"
+    "op nil : 0\nop f : 1\nop k : 1\n"
+    "rule nil -[1/2]-> *\nrule nil -a[1/2]-> nil\n"
+    "rule f(x1) -[1/3]-> * when x1 -> *, x1 -> *\n"
+    "rule k(x1) -a[1/3]-> k(y1) when x1 -a-> y1, x1 -a-> y1\n"
+)
+
+
+def test_law_on_desimone_rules_that_break_the_format():
+    spec = parse_spec(BROKEN_DESIMONE)
+    c, e = Node("c"), Node("e")
+    # stop conclusions, labelled or not, add nothing to the observed stop
+    assert rho_apply(spec, "c", ()) == bsum(STOP)
+    assert rho_apply(spec, "e", ()) == bsum(STOP, Step("a", c))
+    # a termination premise and a source premised twice never fire
+    pool = [Pure("u"), Obs(Step("a", "v")), Obs(Step("b", "v")), Obs(STOP)]
+    for op in ("g", "h"):
+        for arg in pool:
+            assert rho_apply(spec, op, (arg,)) == bsum(STOP), (op, arg)
+    terms = list(enumerate_closed_terms(spec.signature, 3))
+    assert len(terms) == 14
+    for term in terms:
+        expected = bsum(STOP, Step("a", c)) if term == e else bsum(STOP)
+        assert step_law(spec, term) == expected, term
+    assert step(spec, Node("g", [c])) == bsum(STOP, Step("b", c))
+
+
+def test_law_on_weighted_rules_that_break_the_format():
+    spec = parse_spec(BROKEN_WEIGHTED)
+    nil = Node("nil")
+    half = FormalSum(RATIONAL, [(STOP, F(1, 2)), (Step("a", nil), F(1, 2))])
+    assert rho_apply(spec, "nil", ()) == half
+    # a doubled termination premise matches one observed stop, once
+    assert rho_apply(spec, "f", (Obs(STOP),)) == FormalSum(RATIONAL, [(STOP, F(1, 3))])
+    for arg in (Pure("u"), Obs(Step("a", "v")), Obs(STOP)):
+        if arg != Obs(STOP):
+            assert rho_apply(spec, "f", (arg,)) == fs_empty(RATIONAL), arg
+        # a doubled transition premise never matches one observed step
+        assert rho_apply(spec, "k", (arg,)) == fs_empty(RATIONAL), arg
+    expected = {
+        "nil": half,
+        "f(nil)": FormalSum(RATIONAL, [(STOP, F(1, 6))]),
+        "k(nil)": fs_empty(RATIONAL),
+        "f(f(nil))": FormalSum(RATIONAL, [(STOP, F(1, 18))]),
+        "f(k(nil))": fs_empty(RATIONAL),
+        "k(f(nil))": fs_empty(RATIONAL),
+        "k(k(nil))": fs_empty(RATIONAL),
+    }
+    terms = list(enumerate_closed_terms(spec.signature, 3))
+    assert [print_term(term) for term in terms] == list(expected)
+    for term in terms:
+        assert step_law(spec, term) == expected[print_term(term)], term
+    assert step(spec, Node("f", [nil])) == FormalSum(RATIONAL, [(STOP, F(1, 12))])
 
 
 # --- the composite one-step law ----------------------------------------------

@@ -27,17 +27,24 @@ from desimone import (
     is_affine_term,
     leaves,
     load_spec,
-    map_leaves,
     parse_spec,
     parse_term,
     print_term,
     substitute,
-    term_size,
     term_vars,
 )
-from oracles import count_closed_terms, term_key
+from desimone.terms import parse_tokens, tokenize
+from oracles import count_closed_terms, map_leaves, term_key
 
 F = Fraction
+
+
+def parse_open(sig, text):
+    """An open term: the whole of ``text`` parsed with variables allowed."""
+    tokens = tokenize(text)
+    term, pos = parse_tokens(sig, tokens, 0, allow_vars=True)
+    assert pos == len(tokens)
+    return term
 
 
 # --- variables and trees -----------------------------------------------------
@@ -53,8 +60,8 @@ def test_var_identity():
 def test_node_equality_and_size():
     t = Node("par", [Node("nil", []), Node("nil", [])])
     assert t == Node("par", [Node("nil", []), Node("nil", [])])
-    assert term_size(t) == 3
-    assert term_size(Node("nil", [])) == 1
+    assert t.size == 3
+    assert Node("nil", []).size == 1
     assert leaves(t) == []
     assert leaves(Leaf(Var("x", 1))) == [Var("x", 1)]
 
@@ -91,7 +98,7 @@ def test_parse_is_whitespace_insensitive(sig):
 
 
 def test_parse_variables_when_allowed(sig):
-    t = parse_term(sig, "par(x1, y2)", allow_vars=True)
+    t = parse_open(sig, "par(x1, y2)")
     assert t == Node("par", [Leaf(Var("x", 1)), Leaf(Var("y", 2))])
     assert print_term(t) == "par(x1, y2)"
     with pytest.raises(TermSyntaxError):
@@ -169,7 +176,7 @@ def test_walkers_do_not_recurse_on_term_depth(sig):
     assert print_term(t) == text
     assert leaves(t) == []
     assert fold(t, lambda p: 0, lambda n, sizes: 1 + sum(sizes)) == DEPTH + 1
-    open_term = parse_term(sig, text.replace("nil", "x1"), allow_vars=True)
+    open_term = parse_open(sig, text.replace("nil", "x1"))
     assert leaves(open_term) == [Var("x", 1)]
     assert leaves(map_leaves(open_term, lambda v: v.index + 6)) == [7]
 
@@ -206,11 +213,9 @@ def test_syntax_errors_name_a_column(sig, text, message, col):
 
 def test_x0_names_no_variable(sig):
     with pytest.raises(TermSyntaxError) as err:
-        parse_term(sig, "pre_a(x0)", allow_vars=True)
+        parse_open(sig, "pre_a(x0)")
     assert err.value.message == "unknown operator 'x0'"
-    assert parse_term(sig, "par(x01, y2)", allow_vars=True) == parse_term(
-        sig, "par(x1, y2)", allow_vars=True
-    )
+    assert parse_open(sig, "par(x01, y2)") == parse_open(sig, "par(x1, y2)")
 
 
 # --- substitution ------------------------------------------------------------
@@ -304,7 +309,7 @@ def test_enumeration_without_nullary_ops_is_empty():
 def test_enumeration_has_no_duplicates_and_ascending_sizes(sig):
     seen = list(enumerate_closed_terms(sig, 6))
     assert len(seen) == len(set(seen))
-    sizes = [term_size(t) for t in seen]
+    sizes = [t.size for t in seen]
     assert sizes == sorted(sizes)
     assert all(s <= 6 for s in sizes)
 
@@ -324,7 +329,7 @@ def test_enumeration_is_the_prefix_of_larger_bounds(sig):
 
 
 def test_enumeration_order_is_op_order_then_children(sig):
-    by_size_2 = [t for t in enumerate_closed_terms(sig, 3) if term_size(t) == 2]
+    by_size_2 = [t for t in enumerate_closed_terms(sig, 3) if t.size == 2]
     # unary ops in declaration order before anything else of that size
     assert by_size_2[:2] == [
         Node("pre_a", [Node("nil", [])]),

@@ -14,10 +14,10 @@ from desimone import (
     ast_estimate,
     enumerate_closed_terms,
     fs_empty,
+    fs_total,
     parse_spec,
     parse_term,
     partial_trace_bounded,
-    total_mass,
     trace_bounded,
     trace_direct,
     word_to_str,
@@ -142,15 +142,15 @@ def test_direct_ignores_words_longer_than_the_bound(prob_par, par_term):
 # --- masses ------------------------------------------------------------------
 
 def test_total_mass_examples(prob_par, par_term, de_simone_par):
-    assert total_mass(trace_bounded(prob_par, par_term, 3)) == 1
-    assert total_mass(fs_empty(RATIONAL)) == 0
-    assert total_mass(trace_bounded(de_simone_par, t(de_simone_par, "nil"), 1)) == 1
+    assert fs_total(trace_bounded(prob_par, par_term, 3)) == 1
+    assert fs_total(fs_empty(RATIONAL)) == 0
+    assert fs_total(trace_bounded(de_simone_par, t(de_simone_par, "nil"), 1)) == 1
 
 
 def test_masses_never_exceed_one_on_distribution_specs(prob_par):
     for term in enumerate_closed_terms(prob_par.signature, 4):
         for depth in range(7):
-            assert RATIONAL.leq(total_mass(trace_bounded(prob_par, term, depth)), F(1))
+            assert RATIONAL.leq(fs_total(trace_bounded(prob_par, term, depth)), F(1))
 
 
 def test_boolean_tables_match_a_graph_search(de_simone_par, copy_nonaffine):
@@ -327,12 +327,12 @@ def test_ast_masses_equal_the_bounded_table_totals(name, request):
     assert terms
     for term in terms:
         expected = [
-            (d, total_mass(trace_bounded(spec, term, d))) for d in range(1, 10)
+            (d, fs_total(trace_bounded(spec, term, d))) for d in range(1, 10)
         ]
         assert ast_estimate(spec, term, 9).masses == expected, term
         assert ast_estimate(spec, term, 9, max_states=1).masses == expected, term
         for d, mass in expected[:6]:
-            assert total_mass(trace_direct(spec, term, d - 1)) == mass, (term, d)
+            assert fs_total(trace_direct(spec, term, d - 1)) == mass, (term, d)
 
 
 def test_ast_masses_reach_infinity_exactly():
