@@ -10,14 +10,16 @@ congruence proof of Bloom, Istrail and Meyer, J. ACM 1995). So one
 ``bisim_partition`` over the enumerated terms, walked no deeper than the
 tables look, gives one trace fingerprint per block, and buckets of equal
 fingerprints whose block representatives are split by contexts: the
-complete depth-1 layer, then seeded random one-hole terms. Buckets go in
-enumeration order, so the first reported violation is deterministic.
+complete depth-1 layer, then seeded random one-hole terms, each carrying
+the path to its hole. Buckets go in enumeration order, so the first reported
+violation is deterministic. With no bucket of two representatives there is
+nothing to split, and the search answers before it builds a context.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formalsum import STOP, payload_key
 from .opmodel import explore
@@ -38,10 +40,17 @@ from .trace import (
 
 @dataclass(frozen=True)
 class Context:
-    """A term with exactly one hole leaf."""
+    """A term with one hole leaf, at ``path`` (child positions from the root)."""
 
     term: object
-    _path: tuple = field(default=None, init=False, repr=False, compare=False)
+    path: tuple
+
+    def __post_init__(self):
+        leaf = self.term
+        for i in self.path:
+            leaf = leaf.children[i]
+        if leaf != Leaf(HOLE):
+            raise ValueError(f"context has {leaf!r}, not a hole, at {self.path}")
 
     def apply(self, t):
         """The context with ``t`` in its hole.
@@ -49,25 +58,10 @@ class Context:
         Only the nodes from the root down to the hole are rebuilt; every
         subterm off that path is shared with ``term``.
         """
-        if self._path is None:
-            paths = list(_hole_paths(self.term))
-            if len(paths) != 1:
-                raise ValueError(f"context needs exactly one hole, has {len(paths)}")
-            object.__setattr__(self, "_path", paths[0])
-        return _replace_at(self.term, self._path, t)
+        return _replace_at(self.term, self.path, t)
 
     def show(self):
         return print_term(self.term)
-
-
-def _hole_paths(c, prefix=()):
-    if isinstance(c, Leaf):
-        if c.payload is not HOLE:
-            raise ValueError(f"stray leaf {c.payload!r} in context")
-        yield prefix
-        return
-    for i, child in enumerate(c.children):
-        yield from _hole_paths(child, prefix + (i,))
 
 
 def _fingerprint(spec, t, depth):
@@ -76,12 +70,10 @@ def _fingerprint(spec, t, depth):
     A context word of length < depth exposes the plugged term's completed
     traces and its partial words up to the same length; pairs equal only on
     the completed table can still split under a context that interleaves
-    termination, which would misreport well-formed specs. In the desimone
-    dialect every state terminates, so the partial table adds nothing and is
-    skipped.
+    termination, which would misreport well-formed specs. (In the desimone
+    dialect every state stops, so the partial table repeats the completed
+    one and splits no bucket.)
     """
-    if spec.dialect == "desimone":
-        return trace_bounded(spec, t, depth)
     return (
         trace_bounded(spec, t, depth),
         partial_trace_bounded(spec, t, depth - 1),
@@ -122,10 +114,10 @@ def generate_contexts(spec, count, max_size, seed):
     contexts = []
     seen = set()
 
-    def add(term):
+    def add(term, path):
         if term not in seen:
             seen.add(term)
-            contexts.append(Context(term))
+            contexts.append(Context(term, path))
 
     hole = Leaf(HOLE)
     for op in sig.names():
@@ -133,14 +125,14 @@ def generate_contexts(spec, count, max_size, seed):
         for position in range(arity):
             children = [filler] * arity
             children[position] = hole
-            add(Node(op, children))
+            add(Node(op, children), (position,))
 
     rng = random.Random(seed)
     hosts = [t for t in filler_pool if t.size >= 2]
     attempts = 0
     while len(contexts) < count and hosts and attempts < 50 * count:
         attempts += 1
-        add(_random_context(rng, hosts))
+        add(*_random_context(rng, hosts))
     return contexts[:count] if len(contexts) > count else contexts
 
 
@@ -160,10 +152,10 @@ def _replace_at(t, path, replacement):
 
 
 def _random_context(rng, hosts):
-    """Punch a hole at a random non-root position of a random closed term."""
+    """A hole at a random non-root position of a random closed term: (term, path)."""
     host = rng.choice(hosts)
-    paths = [p for p in _node_paths(host) if p]
-    return _replace_at(host, rng.choice(paths), Leaf(HOLE))
+    path = rng.choice([p for p in _node_paths(host) if p])
+    return _replace_at(host, path, Leaf(HOLE)), path
 
 
 @dataclass
@@ -280,10 +272,9 @@ def fingerprint_buckets(spec, size_bound, depth):
     Returns ``[(fingerprint, members, representatives)]`` in enumeration
     order of first members; the representatives are the first member of each
     ``bisim_partition(spec, terms, depth)`` block in the bucket. The
-    fingerprint is the completed table at ``depth``, in the weighted dialect
-    with the partial table below it. Both are functions of a term's
-    ``depth``-step bisimulation class, so the quotient comes first and each
-    block is fingerprinted once, on its first member.
+    fingerprint is the completed table at ``depth`` with the partial table
+    below it. Both are functions of a term's ``depth``-step bisimulation
+    class, so the quotient comes first and each block is fingerprinted once.
     """
     terms = list(enumerate_closed_terms(spec.signature, size_bound))
     blocks = bisim_partition(spec, terms, depth)
@@ -323,6 +314,8 @@ def counterexample_search(
         raise ValueError("extra_contexts must be >= 0")
     if buckets is None:
         buckets = fingerprint_buckets(spec, size_bound, depth)
+    if all(len(reps) < 2 for _, _, reps in buckets):
+        return None
     depth1_arity = sum(spec.signature.arity(op) for op in spec.signature.names())
     count = depth1_arity + extra_contexts
     # a signature of constants only has no one-hole context at all

@@ -2,9 +2,9 @@
 
 ``step`` is the engine every analysis steps through. It computes a closed
 term's transitions rule by rule from the inductive reading of the format:
-each transition premise independently picks a matching entry of its
-argument's (recursively stepped) behaviour, and a combination contributes the
-rule weight times the premise weights. An argument that no rule of its
+each premise independently picks a matching entry of its argument's
+(recursively stepped) behaviour, and a combination contributes the rule
+weight times the premise weights. An argument that no rule of its
 operator premises is never stepped: it only moves into targets. ``step_law``
 is its oracle: the canonical model obtained by structural recursion through
 the composite law (``bar_rho_step``), sharing none of the engine's reading of
@@ -33,6 +33,7 @@ from .formalsum import (
     is_affine,
 )
 from .law import bar_rho_step
+from .rulespec import TermPremise
 from .terms import Node, Var, enumerate_closed_terms, graft, print_term
 
 
@@ -60,12 +61,16 @@ def model_cache(spec):
 def step(spec, term):
     """Behaviour of a closed term: a formal sum of Step(label, term) / STOP.
 
-    For each rule, premise transitions range over the matching entries of the
-    arguments' behaviours; a combination contributes the rule weight times
-    the premise weights. The desimone dialect additionally always observes
-    termination. Only the arguments that some rule of the operator premises
-    are stepped; the others are carried into targets as they are, so a
-    malformed subterm in such a position is refused only once it is stepped.
+    Each rule that can fire (``spec.rules_for``) is read once, premise by
+    premise in canonical order: a termination premise contributes its
+    argument's stop weight and binds nothing, a transition premise ranges
+    over the argument's steps with its label and binds ``y_i`` to the
+    successor. A combination contributes the rule weight times the premise
+    weights. The desimone dialect additionally always observes termination.
+    Every premised argument is stepped, also when an earlier premise already
+    keeps its rule from firing; the other arguments are carried into targets
+    as they are, so a malformed subterm in such a position is refused only
+    once it is stepped.
     An operator outside the signature raises ``KeyError``, a wrong argument
     count ``ValueError``, a leaf where a term is stepped ``TypeError``, and a
     fired rule whose target names an unbound variable ``RuleTargetError``.
@@ -96,48 +101,37 @@ def _step(spec, term, memo):
         entries.append((STOP, sr.one))
 
     for rule in spec.rules_for(term.op):
-        if any(p.index > len(children) for p in rule.premises):
-            continue  # a format error: there is no argument to observe
+        # each premise independently picks a matching entry of its argument:
+        # a termination its stop weight, a transition a step, binding y_i
+        combos = [((), rule.weight)]
         for p in rule.premises:
-            if behaviours[p.index - 1] is None:
-                behaviours[p.index - 1] = _step(spec, children[p.index - 1], memo)
-        # weight factors from termination premises
-        base = rule.weight
-        ok = True
-        for p in rule.term_premises():
-            w = behaviours[p.index - 1].weight(STOP)
-            if sr.is_zero(w):
-                ok = False
-                break
-            base = sr.mul(base, w)
-        if not ok or sr.is_zero(base):
-            continue
-
-        # each transition premise independently picks a matching entry
-        trans = rule.trans_premises()
-        combos = [((), base)]
-        for p in trans:
-            behaviour = behaviours[p.index - 1]
-            matching = [
-                (e.target, w)
-                for e, w in behaviour.items()
-                if isinstance(e, Step) and e.label == p.label
-            ]
+            i = p.index - 1
+            if behaviours[i] is None:
+                behaviours[i] = _step(spec, children[i], memo)
+            if isinstance(p, TermPremise):
+                stop = behaviours[i].weight(STOP)
+                moves = [] if sr.is_zero(stop) else [((), stop)]
+            else:
+                y = Var("y", p.index)
+                moves = [
+                    (((y, e.target),), w)
+                    for e, w in behaviours[i].items()
+                    if e is not STOP and e.label == p.label
+                ]
             combos = [
-                (picked + (succ,), sr.mul(acc, w))
-                for picked, acc in combos
-                for succ, w in matching
+                (bound + more, sr.mul(acc, w))
+                for bound, acc in combos
+                for more, w in moves
             ]
 
-        trans_indices = [p.index for p in trans]
         premised = {p.index for p in rule.premises}
-        for picked, weight in combos:
+        for bound, weight in combos:
             if sr.is_zero(weight):
                 continue
             if rule.target is None:
                 entries.append((STOP, weight))
                 continue
-            subst = {Var("y", i): succ for i, succ in zip(trans_indices, picked)}
+            subst = dict(bound)
             for j, child in enumerate(children, start=1):
                 if j not in premised:
                     subst[Var("x", j)] = child

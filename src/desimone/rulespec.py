@@ -15,10 +15,14 @@ weighted dialect only). A conclusion is ``-LBL->`` / ``-LBL[W]->`` with a term
 target, or ``-[W]-> *`` (termination). ``@name`` metavariables range over the
 declared labels and must be bound by the ``forall`` clause.
 
+One ``Rule`` type runs from parser to engine: ``expand_forall`` grounds a
+parsed rule over its ``forall`` metavariables, and equal ground rules merge.
+
 Parsing enforces structural sanity (declared names, arities, head shape);
 ``validate_format`` reports rule-format violations as data without blocking
 evaluation, so deliberately ill-formed specs can still be run against the
-checkers.
+checkers: ``spec.rules`` keeps every ground rule, while ``rules_for`` leaves
+out those premised past their operator's arity, which can never fire.
 """
 
 from __future__ import annotations
@@ -92,7 +96,9 @@ class TermPremise:
 
 @dataclass(frozen=True)
 class Rule:
-    """A ground rule. ``target is None`` means a termination conclusion."""
+    """A rule; ``target is None`` means a termination conclusion. A parsed
+    rule lists its label metavariables in ``forall``; a spec's ground rules
+    have none, and their premises in canonical order (by source)."""
 
     op: str
     arity: int
@@ -101,6 +107,7 @@ class Rule:
     weight: object
     target: object  # Term, or None for termination conclusions
     line: int = field(default=0, compare=False)
+    forall: tuple = ()
 
     def trans_premises(self):
         return [p for p in self.premises if isinstance(p, TransPremise)]
@@ -134,20 +141,6 @@ class Rule:
 
 
 @dataclass(frozen=True)
-class RuleSchema:
-    """A rule as written, before metavariable expansion."""
-
-    op: str
-    arity: int
-    premises: tuple
-    label: object
-    weight: object
-    target: object
-    forall: tuple
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
 class Violation:
     rule: str
     condition: str
@@ -159,18 +152,19 @@ class Violation:
 class RuleSpec:
     """A parsed specification: dialect, semiring, labels, signature, ground rules."""
 
-    def __init__(self, dialect, semiring, labels, signature, rules, source=""):
+    def __init__(self, dialect, semiring, labels, signature, rules):
         self.dialect = dialect
         self.semiring = semiring
         self.labels = tuple(labels)
         self.signature = signature
         self.rules = tuple(rules)
-        self.source = source
         self._by_op = {}
         for r in self.rules:
-            self._by_op.setdefault(r.op, []).append(r)
+            if all(p.index <= r.arity for p in r.premises):
+                self._by_op.setdefault(r.op, []).append(r)
 
     def rules_for(self, op):
+        """The rules of ``op`` that can fire: every premise names an argument."""
         return self._by_op.get(op, [])
 
     def __repr__(self):
@@ -362,27 +356,20 @@ class _RuleParser:
         if unused:
             self.error(f"metavariable {unused[0]} bound but never used", arrow_col)
 
-        return RuleSchema(
+        return Rule(
             op=op,
             arity=arity,
             premises=tuple(premises),
             label=label,
             weight=weight,
             target=target,
-            forall=tuple(forall),
             line=self.line,
+            forall=tuple(forall),
         )
 
 
-def expand_forall(schema, labels):
-    """Ground a schema: metavariables range independently over the labels."""
-    if not schema.forall:
-        assignments = [{}]
-    else:
-        assignments = [
-            dict(zip(schema.forall, combo))
-            for combo in itertools.product(labels, repeat=len(schema.forall))
-        ]
+def expand_forall(rule, labels):
+    """Ground a rule: its metavariables range independently over the labels."""
 
     def ground_label(lbl, asg):
         if isinstance(lbl, str) and lbl.startswith("@"):
@@ -390,22 +377,20 @@ def expand_forall(schema, labels):
         return lbl
 
     out = []
-    for asg in assignments:
+    for combo in itertools.product(labels, repeat=len(rule.forall)):
+        asg = dict(zip(rule.forall, combo))
         premises = tuple(
             TransPremise(p.index, ground_label(p.label, asg))
             if isinstance(p, TransPremise)
             else p
-            for p in schema.premises
+            for p in rule.premises
         )
         out.append(
-            Rule(
-                op=schema.op,
-                arity=schema.arity,
+            replace(
+                rule,
                 premises=_canonical_premises(premises),
-                label=ground_label(schema.label, asg),
-                weight=schema.weight,
-                target=schema.target,
-                line=schema.line,
+                label=ground_label(rule.label, asg),
+                forall=(),
             )
         )
     return out
@@ -420,20 +405,16 @@ def _canonical_premises(premises):
     return tuple(sorted(premises, key=key))
 
 
-def _merge_rules(rules, semiring, dialect):
-    """Duplicate rules merge: additively in weighted mode, idempotently in boolean."""
+def _merge_rules(rules, semiring):
+    """Duplicate rules merge by semiring addition, idempotent when boolean."""
     merged = {}
-    order = []
     for r in rules:
         key = (r.op, r.premises, r.label, r.target)
-        if key not in merged:
-            merged[key] = r
-            order.append(key)
-        elif dialect == "weighted":
-            old = merged[key]
-            merged[key] = replace(old, weight=semiring.add(old.weight, r.weight))
-        # desimone: boolean weights, duplicates collapse
-    return [merged[k] for k in order]
+        old = merged.get(key)
+        if old is not None:
+            r = replace(old, weight=semiring.add(old.weight, r.weight))
+        merged[key] = r
+    return list(merged.values())
 
 
 def parse_spec(text):
@@ -442,7 +423,7 @@ def parse_spec(text):
     semiring = None
     labels = []
     ops = []
-    schemas = []
+    rules = []
     signature = None
 
     def strip_comment(s):
@@ -507,7 +488,7 @@ def parse_spec(text):
                 signature = Signature(ops)
             toks = _tokenize(raw, line_no)[1:]
             parser = _RuleParser(toks, line_no, signature, labels, semiring, dialect)
-            schemas.append(parser.parse())
+            rules.append(parser.parse())
         else:
             raise SpecParseError(f"unknown declaration {word!r}", line_no)
 
@@ -520,11 +501,9 @@ def parse_spec(text):
     if signature is None:
         signature = Signature(ops)
 
-    ground = []
-    for schema in schemas:
-        ground.extend(expand_forall(schema, labels))
-    ground = _merge_rules(ground, semiring, dialect)
-    return RuleSpec(dialect, semiring, labels, signature, ground, source=text)
+    ground = [g for rule in rules for g in expand_forall(rule, labels)]
+    ground = _merge_rules(ground, semiring)
+    return RuleSpec(dialect, semiring, labels, signature, ground)
 
 
 # --- format validation -----------------------------------------------------
@@ -602,7 +581,7 @@ def validate_format(spec):
                             "target-vars",
                             f"{v.name} is premised and may not be copied into the target",
                         )
-        if spec.dialect == "weighted" and rule.weight is INF:
+        if rule.weight is INF:
             flag(rule, "weight-inf", "infinite rule weight", severity="warning")
     return out
 

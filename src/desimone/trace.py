@@ -33,8 +33,6 @@ from .formalsum import STOP, FormalSum, Step
 from .opmodel import explore, model_cache, step
 from .terms import Node
 
-Word = tuple
-
 
 def trace_bounded(spec, term, depth):
     """The depth-th iterate of the trace functional from the empty table.

@@ -9,7 +9,7 @@ they read the package's trace tables and walk, and differ from it only in
 the step they check (tabling every term, and re-reading every behaviour
 each refinement round). ``law_star`` extends the package's composite law to
 terms over behaviour-carrying leaves, so that hand compositions of
-``bar_rho_step`` can check it level by level.
+``bar_rho_step`` (``two_level_oracle``) can check it level by level.
 """
 
 from fractions import Fraction
@@ -95,6 +95,21 @@ def law_star(spec, t):
         pairs.append((projected, law_star(spec, child)))
     stepped = bar_rho_step(spec, t.op, pairs)
     return fs_map(lambda e: belem_map(e, graft), stepped)
+
+
+def two_level_oracle(spec, op, left_pair, inner_op, inner_pairs):
+    """Hand composition for op(leaf, inner_op(leaves)): run the one-step law
+    on the inner node, lift the outer carrier to terms, run it again, then
+    graft the nested successor terms flat."""
+    inner_behaviour = bar_rho_step(spec, inner_op, inner_pairs)
+    inner_elem = Node(inner_op, [Leaf(x) for x, _ in inner_pairs])
+
+    x, b = left_pair
+    lifted = fs_map(lambda e: belem_map(e, Leaf), b)
+    outer = bar_rho_step(
+        spec, op, [(Leaf(x), lifted), (inner_elem, inner_behaviour)]
+    )
+    return fs_map(lambda e: belem_map(e, graft), outer)
 
 
 # --- closed-term counting ---------------------------------------------------
@@ -223,10 +238,8 @@ def trace_functional(spec, table, term):
 # --- fingerprints and buckets, one term at a time ----------------------------
 
 def fingerprint(spec, t, depth):
-    """The completed table at ``depth``, with the partial-word table below
-    it in the weighted dialect: everything a depth-bounded context sees."""
-    if spec.dialect == "desimone":
-        return trace_bounded(spec, t, depth)
+    """The completed table at ``depth`` with the partial-word table below
+    it: everything a depth-bounded context sees."""
     return trace_bounded(spec, t, depth), partial_trace_bounded(spec, t, depth - 1)
 
 

@@ -27,7 +27,6 @@ from desimone import (
     Step,
     ast_estimate,
     bar_rho_step,
-    belem_map,
     check_probabilistic,
     counterexample_search,
     dist_sigma,
@@ -41,7 +40,6 @@ from desimone import (
     fs_total,
     fs_unit,
     generate_contexts,
-    graft,
     naturality_check,
     parse_term,
     print_term,
@@ -50,7 +48,14 @@ from desimone import (
     trace_bounded,
     trace_direct,
 )
-from oracles import as_set, fs_leq, law_star, set_flatten, set_product_terms
+from oracles import (
+    as_set,
+    fs_leq,
+    law_star,
+    set_flatten,
+    set_product_terms,
+    two_level_oracle,
+)
 
 F = Fraction
 
@@ -230,24 +235,14 @@ def test_09_free_extension_agrees_with_manual_composition(de_simone_par, budget)
             )
             flat_checked += 1
 
-    def two_level(op, left_pair, inner_op, inner_pairs):
-        inner_behaviour = bar_rho_step(de_simone_par, inner_op, inner_pairs)
-        inner_elem = Node(inner_op, [Leaf(x) for x, _ in inner_pairs])
-        x, b = left_pair
-        lifted = fs_map(lambda e: belem_map(e, Leaf), b)
-        outer = bar_rho_step(
-            de_simone_par, op, [(Leaf(x), lifted), (inner_elem, inner_behaviour)]
-        )
-        return fs_map(lambda e: belem_map(e, graft), outer)
-
     deep_checked = 0
     for b1, b2, b3 in product(pool, repeat=3):
         term = Node(
             "par",
             [Leaf(("p", b1)), Node("plus", [Leaf(("q", b2)), Leaf(("r", b3))])],
         )
-        assert law_star(de_simone_par, term) == two_level(
-            "par", ("p", b1), "plus", [("q", b2), ("r", b3)]
+        assert law_star(de_simone_par, term) == two_level_oracle(
+            de_simone_par, "par", ("p", b1), "plus", [("q", b2), ("r", b3)]
         )
         deep_checked += 1
 

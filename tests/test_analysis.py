@@ -87,7 +87,7 @@ def test_completed_tables_can_hide_a_pending_difference(prob_par, depth_artifact
     assert trace_bounded(prob_par, t1, 5) != trace_bounded(prob_par, t2, 5)
     # a context can surface the pending letters inside completed words of
     # the same depth, so the refined precondition is what congruence needs
-    context = Context(Node("par", [Leaf(HOLE), t(prob_par, "nil")]))
+    context = Context(Node("par", [Leaf(HOLE), t(prob_par, "nil")]), (0,))
     assert trace_bounded(prob_par, context.apply(t1), 4) != trace_bounded(
         prob_par, context.apply(t2), 4
     )
@@ -155,14 +155,14 @@ def test_context_count_must_be_positive(prob_par):
 
 
 def test_context_apply(prob_par):
-    context = Context(Node("par", [Leaf(HOLE), t(prob_par, "nil")]))
+    context = Context(Node("par", [Leaf(HOLE), t(prob_par, "nil")]), (0,))
     assert print_term(context.apply(t(prob_par, "pre_a(nil)"))) == "par(pre_a(nil), nil)"
     assert context.show() == "par([], nil)"
 
 
 def test_applying_a_context_with_a_stray_leaf_fails(prob_par):
-    bad = Context(Node("pre_a", [Leaf(Var("x", 1))]))
     with pytest.raises(ValueError):
+        bad = Context(Node("pre_a", [Leaf(Var("x", 1))]), (0,))
         bad.apply(t(prob_par, "nil"))
 
 

@@ -328,6 +328,48 @@ def test_congruence_over_constants_only_has_no_context_to_try(run):
     )
 
 
+NO_CLOSED_TERMS = (
+    "dialect desimone\nsemiring boolean\nlabels a\nop f : 1\nrule f(x1) -a-> x1\n"
+)
+
+
+@pytest.mark.parametrize("contexts", ["100", "0"])
+def test_congruence_without_closed_terms_has_nothing_to_split(
+    run, tmp_path, contexts
+):
+    # a valid spec whose only operator takes an argument: nothing to enumerate,
+    # and no closed term to fill a context slot with
+    spec = tmp_path / "open.spec"
+    spec.write_text(NO_CLOSED_TERMS)
+    code, out, err = run(
+        "congruence", str(spec), "--size", "5", "--depth", "3", "--contexts", contexts
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "no congruence violation: 0 terms of size <= 5, "
+        "0 trace-equivalent pairs at depth 3, seed 0\n"
+    )
+
+
+def test_congruence_without_closed_terms_json(run, tmp_path):
+    spec = tmp_path / "open.spec"
+    spec.write_text(NO_CLOSED_TERMS)
+    code, out, err = run(
+        "congruence", str(spec), "--size", "5", "--depth", "3", "--json"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "size": 5,
+        "depth": 3,
+        "extra_contexts": 100,
+        "seed": 0,
+        "terms": 0,
+        "equivalent_pairs": 0,
+        "violation": None,
+        "passed": True,
+    }
+
+
 def test_congruence_quotients_the_enumeration_once(run, quotient_calls):
     code, _, _ = run(
         "congruence", path("copy_nonaffine"), "--size", "5", "--depth", "3",

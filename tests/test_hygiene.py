@@ -1,5 +1,6 @@
-"""Source hygiene: no uncalled functions, no unread imports, and a package
-``__all__`` that lists exactly what the package imports.
+"""Source hygiene: no uncalled functions, no unread module-level names, no
+unread imports, and a package ``__all__`` that lists exactly what the
+package imports.
 
 The checks read syntax trees with ``ast``; nothing is imported or run. A
 package function counts as called only when the package, the demos or the
@@ -55,6 +56,33 @@ def test_every_function_is_named_somewhere():
                 if not dunder and node.name not in named:
                     unnamed.append(f"{path.name}:{node.lineno} {node.name}")
     assert unnamed == []
+
+
+def test_every_module_level_name_is_read():
+    read = set()
+    for _, tree in _trees(ROOT / "src", ROOT / "demos", ROOT / "bench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for path, tree in _trees(PACKAGE):
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if not isinstance(name, ast.Name):
+                        continue
+                    dunder = name.id.startswith("__") and name.id.endswith("__")
+                    if not dunder and name.id not in read:
+                        unread.append(f"{path.name}:{node.lineno} {name.id}")
+    assert unread == []
 
 
 def test_no_module_imports_a_name_it_never_reads():

@@ -22,7 +22,6 @@ from desimone import (
     fs_empty,
     fs_map,
     fs_unit,
-    graft,
     leg_args_first,
     leg_law_first,
     naturality_check,
@@ -32,7 +31,7 @@ from desimone import (
     step,
     step_law,
 )
-from oracles import law_star, map_leaves
+from oracles import law_star, map_leaves, two_level_oracle
 
 F = Fraction
 
@@ -283,21 +282,6 @@ def test_law_star_on_flat_terms_is_bar_rho(de_simone_par):
             assert law_star(de_simone_par, flat) == bar_rho_step(
                 de_simone_par, op, [("p", b1), ("q", b2)]
             )
-
-
-def two_level_oracle(spec, op, left_pair, inner_op, inner_pairs):
-    """Hand composition for op(leaf, inner_op(leaves)): run the one-step law
-    on the inner node, lift the outer carrier to terms, run it again, then
-    graft the nested successor terms flat."""
-    inner_behaviour = bar_rho_step(spec, inner_op, inner_pairs)
-    inner_elem = Node(inner_op, [Leaf(x) for x, _ in inner_pairs])
-
-    x, b = left_pair
-    lifted = fs_map(lambda e: belem_map(e, Leaf), b)
-    outer = bar_rho_step(
-        spec, op, [(Leaf(x), lifted), (inner_elem, inner_behaviour)]
-    )
-    return fs_map(lambda e: belem_map(e, graft), outer)
 
 
 def test_law_star_depth_two_matches_manual_composition(de_simone_par):

@@ -27,6 +27,7 @@ from desimone import (
     print_term,
     step,
     step_law,
+    validate_format,
 )
 from oracles import reachable
 
@@ -179,6 +180,23 @@ def test_rules_premised_out_of_range_never_fire():
     )
     term = t(spec, "f(nil, nil)")
     assert step(spec, term) == step_law(spec, term) == FormalSum(RATIONAL)
+
+
+def test_rules_premised_out_of_range_stay_out_of_the_rule_index():
+    # the rule stays in spec.rules for validate, but neither reading sees it
+    text = (
+        "dialect desimone\nsemiring boolean\nlabels a, b\nop nil : 0\nop p : 1\n"
+        "rule nil -a-> nil\nrule p(x1) -b-> y1 when x1 -a-> y1\n"
+    )
+    spec = parse_spec(text + "rule p(x1) -a-> nil when x2 -a-> y2\n")
+    bad = spec.rules[-1]
+    assert [p.index for p in bad.premises] == [2]
+    assert bad not in spec.rules_for("p") and len(spec.rules_for("p")) == 1
+    assert [v.condition for v in validate_format(spec)] == ["premise-source-range"]
+    clean = parse_spec(text)
+    for text in ("p(nil)", "p(p(nil))"):
+        for stepper in (step, step_law):
+            assert stepper(spec, t(spec, text)) == stepper(clean, t(clean, text))
 
 
 WEIGHTED = "dialect weighted\nsemiring rational\n", "q -a[1]-> q"

@@ -13,7 +13,7 @@ import pytest
 from desimone import (
     Leaf,
     Node,
-    RuleSchema,
+    Rule,
     RuleTargetError,
     SPEC_NAMES,
     SpecParseError,
@@ -191,22 +191,23 @@ def test_forall_with_two_metavariables_takes_the_product():
 
 
 def test_expand_forall_on_a_ground_schema_is_identity():
-    schema = RuleSchema(
+    rule = Rule(
         op="c", arity=0, premises=(), label="a", weight=F(1),
-        target=Node("c", []), forall=(), line=1,
+        target=Node("c", []), line=1,
     )
-    rules = expand_forall(schema, ("a", "b"))
+    rules = expand_forall(rule, ("a", "b"))
     assert len(rules) == 1 and rules[0].label == "a"
+    assert rules == [rule]
 
 
 def test_expand_forall_direct_call():
-    schema = RuleSchema(
+    rule = Rule(
         op="par", arity=2, premises=(TransPremise(1, "@l"),), label="@l",
         weight=F(1, 2),
         target=Node("par", [Leaf(Var("y", 1)), Leaf(Var("x", 2))]),
         forall=("@l",), line=3,
     )
-    rules = expand_forall(schema, ("a", "b"))
+    rules = expand_forall(rule, ("a", "b"))
     assert [(r.label, r.premises[0].label) for r in rules] == [("a", "a"), ("b", "b")]
     assert all(r.line == 3 and r.weight == F(1, 2) for r in rules)
 
