@@ -6,14 +6,15 @@ context. ``counterexample_search`` is the congruence check. It quotients
 first, by bisimilarity up to the table depth: a depth-``d`` table observes
 only ``d`` steps, and ``d``-step bisimilarity is preserved by every context
 for ``d`` steps under any GSOS law, copying ones included (the stepwise
-congruence proof of Bloom, Istrail and Meyer, J. ACM 1995). So one
-``bisim_partition`` over the enumerated terms, walked no deeper than the
-tables look, gives one trace fingerprint per block, and buckets of equal
-fingerprints whose block representatives are split by contexts: the
-complete depth-1 layer, then seeded random one-hole terms, each carrying
-the path to its hole. Buckets go in enumeration order, so the first reported
-violation is deterministic. With no bucket of two representatives there is
-nothing to split, and the search answers before it builds a context.
+congruence proof of Bloom, Istrail and Meyer, J. ACM 1995). So the
+enumeration is quotiented size by size, stepping one term per operator and
+tuple of child blocks, and no deeper than the tables look. That gives one
+trace fingerprint per block, and buckets of equal fingerprints whose block
+representatives are split by contexts: the complete depth-1 layer, then
+seeded random one-hole terms, each carrying the path to its hole. Buckets
+go in enumeration order, so the first reported violation is deterministic.
+With no bucket of two representatives there is nothing to split, and the
+search answers before it builds a context.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .terms import (
     HOLE,
     Leaf,
     Node,
+    closed_terms_of_size,
     enumerate_closed_terms,
     print_term,
 )
@@ -62,22 +64,6 @@ class Context:
 
     def show(self):
         return print_term(self.term)
-
-
-def _fingerprint(spec, t, depth):
-    """Everything a depth-bounded context can observe of a term.
-
-    A context word of length < depth exposes the plugged term's completed
-    traces and its partial words up to the same length; pairs equal only on
-    the completed table can still split under a context that interleaves
-    termination, which would misreport well-formed specs. (In the desimone
-    dialect every state stops, so the partial table repeats the completed
-    one and splits no bucket.)
-    """
-    return (
-        trace_bounded(spec, t, depth),
-        partial_trace_bounded(spec, t, depth - 1),
-    )
 
 
 def first_difference(spec, t, s, depth):
@@ -129,10 +115,16 @@ def generate_contexts(spec, count, max_size, seed):
 
     rng = random.Random(seed)
     hosts = [t for t in filler_pool if t.size >= 2]
+    # once every (host, non-root path) pair is drawn, no context can be new
+    pairs = sum(t.size - 1 for t in hosts)
+    drawn = set()
     attempts = 0
-    while len(contexts) < count and hosts and attempts < 50 * count:
+    while len(contexts) < count and len(drawn) < pairs and attempts < 50 * count:
         attempts += 1
-        add(*_random_context(rng, hosts))
+        host = rng.choice(hosts)
+        path = rng.choice([p for p in _node_paths(host) if p])
+        drawn.add((host, path))
+        add(_replace_at(host, path, hole), path)
     return contexts[:count] if len(contexts) > count else contexts
 
 
@@ -149,13 +141,6 @@ def _replace_at(t, path, replacement):
     children = list(t.children)
     children[i] = _replace_at(children[i], rest, replacement)
     return Node(t.op, children)
-
-
-def _random_context(rng, hosts):
-    """A hole at a random non-root position of a random closed term: (term, path)."""
-    host = rng.choice(hosts)
-    path = rng.choice([p for p in _node_paths(host) if p])
-    return _replace_at(host, path, Leaf(HOLE)), path
 
 
 @dataclass
@@ -266,25 +251,52 @@ def bisim_partition(spec, terms, depth):
     return dict(zip(walk.order, current))
 
 
+def bisim_blocks(spec, size_bound, depth):
+    """The enumerated closed terms, in order, each with its block of
+    bisimilarity up to ``depth``. That is a congruence, so a term's block
+    follows from its key ``(op, child blocks)``: per size, one
+    ``bisim_partition`` places the first term of each new key among the
+    first members of the known blocks."""
+    blocks, key_blocks, firsts = {}, {}, []
+    for size in range(1, size_bound + 1):
+        terms = closed_terms_of_size(spec.signature, size)
+        keys = [(t.op, tuple(blocks[c] for c in t.children)) for t in terms]
+        fresh = {}  # new key -> its first term
+        for key, t in zip(keys, terms):
+            if key not in key_blocks:
+                fresh.setdefault(key, t)
+        # roots are numbered first, in order, so known blocks keep their ids
+        partition = bisim_partition(spec, firsts + list(fresh.values()), depth)
+        for key, t in fresh.items():
+            key_blocks[key] = partition[t]
+            if partition[t] == len(firsts):
+                firsts.append(t)
+        blocks.update(zip(terms, [key_blocks[key] for key in keys]))
+    return blocks
+
+
 def fingerprint_buckets(spec, size_bound, depth):
     """Group enumerated closed terms by what bounded contexts can observe.
 
     Returns ``[(fingerprint, members, representatives)]`` in enumeration
     order of first members; the representatives are the first member of each
-    ``bisim_partition(spec, terms, depth)`` block in the bucket. The
-    fingerprint is the completed table at ``depth`` with the partial table
-    below it. Both are functions of a term's ``depth``-step bisimulation
-    class, so the quotient comes first and each block is fingerprinted once.
+    ``bisim_blocks`` block in the bucket. The fingerprint is everything a
+    depth-bounded context can observe: a context word of length < ``depth``
+    exposes the plugged term's completed traces and its partial words up to
+    that length, so it is the completed table at ``depth`` with the partial
+    table below it (pairs equal only on the completed table can still split
+    under a context that interleaves termination). Both are functions of a
+    term's ``depth``-step bisimulation class, so the quotient comes first
+    and each block is fingerprinted once.
     """
-    terms = list(enumerate_closed_terms(spec.signature, size_bound))
-    blocks = bisim_partition(spec, terms, depth)
     fingerprints = {}  # block -> the fingerprint of its first member
     buckets = {}
-    for t in terms:
-        first = blocks[t] not in fingerprints
+    for t, block in bisim_blocks(spec, size_bound, depth).items():
+        first = block not in fingerprints
         if first:
-            fingerprints[blocks[t]] = _fingerprint(spec, t, depth)
-        fp = fingerprints[blocks[t]]
+            completed = trace_bounded(spec, t, depth)
+            fingerprints[block] = completed, partial_trace_bounded(spec, t, depth - 1)
+        fp = fingerprints[block]
         _, members, reps = buckets.setdefault(fp, (fp, [], []))
         members.append(t)
         if first:

@@ -10,6 +10,7 @@ Exit codes: 0 success / property holds, 1 semantic failure (format
 violation, witness, inequivalence, bad term), 2 usage, file or spec-parse
 error, a fired rule whose target names an unbound variable, or an input too
 deep for Python's recursion limit, each refused with one line on stderr.
+A reader that closes stdout early ends the command quietly with exit 1.
 Two inputs meet the depth refusal: a ``traces``/``equiv`` depth past the
 limit (tables recurse once per depth), and a term whose premised arguments
 nest past it (``step`` recurses once per premised level, so ``step
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .analysis import counterexample_search, fingerprint_buckets, first_difference
@@ -548,7 +550,13 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: the exit flush writes to devnull (Python docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CliError as exc:
         print(f"desimone: {exc}", file=sys.stderr)
         return exc.code

@@ -1,6 +1,8 @@
 """Equivalence checking, context generation, congruence search, and the
 bisimulation quotient behind it."""
 
+import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +14,9 @@ from desimone import (
     HOLE,
     Leaf,
     Node,
+    RuleTargetError,
+    SPEC_NAMES,
+    SpecParseError,
     Var,
     bisim_partition,
     counterexample_search,
@@ -19,6 +24,7 @@ from desimone import (
     explore,
     fingerprint_buckets,
     first_difference,
+    format_errors,
     generate_contexts,
     load_spec,
     model_cache,
@@ -26,10 +32,11 @@ from desimone import (
     parse_term,
     partial_trace_bounded,
     print_term,
+    spec_text,
     trace_bounded,
     trace_direct,
 )
-from desimone.analysis import _hole_blind
+from desimone.analysis import _hole_blind, bisim_blocks
 from oracles import (
     bounded_signatures,
     coarsest_bisimulation,
@@ -38,6 +45,7 @@ from oracles import (
     plug,
     round_based_bisimulation,
 )
+from test_rulespec import _mutate
 
 F = Fraction
 
@@ -149,6 +157,31 @@ def test_context_generation_is_deterministic(prob_par):
     assert len(set(first)) == 12
 
 
+def _one_hole_contexts(term):
+    """Every term made from ``term`` by a hole at one non-root position."""
+    out = []
+    for i, child in enumerate(term.children):
+        for inner in [Leaf(HOLE)] + _one_hole_contexts(child):
+            out.append(Node(term.op, term.children[:i] + (inner,) + term.children[i + 1:]))
+    return out
+
+
+def test_sampling_stops_once_no_context_can_be_new(prob_par):
+    # size-3 hosts allow a handful of contexts: drawing on until 50 x 100,000
+    # attempts are spent takes about 50 s
+    start = time.perf_counter()
+    every = generate_contexts(prob_par, 100_000, 3, 0)
+    assert time.perf_counter() - start < 5
+    hosts = [u for u in enumerate_closed_terms(prob_par.signature, 3) if u.size >= 2]
+    drawable = {c for host in hosts for c in _one_hole_contexts(host)}
+    depth1 = {c.term for c in generate_contexts(prob_par, 4, 3, 0)}
+    assert {c.term for c in every} == depth1 | drawable
+    assert len(every) == len(depth1 | drawable) == 8
+    # a smaller count draws the same contexts in the same order
+    for count in range(1, len(every) + 1):
+        assert generate_contexts(prob_par, count, 3, 0) == every[:count]
+
+
 def test_context_count_must_be_positive(prob_par):
     with pytest.raises(ValueError):
         generate_contexts(prob_par, 0, 3, 0)
@@ -233,6 +266,55 @@ def test_buckets_match_fingerprinting_every_term(name, size, depth):
         for m in ms:
             firsts.setdefault(blocks[m], m)
         assert reps == list(firsts.values())
+
+
+def _quotients(spec, size, depth):
+    """The enumeration's block ids, renumbered in order of first member, from
+    the key-built quotient and from one partition of the whole enumeration;
+    or the refusal of each. Equal lists mean the same blocks, each with the
+    same first member."""
+    terms = list(enumerate_closed_terms(spec.signature, size))
+    outcomes = []
+    for quotient in (
+        lambda: bisim_blocks(spec, size, depth),
+        lambda: bisim_partition(spec, terms, depth),
+    ):
+        try:
+            blocks = quotient()
+        except RuleTargetError as exc:
+            outcomes.append(str(exc))
+            continue
+        ids = {}
+        outcomes.append([ids.setdefault(blocks[u], len(ids)) for u in terms])
+    return outcomes
+
+
+@pytest.mark.parametrize("name, size, depth", ORACLE_SIZES)
+def test_key_built_blocks_match_one_partition_of_the_enumeration(name, size, depth):
+    spec = load_spec(name)
+    terms = list(enumerate_closed_terms(spec.signature, size))
+    assert list(bisim_blocks(spec, size, 1)) == terms
+    for d in range(1, depth + 1):
+        by_keys, whole = _quotients(spec, size, d)
+        assert by_keys == whole
+
+
+def test_key_built_blocks_match_on_mutated_specs():
+    # mutants mostly break the format; step still reads them rule by rule,
+    # and the congruence the keys rely on holds for that reading too
+    rng = random.Random(7)
+    texts = [spec_text(name) for name in SPEC_NAMES]
+    outcomes = Counter()
+    while outcomes["refused"] + outcomes["blocks"] < 100:
+        try:
+            spec = parse_spec(_mutate(rng, rng.choice(texts)))
+        except SpecParseError:
+            continue
+        by_keys, whole = _quotients(spec, 4, 3)
+        assert by_keys == whole
+        outcomes["refused" if isinstance(whole, str) else "blocks"] += 1
+        outcomes["outside the format"] += bool(format_errors(spec))
+    assert min(outcomes.values()) > 0
 
 
 # --- bisimulation quotient ---------------------------------------------------
@@ -400,9 +482,22 @@ def test_search_reuses_given_buckets(prob_par, monkeypatch, quotient_calls):
         counterexample_search(prob_par, 4, 3)
 
 
-def test_search_quotients_the_enumeration_once(prob_par, quotient_calls):
+def test_search_quotients_the_first_term_of_each_key(prob_par, quotient_calls):
     assert counterexample_search(prob_par, 4, 3) is None
-    assert quotient_calls == [list(enumerate_closed_terms(prob_par.signature, 4))]
+    calls = list(quotient_calls)
+    blocks = bisim_blocks(prob_par, 4, 3)
+    key_firsts, block_firsts = {}, {}
+    for u, b in blocks.items():
+        key_firsts.setdefault((u.op, tuple(blocks[c] for c in u.children)), u)
+        block_firsts.setdefault(b, u)
+    earlier = set()
+    for roots in calls:
+        assert len(set(roots)) == len(roots) <= len(key_firsts)
+        # a term comes back only as the first member of a block found earlier
+        assert set(roots) & earlier <= set(block_firsts.values())
+        earlier |= set(roots)
+    assert earlier == set(key_firsts.values())
+    assert len(key_firsts) < len(blocks)
 
 
 # computed before the search skipped hole-blind contexts: none of these
@@ -449,9 +544,18 @@ def test_hole_blind_contexts_give_one_table_for_every_filler(
 def test_copy_search_steps_only_what_its_tables_observe():
     spec = load_spec("copy_nonaffine")  # fresh, so the memo counts this search
     assert counterexample_search(spec, 6, 4) is None
-    # 39,034 behaviours under every hash seed tried; stepping every argument
-    # of every state and probing no context for blindness memoized 69,381
-    assert len(model_cache(spec).step) <= 45_000
+    # 11,619 behaviours under every hash seed tried; quotienting every term
+    # memoized 17,416, and stepping every argument of every state and
+    # probing no context for blindness 69,381
+    assert len(model_cache(spec).step) <= 12_000
+
+
+def test_copy_buckets_step_one_term_per_key():
+    spec = load_spec("copy_nonaffine")  # fresh, so the memo counts the buckets
+    fingerprint_buckets(spec, 7, 4)
+    # 1,937 behaviours under every hash seed tried, for 44,361 terms;
+    # quotienting every term memoized 45,711
+    assert len(model_cache(spec).step) <= 2_500
 
 
 def test_search_finds_the_copying_violation(copy_nonaffine, copy_violation):

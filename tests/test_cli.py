@@ -1,7 +1,8 @@
 """Command-line behaviour: output bytes, exit codes, error routing.
 
-Everything runs in-process through ``main(argv)`` except one subprocess
-smoke test for the console-script entry point declared in pyproject.toml.
+Everything runs in-process through ``main(argv)`` except two subprocess
+tests: a smoke test for the console-script entry point declared in
+pyproject.toml, and a reader that closes stdout early.
 """
 
 import json
@@ -370,12 +371,25 @@ def test_congruence_without_closed_terms_json(run, tmp_path):
     }
 
 
-def test_congruence_quotients_the_enumeration_once(run, quotient_calls):
+def test_congruence_computes_its_buckets_once(run, monkeypatch, quotient_calls):
+    import desimone.analysis as analysis_module
+    import desimone.cli as cli_module
+
+    calls = []
+    buckets = analysis_module.fingerprint_buckets
+
+    def counting(*args):
+        calls.append(args[1:])
+        return buckets(*args)
+
+    monkeypatch.setattr(analysis_module, "fingerprint_buckets", counting)
+    monkeypatch.setattr(cli_module, "fingerprint_buckets", counting)
     code, _, _ = run(
         "congruence", path("copy_nonaffine"), "--size", "5", "--depth", "3",
         "--contexts", "10",
     )
-    assert code == 0 and len(quotient_calls) == 1
+    assert code == 0 and calls == [(5, 3)]
+    assert 0 < len(quotient_calls) <= 5  # at most one quotient per term size
 
 
 # --- ast --------------------------------------------------------------------
@@ -719,3 +733,29 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "valid"
+
+
+def test_a_closed_stdout_ends_quietly():
+    # the reader stops after two lines, as ``| head -2`` does; the command
+    # prints 118 kB, more than a pipe holds, so its write fails for sure
+    term = (
+        "par(par(pre_a(pre_b(pre_a(nil))), pre_b(pre_a(pre_b(nil)))), "
+        "par(pre_a(pre_a(pre_b(nil))), pre_b(pre_a(pre_b(nil)))))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(desimone.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "desimone", "traces", path("de_simone_par"),
+            term, "--depth", "13", "--json",
+        ],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head == [b"{\n", b'  "depth": 13,\n'] and err == b""
