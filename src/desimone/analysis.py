@@ -11,10 +11,12 @@ enumeration is quotiented size by size, stepping one term per operator and
 tuple of child blocks, and no deeper than the tables look. That gives one
 trace fingerprint per block, and buckets of equal fingerprints whose block
 representatives are split by contexts: the complete depth-1 layer, then
-seeded random one-hole terms, each carrying the path to its hole. Buckets
-go in enumeration order, so the first reported violation is deterministic.
-With no bucket of two representatives there is nothing to split, and the
-search answers before it builds a context.
+seeded random one-hole terms, each carrying the path to its hole. By the
+same argument, a context that first steps its hole ``g`` steps in splits
+only one representative per block of bisimilarity up to ``depth - g``.
+Buckets go in enumeration order, so the first reported violation is
+deterministic. With no bucket of two representatives there is nothing to
+split, and the search answers before it builds a context.
 """
 
 from __future__ import annotations
@@ -318,9 +320,15 @@ def counterexample_search(
     ``buckets``, when given, must be ``fingerprint_buckets(spec, size_bound,
     depth)``, already computed.
 
-    Hole-blind contexts are skipped for every bucket: when the unplugged
-    context's table at ``depth`` is computed without ever stepping its hole,
-    every plugged term gets that same table, so the context splits nothing.
+    A context that steps its hole no sooner than ``g`` steps in (its
+    guard) sees a plugged term only through its ``(depth - g)``-step
+    class, and bisimilarity up to any bound is a congruence for GSOS laws,
+    copying ones included (Bloom, Istrail and Meyer, J. ACM 1995). So each
+    check splits only the first representative of each block of
+    bisimilarity up to ``depth - g``: a skipped one shares the class of the
+    base or of an earlier one that did not split, and the reported pair is
+    unchanged. At ``g == depth`` one representative is left, and the check
+    is skipped.
     """
     if extra_contexts < 0:
         raise ValueError("extra_contexts must be >= 0")
@@ -333,32 +341,35 @@ def counterexample_search(
     # a signature of constants only has no one-hole context at all
     contexts = generate_contexts(spec, count, size_bound, seed) if count else []
     # original positions are kept: they tell the depth-1 layer apart
-    live = [
-        (i, context)
-        for i, context in enumerate(contexts)
-        if not _hole_blind(spec, context, depth)
-    ]
+    guarded = [(i, c, _hole_guard(spec, c, depth)) for i, c in enumerate(contexts)]
     for _, _, reps in buckets:
         if len(reps) < 2:
             continue
-        for i, context in live:
-            v = _split_violation(spec, reps, context, depth, i >= depth1_arity)
-            if v is not None:
-                return v
+        # guard -> the first representative of each (depth - guard)-block
+        kept = {0: reps, depth: reps[:1]}
+        for i, context, g in guarded:
+            if g not in kept:
+                blocks = bisim_partition(spec, reps, depth - g)
+                firsts = {}
+                for r in reps:
+                    firsts.setdefault(blocks[r], r)
+                kept[g] = list(firsts.values())
+            if len(kept[g]) > 1:
+                v = _split_violation(spec, kept[g], context, depth, i >= depth1_arity)
+                if v is not None:
+                    return v
     return None
 
 
-def _hole_blind(spec, context, depth):
-    """True when every plugged term gets the same table at ``depth``.
-
-    ``step`` steps only premised arguments and refuses a leaf with
-    ``TypeError``. A table built from the unplugged context without that
-    error never looked at the hole: plugging a term in substitutes it for
-    the hole in every state reached, and changes no weight. A
-    ``TypeError`` only means the context may split something.
-    """
-    try:
-        trace_bounded(spec, context.term, depth)
-    except TypeError:
-        return False
-    return True
+def _hole_guard(spec, context, depth):
+    """The largest ``g <= depth`` whose table of the unplugged context never
+    steps the hole: ``step`` steps only premised arguments and refuses a
+    leaf with ``TypeError``. Within ``g - 1`` steps, a plugged term is only
+    substituted for the hole, and changes no move."""
+    for g in range(depth, 0, -1):
+        try:
+            trace_bounded(spec, context.term, g)
+        except TypeError:
+            continue
+        return g
+    return 0

@@ -44,15 +44,15 @@ def pair_nonaffine():
 
 @pytest.fixture
 def quotient_calls(monkeypatch):
-    """The term lists ``bisim_partition`` is called on, from inside
-    ``desimone.analysis``, while the test runs."""
+    """The ``(terms, depth)`` of each ``bisim_partition`` call from inside
+    ``desimone.analysis`` while the test runs."""
     import desimone.analysis as analysis_module
 
     calls = []
     partition = analysis_module.bisim_partition
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[1:3])
         return partition(*args, **kwargs)
 
     monkeypatch.setattr(analysis_module, "bisim_partition", counting)

@@ -7,7 +7,9 @@ than tautology. Oracles are slow and simple on purpose. The exceptions are
 quotient-first search, ``per_term_buckets`` and ``round_based_bisimulation``:
 they read the package's trace tables and walk, and differ from it only in
 the step they check (tabling every term, and re-reading every behaviour
-each refinement round). ``law_star`` extends the package's composite law to
+each refinement round). ``unguarded_search`` likewise runs the package's
+buckets, contexts and split check, and differs only in splitting every
+representative under every context. ``law_star`` extends the package's composite law to
 terms over behaviour-carrying leaves, so that hand compositions of
 ``bar_rho_step`` (``two_level_oracle``) can check it level by level.
 """
@@ -30,14 +32,17 @@ from desimone import (
     belem_map,
     enumerate_closed_terms,
     explore,
+    fingerprint_buckets,
     fold,
     fs_map,
+    generate_contexts,
     graft,
     partial_trace_bounded,
     step,
     term_vars,
     trace_bounded,
 )
+from desimone.analysis import _split_violation
 
 
 # --- formal sums ------------------------------------------------------------
@@ -382,6 +387,26 @@ def plug(context_term, t):
         assert context_term.payload is HOLE
         return t
     return Node(context_term.op, [plug(c, t) for c in context_term.children])
+
+
+def unguarded_search(spec, size_bound, depth, extra_contexts=100, seed=0):
+    """``counterexample_search`` with no context guard: each bucket's
+    representatives are all split, in bucket order, by every context,
+    hole-blind ones included, depth-1 layer first."""
+    buckets = fingerprint_buckets(spec, size_bound, depth)
+    if all(len(reps) < 2 for _, _, reps in buckets):
+        return None
+    depth1_arity = sum(spec.signature.arity(op) for op in spec.signature.names())
+    count = depth1_arity + extra_contexts
+    contexts = generate_contexts(spec, count, size_bound, seed) if count else []
+    for _, _, reps in buckets:
+        if len(reps) < 2:
+            continue
+        for i, context in enumerate(contexts):
+            v = _split_violation(spec, reps, context, depth, i >= depth1_arity)
+            if v is not None:
+                return v
+    return None
 
 
 # --- exact chain arithmetic --------------------------------------------------

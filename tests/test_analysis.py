@@ -36,7 +36,7 @@ from desimone import (
     trace_bounded,
     trace_direct,
 )
-from desimone.analysis import _hole_blind, bisim_blocks
+from desimone.analysis import _hole_guard, bisim_blocks
 from oracles import (
     bounded_signatures,
     coarsest_bisimulation,
@@ -44,6 +44,7 @@ from oracles import (
     per_term_buckets,
     plug,
     round_based_bisimulation,
+    unguarded_search,
 )
 from test_rulespec import _mutate
 
@@ -477,14 +478,22 @@ def test_search_reuses_given_buckets(prob_par, monkeypatch, quotient_calls):
 
     monkeypatch.setattr(analysis_module, "fingerprint_buckets", recomputed)
     assert counterexample_search(prob_par, 4, 3, buckets=buckets) is None
-    assert quotient_calls == []  # given buckets carry their representatives
+    # given buckets carry their representatives: no call quotients terms,
+    # each one thins one bucket's representatives once per context guard
+    bucket_reps = [reps for _, _, reps in buckets]
+    assert quotient_calls
+    for roots, depth in quotient_calls:
+        assert roots in bucket_reps and 0 < depth < 3
+    assert len({(tuple(roots), depth) for roots, depth in quotient_calls}) == len(
+        quotient_calls
+    )
     with pytest.raises(AssertionError, match="recomputed"):
         counterexample_search(prob_par, 4, 3)
 
 
 def test_search_quotients_the_first_term_of_each_key(prob_par, quotient_calls):
     assert counterexample_search(prob_par, 4, 3) is None
-    calls = list(quotient_calls)
+    calls = [roots for roots, depth in quotient_calls if depth == 3]
     blocks = bisim_blocks(prob_par, 4, 3)
     key_firsts, block_firsts = {}, {}
     for u, b in blocks.items():
@@ -533,12 +542,91 @@ def test_hole_blind_contexts_give_one_table_for_every_filler(
     spec = request.getfixturevalue(name)
     arity = sum(spec.signature.arity(op) for op in spec.signature.names())
     contexts = generate_contexts(spec, arity + 100, size, 0)
-    blind = [c for c in contexts if _hole_blind(spec, c, depth)]
+    blind = [c for c in contexts if _hole_guard(spec, c, depth) == depth]
     assert 0 < len(blind) < len(contexts)
     fillers = list(enumerate_closed_terms(spec.signature, 4))
     for c in blind:
         tables = {trace_direct(spec, c.apply(u), depth - 1) for u in fillers}
         assert len(tables) == 1, c.show()
+
+
+@pytest.mark.parametrize(
+    "name, size, depth",
+    [("copy_nonaffine", 4, 4), ("prob_par", 5, 5), ("de_simone_par", 5, 6)],
+)
+def test_fillers_bisimilar_below_a_contexts_guard_get_one_table(name, size, depth):
+    spec = load_spec(name)
+    arity = sum(spec.signature.arity(op) for op in spec.signature.names())
+    contexts = generate_contexts(spec, arity + 30, size, 0)
+    fillers = list(enumerate_closed_terms(spec.signature, size))
+    full = bisim_partition(spec, fillers, depth)
+    thinned = 0
+    for c in contexts:
+        g = _hole_guard(spec, c, depth)
+        trace_bounded(spec, c.term, g)  # the guard's table steps no hole
+        if g == depth:
+            continue
+        with pytest.raises(TypeError):  # and it is the largest such
+            trace_bounded(spec, c.term, g + 1)
+        blocks = bisim_partition(spec, fillers, depth - g)
+        tables = {}
+        for u in fillers:
+            table = trace_bounded(spec, c.apply(u), depth)
+            assert tables.setdefault(blocks[u], table) == table, c.show()
+        thinned += len(tables) < len({full[u] for u in fillers})
+    assert thinned > 0
+
+
+def _described(spec, violation):
+    return None if violation is None else violation.describe(spec)
+
+
+@pytest.mark.parametrize("name, size, depth", ORACLE_SIZES)
+def test_guarded_search_matches_the_unguarded_loop(name, size, depth):
+    guarded, unguarded = load_spec(name), load_spec(name)  # no shared tables
+    assert _described(guarded, counterexample_search(guarded, size, depth)) == (
+        _described(unguarded, unguarded_search(unguarded, size, depth))
+    )
+
+
+def test_unguarded_loop_finds_the_copying_violation(copy_nonaffine, copy_violation):
+    spec = load_spec("copy_nonaffine")  # fresh: no table is shared
+    violation, _ = copy_violation
+    assert unguarded_search(spec, 7, 4).describe(spec) == violation.describe(
+        copy_nonaffine
+    )
+
+
+def test_guarded_search_matches_the_unguarded_loop_on_mutated_specs():
+    rng = random.Random(11)
+    texts = [spec_text(name) for name in SPEC_NAMES]
+    outcomes = Counter()
+    while outcomes.total() < 100:
+        text = _mutate(rng, rng.choice(texts))
+        try:
+            spec = parse_spec(text)
+        except SpecParseError:
+            continue
+        size, depth = [(4, 3), (5, 2), (4, 4)][outcomes.total() % 3]
+        results = []
+        for search in (counterexample_search, unguarded_search):
+            try:
+                results.append(_described(spec, search(spec, size, depth)))
+            except RuleTargetError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], text
+        outcomes["refused" if isinstance(results[1], str) else "answered"] += 1
+    assert min(outcomes.values()) > 0
+
+
+def test_prob_search_tables_only_what_its_guards_let_through():
+    spec = load_spec("prob_par")  # fresh, so the memo counts this search
+    buckets = fingerprint_buckets(spec, 7, 5)
+    before = len(model_cache(spec).trace)
+    assert counterexample_search(spec, 7, 5, buckets=buckets) is None
+    # 2,885 tables under every hash seed tried; splitting every
+    # representative under every context that is not hole-blind added 9,024
+    assert len(model_cache(spec).trace) - before <= 3_500
 
 
 def test_copy_search_steps_only_what_its_tables_observe():

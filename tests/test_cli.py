@@ -375,12 +375,14 @@ def test_congruence_computes_its_buckets_once(run, monkeypatch, quotient_calls):
     import desimone.analysis as analysis_module
     import desimone.cli as cli_module
 
-    calls = []
+    calls, bucket_reps = [], []
     buckets = analysis_module.fingerprint_buckets
 
     def counting(*args):
         calls.append(args[1:])
-        return buckets(*args)
+        found = buckets(*args)
+        bucket_reps.extend(reps for _, _, reps in found)
+        return found
 
     monkeypatch.setattr(analysis_module, "fingerprint_buckets", counting)
     monkeypatch.setattr(cli_module, "fingerprint_buckets", counting)
@@ -389,7 +391,11 @@ def test_congruence_computes_its_buckets_once(run, monkeypatch, quotient_calls):
         "--contexts", "10",
     )
     assert code == 0 and calls == [(5, 3)]
-    assert 0 < len(quotient_calls) <= 5  # at most one quotient per term size
+    quotients = [roots for roots, depth in quotient_calls if depth == 3]
+    assert 0 < len(quotients) <= 5  # at most one quotient per term size
+    # every other call thins one bucket's representatives for a context
+    for roots, depth in quotient_calls:
+        assert depth == 3 or (roots in bucket_reps and 0 < depth < 3)
 
 
 # --- ast --------------------------------------------------------------------
