@@ -9,9 +9,10 @@ they read the package's trace tables and walk, and differ from it only in
 the step they check (tabling every term, and re-reading every behaviour
 each refinement round). ``unguarded_search`` likewise runs the package's
 buckets, contexts and split check, and differs only in splitting every
-representative under every context. ``law_star`` extends the package's composite law to
-terms over behaviour-carrying leaves, so that hand compositions of
-``bar_rho_step`` (``two_level_oracle``) can check it level by level.
+representative under every context. ``law_star`` extends the package's
+composite law to terms over behaviour-carrying leaves, so that hand
+compositions of ``bar_rho_step`` (``two_level_oracle``) can check it level
+by level.
 """
 
 from fractions import Fraction

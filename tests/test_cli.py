@@ -394,6 +394,7 @@ def test_congruence_computes_its_buckets_once(run, monkeypatch, quotient_calls):
     quotients = [roots for roots, depth in quotient_calls if depth == 3]
     assert 0 < len(quotients) <= 5  # at most one quotient per term size
     # every other call thins one bucket's representatives for a context
+    assert len(quotients) < len(quotient_calls)
     for roots, depth in quotient_calls:
         assert depth == 3 or (roots in bucket_reps and 0 < depth < 3)
 
