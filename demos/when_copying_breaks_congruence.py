@@ -31,19 +31,10 @@ w = result.witness
 print(f"witness on operator {w.op}:")
 
 
-def show_tree(t):
-    # leg targets are terms over carrier elements, not over subterms
-    if not hasattr(t, "children"):
-        return str(t.payload)
-    if not t.children:
-        return t.op
-    return f"{t.op}({', '.join(show_tree(c) for c in t.children)})"
-
-
 def leg_lines(leg):
     out = []
     for e, wt in leg.sorted_items():
-        out.append("-> *" if e is STOP else f"-{e.label}-> {show_tree(e.target)}")
+        out.append("-> *" if e is STOP else f"-{e.label}-> {print_term(e.target)}")
     return out
 
 

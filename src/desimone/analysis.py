@@ -32,6 +32,7 @@ from .terms import (
     Node,
     closed_terms_of_size,
     enumerate_closed_terms,
+    fold,
     print_term,
 )
 from .trace import (
@@ -52,6 +53,8 @@ class Context:
     def __post_init__(self):
         leaf = self.term
         for i in self.path:
+            if not isinstance(leaf, Node) or not 0 <= i < len(leaf.children):
+                raise ValueError(f"context path {self.path} leaves the term")
             leaf = leaf.children[i]
         if leaf != Leaf(HOLE):
             raise ValueError(f"context has {leaf!r}, not a hole, at {self.path}")
@@ -130,10 +133,10 @@ def generate_contexts(spec, count, max_size, seed):
     return contexts[:count] if len(contexts) > count else contexts
 
 
-def _node_paths(t, prefix=()):
-    yield prefix
-    for i, c in enumerate(t.children):
-        yield from _node_paths(c, prefix + (i,))
+def _node_paths(t):
+    """The path to every node of ``t`` in pre-order, the root's ``()`` first."""
+    return fold(t, lambda _: [()], lambda n, below: [()] + [
+        (i,) + p for i, paths in enumerate(below) for p in paths])
 
 
 def _replace_at(t, path, replacement):

@@ -11,11 +11,11 @@ violation, witness, inequivalence, bad term), 2 usage, file or spec-parse
 error, a fired rule whose target names an unbound variable, or an input too
 deep for Python's recursion limit, each refused with one line on stderr.
 A reader that closes stdout early ends the command quietly with exit 1.
-Two inputs meet the depth refusal: a ``traces``/``equiv`` depth past the
-limit (tables recurse once per depth), and a term whose premised arguments
-nest past it (``step`` recurses once per premised level, so ``step
---direct`` refuses ``par`` nested 10,000 deep). Term depth alone is
-answered: printing, ordering, comparing and ``step_law`` do not recurse.
+Two inputs meet the depth refusal: a table depth past the limit (tables
+recurse once per depth), and premised nesting past it under ``step`` (it
+recurses once per premised level, so ``step --direct`` refuses ``par``
+nested 10,000 deep). Term depth alone is answered: rule targets of any
+depth fire, since every whole-term walk goes through ``terms.fold``.
 """
 
 from __future__ import annotations

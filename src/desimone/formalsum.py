@@ -292,10 +292,10 @@ def dist_sigma_star(semiring, t):
     Repeated occurrences of the same formal sum are distinct choice points,
     which is exactly what makes non-affine rule targets misbehave.
     """
-    if isinstance(t, Leaf):
-        inner = t.payload
+
+    def leaf(inner):
         if not isinstance(inner, FormalSum):
             raise TypeError(f"dist_sigma_star expects formal-sum leaves, got {inner!r}")
         return fs_map(Leaf, inner)
-    child_sums = [dist_sigma_star(semiring, c) for c in t.children]
-    return fs_map(graft, dist_sigma(semiring, t.op, child_sums))
+
+    return fold(t, leaf, lambda n, sums: fs_map(graft, dist_sigma(semiring, n.op, sums)))

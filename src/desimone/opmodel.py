@@ -6,9 +6,9 @@ each premise independently picks a matching entry of its argument's
 (recursively stepped) behaviour, and a combination contributes the rule
 weight times the premise weights. An argument that no rule of its
 operator premises is never stepped: it only moves into targets. ``step_law``
-is its oracle: the canonical model obtained by structural recursion through
-the composite law (``bar_rho_step``), sharing none of the engine's reading of
-the rules so the two can check each other. Both memoize per spec in
+is its oracle: the canonical model, a ``terms.fold`` through the composite
+law (``bar_rho_step``), sharing none of the engine's reading of the rules so
+the two can check each other. Only ``step`` memoizes, per spec in
 ``model_cache``.
 
 ``explore`` is the one breadth-first walk over the states reachable from a
@@ -34,7 +34,7 @@ from .formalsum import (
 )
 from .law import bar_rho_step
 from .rulespec import TermPremise
-from .terms import Node, Var, enumerate_closed_terms, graft, print_term
+from .terms import Leaf, Node, Var, enumerate_closed_terms, fold, graft, print_term
 
 
 class ModelCache:
@@ -42,7 +42,6 @@ class ModelCache:
 
     def __init__(self):
         self.step = {}
-        self.law = {}
         self.trace = {}
         self.partial = {}
 
@@ -144,32 +143,18 @@ def _step(spec, term, memo):
 def step_law(spec, term):
     """The same behaviour by structural recursion through the composite law.
 
-    The oracle for ``step``: each node runs ``bar_rho_step`` on its
-    children's behaviours and grafts the two term layers flat.
+    The oracle for ``step``: a fold whose node step runs ``bar_rho_step`` on
+    the children's behaviours and grafts the two term layers flat.
     """
-    if not isinstance(term, Node):
-        raise TypeError(f"step_law needs a closed term, got {term!r}")
-    return _step_law(spec, term, model_cache(spec).law)
 
+    def leaf(payload):
+        raise TypeError(f"step_law needs a closed term, got {Leaf(payload)!r}")
 
-def _step_law(spec, term, memo):
-    # post-order on an explicit stack: a node is stepped once its children
-    # are memoized, the leftmost subterm first
-    todo = [term]
-    while todo:
-        t = todo[-1]
-        if t in memo:
-            todo.pop()
-            continue
-        pending = [child for child in t.children if child not in memo]
-        if pending:
-            todo.extend(reversed(pending))
-            continue
-        todo.pop()
-        pairs = [(child, memo[child]) for child in t.children]
-        stepped = bar_rho_step(spec, t.op, pairs)
-        memo[t] = fs_map(lambda e: belem_map(e, graft), stepped)
-    return memo[term]
+    def node(n, behaviours):
+        stepped = bar_rho_step(spec, n.op, list(zip(n.children, behaviours)))
+        return fs_map(lambda e: belem_map(e, graft), stepped)
+
+    return fold(term, leaf, node)
 
 
 class Walk(NamedTuple):

@@ -7,7 +7,9 @@ context's ``HOLE``. Closed terms are all-``Node`` trees over a signature.
 
 Walkers that visit every node (``fold``, ``leaves``, ``Node.__eq__``) keep
 their work on an explicit stack, so term depth is not bounded by the
-recursion limit.
+recursion limit. ``fold`` is the one bottom-up walk: ``substitute``,
+``graft``, ``print_term``, ``payload_key``, ``dist_sigma_star``,
+``step_law`` and the context paths of ``analysis`` all go through it.
 """
 
 from __future__ import annotations
@@ -162,20 +164,23 @@ def fold(t, leaf, node):
 
     Post-order on an explicit stack, so depth costs no recursion.
     """
+    if isinstance(t, Leaf):
+        return leaf(t.payload)
     done = []  # results of finished subterms, in post-order
-    todo = [(t, False)]
+    todo = [t]
     while todo:
-        u, expanded = todo.pop()
-        if isinstance(u, Leaf):
-            done.append(leaf(u.payload))
-        elif expanded:
-            k = len(u.children)
-            results = done[len(done) - k:]
-            del done[len(done) - k:]
+        u = todo.pop()
+        if type(u) is tuple:  # a node whose children are all done
+            u = u[0]
+            k = len(done) - len(u.children)
+            results = done[k:]
+            del done[k:]
             done.append(node(u, results))
+        elif isinstance(u, Leaf):
+            done.append(leaf(u.payload))
         else:
-            todo.append((u, True))
-            todo.extend((c, False) for c in reversed(u.children))
+            todo.append((u,))
+            todo.extend(reversed(u.children))
     return done[0]
 
 
@@ -198,37 +203,41 @@ def term_vars(t):
 
 def is_affine_term(t):
     """True iff no variable occurs twice (non-variable leaves are ignored)."""
-    seen = set()
-    for v in term_vars(t):
-        if v in seen:
-            return False
-        seen.add(v)
-    return True
+    occurrences = term_vars(t)
+    return len(set(occurrences)) == len(occurrences)
 
 
 class UnboundVariableError(KeyError):
     pass
 
 
+def _rebuild(n, children):
+    return Node(n.op, children)
+
+
 def substitute(t, subst):
     """Replace each Leaf(Var) by subst[var] (a term). Missing binding raises."""
-    if isinstance(t, Leaf):
-        if isinstance(t.payload, Var):
+
+    def leaf(payload):
+        if isinstance(payload, Var):
             try:
-                return subst[t.payload]
+                return subst[payload]
             except KeyError:
-                raise UnboundVariableError(t.payload.name) from None
-        return t
-    return Node(t.op, [substitute(c, subst) for c in t.children])
+                raise UnboundVariableError(payload.name) from None
+        return Leaf(payload)
+
+    return fold(t, leaf, _rebuild)
+
+
+def _graft_leaf(payload):
+    if isinstance(payload, (Leaf, Node)):
+        return payload
+    raise TypeError(f"graft on non-term leaf payload {payload!r}")
 
 
 def graft(t):
     """Collapse a term whose leaf payloads are themselves terms (free-monad mu)."""
-    if isinstance(t, Leaf):
-        if isinstance(t.payload, (Leaf, Node)):
-            return t.payload
-        raise TypeError(f"graft on non-term leaf payload {t.payload!r}")
-    return Node(t.op, [graft(c) for c in t.children])
+    return fold(t, _graft_leaf, _rebuild)
 
 
 # --- concrete syntax -------------------------------------------------------

@@ -91,6 +91,8 @@ def trace_direct(spec, term, max_len):
     """Word weights summed over explicit transition paths of length <= max_len."""
     if not isinstance(term, Node):
         raise TypeError(f"trace_direct needs a closed term, got {term!r}")
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
     sr = spec.semiring
     entries = []
 

@@ -200,6 +200,13 @@ def test_applying_a_context_with_a_stray_leaf_fails(prob_par):
         bad.apply(t(prob_par, "nil"))
 
 
+@pytest.mark.parametrize("path", [(0, 0), (5,)])
+def test_a_context_path_that_leaves_the_term_is_refused(path):
+    with pytest.raises(ValueError) as err:
+        Context(Node("f", [Leaf(HOLE)]), path)
+    assert str(err.value) == f"context path {path} leaves the term"
+
+
 def _holds_hole(term):
     return isinstance(term, Leaf) or any(_holds_hole(c) for c in term.children)
 

@@ -662,6 +662,40 @@ def test_the_engine_refuses_a_deeply_nested_premised_argument(run):
     )
 
 
+DEEP_TARGET = "s(" * DEEP + "x1" + ")" * DEEP
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("validate", 0),
+        ("step g(nil)", 0),
+        ("step g(nil) --direct", 0),
+        ("step g(nil) --oracle", 0),
+        ("traces g(nil)", 0),
+        ("equiv g(nil) g(s(nil))", 0),
+        ("equiv g(nil) nil", 1),
+        ("ast g(nil)", 0),
+        ("naturality", 0),
+        ("congruence --size 2 --depth 2", 0),
+    ],
+)
+def test_every_command_answers_on_a_rule_target_deeper_than_the_recursion_limit(
+    run, tmp_path, argv, code
+):
+    spec = tmp_path / "deep_target.spec"
+    spec.write_text(
+        "dialect weighted\nsemiring rational\nlabels a\n"
+        "op nil : 0\nop s : 1\nop g : 1\n"
+        f"rule nil -[1]-> *\nrule s(x1) -[1]-> *\nrule g(x1) -a[1]-> {DEEP_TARGET}\n"
+    )
+    command, *rest = argv.split()
+    got, out, err = run(command, str(spec), *rest)
+    assert (got, err) == (code, "")
+    if command == "step":
+        assert DEEP_TARGET.replace("x1", "nil") in out
+
+
 def test_operator_names_from_the_spec_are_typeable(run, tmp_path):
     spec = tmp_path / "u.spec"
     spec.write_text(

@@ -1,6 +1,6 @@
 """Source hygiene: no uncalled functions, no unread module-level names, no
-unread imports, and a package ``__all__`` that lists exactly what the
-package imports.
+unread imports, a package ``__all__`` that lists exactly what the package
+imports, and recursion only in the functions an allowlist names.
 
 The checks read syntax trees with ``ast``; nothing is imported or run. A
 package function counts as called only when the package, the demos or the
@@ -121,3 +121,34 @@ def test_all_lists_exactly_what_the_package_imports():
     assert exported is not None
     assert len(exported) == len(set(exported))
     assert set(exported) == imported
+
+
+# Every package function that calls itself, each with what bounds its depth.
+# A walk over a whole term goes through ``terms.fold`` instead.
+RECURSIVE = {
+    "opmodel._step",  # premised nesting (ROADMAP item 5)
+    "trace._bounded",  # the table depth
+    "trace.trace_direct.walk",  # the word length
+    "analysis._replace_at",  # a context path
+    "formalsum.payload_key",  # words and sums
+    "terms.closed_terms_of_size",  # the term size, memoized
+}
+
+
+def test_only_the_allowed_functions_recurse():
+    found = set()
+    for path, tree in _trees(PACKAGE):
+        todo = [(tree, path.stem)]  # node, dotted name of the scope it is in
+        while todo:
+            node, scope = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = f"{scope}.{node.name}"
+                if any(
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == node.name
+                    for call in ast.walk(node)
+                ):
+                    found.add(scope)
+            todo.extend((child, scope) for child in ast.iter_child_nodes(node))
+    assert found == RECURSIVE

@@ -126,6 +126,14 @@ def test_step_refuses_a_leaf_only_where_it_steps_it():
         step(spec, hole)
 
 
+def test_step_law_refuses_a_leaf_inside_the_term_as_at_the_root(copy_nonaffine):
+    hole = Leaf("carried")
+    for term in (hole, Node("pre_a", [hole])):
+        with pytest.raises(TypeError) as err:
+            step_law(copy_nonaffine, term)
+        assert str(err.value) == "step_law needs a closed term, got Leaf('carried')"
+
+
 # --- two independent evaluation paths ----------------------------------------
 
 def test_step_equals_step_law_everywhere(
@@ -134,6 +142,20 @@ def test_step_equals_step_law_everywhere(
     for spec in (de_simone_par, prob_par, leaky, copy_nonaffine, loop):
         for term in enumerate_closed_terms(spec.signature, 4):
             assert step(spec, term) == step_law(spec, term), term
+
+
+def test_step_equals_step_law_into_a_target_deeper_than_the_recursion_limit():
+    depth = 10_000
+    target = "s(" * depth + "x1" + ")" * depth
+    spec = parse_spec(
+        "dialect weighted\nsemiring rational\nlabels a\n"
+        "op nil : 0\nop s : 1\nop g : 1\n"
+        f"rule nil -[1]-> *\nrule s(x1) -[1]-> *\nrule g(x1) -a[1]-> {target}\n"
+    )
+    term = t(spec, "g(g(nil))")
+    successor = t(spec, target.replace("x1", "g(nil)"))
+    assert step(spec, term) == fs_unit(RATIONAL, Step("a", successor))
+    assert step_law(spec, term) == step(spec, term)
 
 
 def test_step_equals_step_law_on_extreme_weights():

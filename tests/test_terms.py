@@ -181,6 +181,21 @@ def test_walkers_do_not_recurse_on_term_depth(sig):
     assert leaves(map_leaves(open_term, lambda v: v.index + 6)) == [7]
 
 
+def test_substitution_grafting_and_distribution_do_not_recurse_on_term_depth(sig):
+    open_term = parse_open(sig, _deep_text(DEPTH).replace("nil", "x1"))
+    nil = Node("nil")
+    closed = parse_term(sig, _deep_text(DEPTH))
+    assert substitute(open_term, {Var("x", 1): nil}) == closed
+    assert graft(map_leaves(open_term, lambda v: nil)) == closed
+    halves = FormalSum(RATIONAL, [("u", F(1, 2)), ("v", F(1, 2))])
+    assert dist_sigma_star(RATIONAL, map_leaves(open_term, lambda v: halves)) == (
+        FormalSum(
+            RATIONAL,
+            [(map_leaves(open_term, lambda v: p), F(1, 2)) for p in ("u", "v")],
+        )
+    )
+
+
 def test_identifiers_follow_the_spec_token_set():
     spec = parse_spec(
         "dialect desimone\nsemiring boolean\nlabels a\nop café : 0\n"

@@ -139,6 +139,11 @@ def test_direct_ignores_words_longer_than_the_bound(prob_par, par_term):
     assert set(table.payloads()) == {("a",), ("b",)}
 
 
+def test_direct_rejects_a_negative_bound(prob_par):
+    with pytest.raises(ValueError):
+        trace_direct(prob_par, t(prob_par, "nil"), -1)
+
+
 # --- masses ------------------------------------------------------------------
 
 def test_total_mass_examples(prob_par, par_term, de_simone_par):
