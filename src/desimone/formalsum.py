@@ -33,7 +33,7 @@ class FormalSum:
             raise TypeError("first argument must be a Semiring")
         merged = {}
         for payload, weight in entries:
-            semiring.check(weight)
+            weight = semiring.check(weight)
             if payload in merged:
                 merged[payload] = semiring.add(merged[payload], weight)
             else:

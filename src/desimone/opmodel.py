@@ -13,8 +13,8 @@ the two can check each other. Only ``step`` memoizes, per spec in
 
 ``explore`` is the one breadth-first walk over the states reachable from a
 set of roots: ``check_probabilistic``, bisimulation and the termination
-analysis all read its walk order, distances and the behaviour it stepped
-for each state.
+analysis all read its walk order and the behaviour it stepped for each
+state. Distances stay inside the walk, which needs them for its horizon.
 """
 
 from __future__ import annotations
@@ -161,7 +161,6 @@ class Walk(NamedTuple):
     """The result of ``explore``."""
 
     order: list  # states in breadth-first order
-    dist: dict  # state -> distance from the nearest root
     behaviours: dict  # expanded state -> its memoized ``step`` behaviour
     closed: bool  # every known state expanded, and no more than the cap
 
@@ -181,13 +180,13 @@ def explore(spec, roots, horizon, max_states):
     for t in order:  # grows as the walk goes
         d = dist[t]
         if d > horizon and len(order) > max_states:
-            return Walk(order, dist, behaviours, False)
+            return Walk(order, behaviours, False)
         behaviour = behaviours[t] = step(spec, t)
         for e in behaviour:
             if e is not STOP and e.target not in dist:
                 dist[e.target] = d + 1
                 order.append(e.target)
-    return Walk(order, dist, behaviours, len(order) <= max_states)
+    return Walk(order, behaviours, len(order) <= max_states)
 
 
 @dataclass

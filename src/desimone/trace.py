@@ -6,11 +6,12 @@ first). ``trace_bounded`` iterates the trace functional from the empty table;
 paths, an independent oracle. ``ast_estimate`` watches the completed-trace
 mass grow with depth and, when the reachable state space closes, pins the
 limit down exactly. It never builds word tables: one ``opmodel.explore``
-walk steps each reachable state once, and the mass at depth d is the scalar
-recurrence mass(t, d) = stop(t) + sum of w * mass(target, d - 1) over the
-walked states. Summed per state instead of per word, it gives the same exact
-weight as the total of the ``trace_bounded`` table, which the tests use as its
-oracle.
+walk steps each reachable state once, and both answers are the sum over
+paths of path weight times stop weight. One step, ``_push``, passes a
+state's path weight on to its targets: once per depth from the root for the
+mass sequence, and in topological order for the limit of an acyclic space.
+Summed per state instead of per word, the mass at depth d is the exact total
+of the ``trace_bounded`` table, which the tests use as its oracle.
 
 Open questions
 --------------
@@ -26,6 +27,7 @@ chain should be checked against which truncation it reflects.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -130,86 +132,80 @@ class AstReport:
     detail: str = ""
 
 
-def _targets(behaviour):
-    return (e.target for e in behaviour if e is not STOP)
-
-
-def _one_step(sr, behaviour, mass):
-    """Stop weight plus the sum of w * mass[target] over the transitions."""
-    acc = behaviour.weight(STOP)
+def _push(sr, behaviour, r, reach):
+    """Pass path weight ``r`` on: add r * w to ``reach`` at each transition's
+    target, and return r times the stop weight."""
     for e, w in behaviour.items():
         if e is not STOP:
-            acc = sr.add(acc, sr.mul(w, mass[e.target]))
-    return acc
+            reach[e.target] = sr.add(reach.get(e.target, sr.zero), sr.mul(r, w))
+    return sr.mul(r, behaviour.weight(STOP))
 
 
 def _mass_sequence(sr, walk, max_depth):
     """Completed-trace mass of the walk's root at depths 1 .. max_depth.
 
-    mass(t, d) = stop weight of t + the sum of w * mass(target, d - 1) over
-    t's transitions, with mass(., 0) = 0. Depth d needs only the states
-    within max_depth - d steps, a prefix of the breadth-first order, so two
-    scalar maps (depths d - 1 and d) suffice. Weights are nonnegative and
-    the semiring distributes, so this is exactly the total weight of the
-    ``trace_bounded`` table, summed per state instead of per word.
+    Path weight is pushed forward from the root one step per depth: ``reach``
+    maps each state that a path of exactly k steps reaches to the summed
+    weight of those paths, and the mass at depth k + 1 adds their stop
+    weights. Weights are nonnegative and the semiring distributes, so this
+    is exactly the total weight of the ``trace_bounded`` table.
     """
-    order, dist, behaviours, _ = walk
+    reach = {walk.order[0]: sr.one}
+    mass = sr.zero
     masses = []
-    prev = dict.fromkeys(order, sr.zero)
-    for depth in range(1, max_depth + 1):
-        cur = {}
-        for t in order:
-            if dist[t] > max_depth - depth:
-                break
-            cur[t] = _one_step(sr, behaviours[t], prev)
-        masses.append(cur[order[0]])
-        prev = cur
+    for _ in range(max_depth):
+        pushed = {}
+        for t, r in reach.items():
+            mass = sr.add(mass, _push(sr, walk.behaviours[t], r, pushed))
+        masses.append(mass)
+        reach = pushed
     return masses
 
 
 def _acyclic_limit(sr, walk, root):
-    """The root's limit mass, back-substituted over the closed walk.
+    """The root's limit mass over the closed walk, or None if it has a cycle.
 
-    One post-order pass: a state's limit is its one-step mass over its
-    targets' limits, computed once all of them are known. A back edge to a
-    state still on the path means the space is cyclic: None.
+    Path weight is pushed in topological order (Kahn, CACM 1962): a state
+    passes its weight on once every edge into it has been counted. A state
+    that never gets there lies on or behind a cycle.
     """
-    limit = {}
-    on_path = {root}
-    stack = [(root, _targets(walk.behaviours[root]))]
-    while stack:
-        node, targets = stack[-1]
-        for nxt in targets:
-            if nxt in on_path:
-                return None
-            if nxt not in limit:
-                on_path.add(nxt)
-                stack.append((nxt, _targets(walk.behaviours[nxt])))
-                break
-        else:
-            limit[node] = _one_step(sr, walk.behaviours[node], limit)
-            on_path.discard(node)
-            stack.pop()
-    return limit[root]
+    pending = Counter(
+        e.target for b in walk.behaviours.values() for e in b if e is not STOP
+    )
+    ready = [] if pending[root] else [root]  # an edge into the root closes a cycle
+    reach = {root: sr.one}
+    limit = sr.zero
+    for t in ready:  # grows as states become ready
+        behaviour = walk.behaviours[t]
+        limit = sr.add(limit, _push(sr, behaviour, reach[t], reach))
+        for e in behaviour:
+            if e is not STOP:
+                pending[e.target] -= 1
+                if not pending[e.target]:
+                    ready.append(e.target)
+    return limit if len(ready) == len(walk.behaviours) else None
 
 
 def ast_estimate(spec, term, max_depth, max_states=10000):
     """Track completed-trace mass by depth and classify termination behaviour.
 
     One ``opmodel.explore`` walk from ``term`` serves both halves. The
-    masses at depths 1 .. max_depth are scalars iterated over the walked
-    states within max_depth - 1 steps; no word table is built, and
-    ``trace_bounded``'s total mass is their oracle in the tests. The walk,
-    capped at ``max_states`` states past that horizon, also decides closure.
+    masses at depths 1 .. max_depth come from pushing path weight forward
+    from ``term``, one step per depth, through the states that a path of
+    exactly that length reaches; no word table is built, and
+    ``trace_bounded``'s total mass is their oracle in the tests. The walk
+    also decides closure: past the horizon of max_depth - 1 steps it goes on
+    until it has expanded the whole space or knows more than ``max_states``
+    states, so it can step up to ``max_states`` states that no mass reads.
 
     The mass sequence is monotone by construction; a decrease raises
-    ``RuntimeError``. A closed acyclic reachable space gives the exact limit;
-    a closed space in which no positive termination weight is reachable pins
-    the limit at zero. In both cases a limit short of one is a definite
-    non-termination witness. A limit or mass above one (an ``inf`` weight,
-    or weights summing past one) is no termination probability, and the
-    verdict is inconclusive. Otherwise the verdict falls back to the mass
-    threshold 1 - 10^-6.
+    ``RuntimeError``. A closed acyclic reachable space gives the exact limit,
+    by the same push in topological order; a closed space in which no
+    positive termination weight is reachable pins the limit at zero. In
+    both cases a limit short of one is a definite non-termination witness.
+    A limit or mass above one (an ``inf`` weight, or weights summing past
+    one) is no termination probability, and the verdict is inconclusive.
+    Otherwise the verdict falls back to the mass threshold 1 - 10^-6.
     """
     if spec.semiring.name != "rational":
         raise ValueError("ast_estimate needs the rational semiring")

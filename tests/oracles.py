@@ -425,3 +425,72 @@ def chain_completed_mass(stop_weights, go_weights, length):
         if n < len(go_weights):
             prefix *= go_weights[n]
     return total
+
+
+# --- random format-valid specs ----------------------------------------------
+
+SPEC_WEIGHTS = ("1/4", "1/3", "1/2", "1")
+SPEC_LABELS = ("a", "b")
+
+
+def random_valid_spec(rng):
+    """Text of a random spec inside the format, drawn from ``rng``.
+
+    Two to four operators, the first a constant so that closed terms exist,
+    the others of arity 0-2, with 0-2 rules each. Each argument of a rule
+    gets a transition premise, a termination premise (weighted dialect
+    only) or none. Targets are affine over the unpremised ``x``s and the
+    premised ``y``s, and at most two operators deep, which bounds every
+    target at seven nodes. Weighted rules weigh 1/4, 1/3, 1/2 or 1, and a
+    quarter of them conclude ``-> *``.
+    """
+    weighted = rng.random() < 0.5
+    ops = [("k0", 0)] + [
+        (f"f{i}", rng.randint(0, 2)) for i in range(1, rng.randint(2, 4))
+    ]
+    if weighted:
+        lines = ["dialect weighted", "semiring rational"]
+    else:
+        lines = ["dialect desimone", "semiring boolean"]
+    lines.append("labels " + ", ".join(SPEC_LABELS))
+    lines += [f"op {name} : {arity}" for name, arity in ops]
+    for name, arity in ops:
+        for _ in range(rng.randint(0, 2)):
+            lines.append(_random_rule(rng, ops, name, arity, weighted))
+    return "\n".join(lines) + "\n"
+
+
+def _random_rule(rng, ops, name, arity, weighted):
+    xs = [f"x{i}" for i in range(1, arity + 1)]
+    head = f"{name}({', '.join(xs)})" if arity else name
+    premises, free = [], []
+    for i, x in enumerate(xs, start=1):
+        kind = rng.choice(("step", "stop", "none") if weighted else ("step", "none"))
+        if kind == "step":
+            premises.append(f"{x} -{rng.choice(SPEC_LABELS)}-> y{i}")
+            free.append(f"y{i}")
+        elif kind == "stop":
+            premises.append(f"{x} -> *")
+        else:
+            free.append(x)
+    weight = f"[{rng.choice(SPEC_WEIGHTS)}]" if weighted else ""
+    if weighted and rng.random() < 0.25:
+        conclusion = f"-{weight}-> *"
+    else:
+        rng.shuffle(free)
+        target = _random_target(rng, ops, free, 2)
+        conclusion = f"-{rng.choice(SPEC_LABELS)}{weight}-> {target}"
+    when = " when " + ", ".join(premises) if premises else ""
+    return f"rule {head} {conclusion}{when}"
+
+
+def _random_target(rng, ops, free, depth):
+    """A term at most ``depth`` operators deep that takes each of its
+    variables off ``free``, so none occurs twice."""
+    if free and (depth == 0 or rng.random() < 0.5):
+        return free.pop()
+    name, arity = rng.choice(ops if depth else [op for op in ops if op[1] == 0])
+    if not arity:
+        return name
+    children = [_random_target(rng, ops, free, depth - 1) for _ in range(arity)]
+    return f"{name}({', '.join(children)})"

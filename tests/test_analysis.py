@@ -28,11 +28,14 @@ from desimone import (
     generate_contexts,
     load_spec,
     model_cache,
+    naturality_check,
     parse_spec,
     parse_term,
     partial_trace_bounded,
     print_term,
     spec_text,
+    step,
+    step_law,
     trace_bounded,
     trace_direct,
 )
@@ -43,6 +46,7 @@ from oracles import (
     observably_equiv_bounded,
     per_term_buckets,
     plug,
+    random_valid_spec,
     round_based_bisimulation,
     unguarded_search,
 )
@@ -466,6 +470,21 @@ def test_search_is_silent_on_well_formed_specs(prob_par, de_simone_par, loop):
     assert counterexample_search(prob_par, size_bound=4, depth=3) is None
     assert counterexample_search(de_simone_par, size_bound=4, depth=3) is None
     assert counterexample_search(loop, size_bound=3, depth=3) is None
+
+
+def test_random_format_valid_specs_are_compositional():
+    """The paper's theorem on specs drawn from the format itself: no
+    congruence violation, the engine agrees with the law pipeline, and the
+    law is natural."""
+    rng = random.Random(0)
+    for _ in range(100):
+        text = random_valid_spec(rng)
+        spec = parse_spec(text)
+        assert format_errors(spec) == [], text
+        assert counterexample_search(spec, 4, 3) is None, text
+        for term in enumerate_closed_terms(spec.signature, 4):
+            assert step(spec, term) == step_law(spec, term), (text, term)
+        assert naturality_check(spec, 2).passed, text
 
 
 def test_search_refuses_a_negative_context_count(copy_nonaffine):

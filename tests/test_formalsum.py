@@ -82,6 +82,13 @@ def test_rejects_negative_weights():
         FormalSum(RATIONAL, [("x", F(-1, 2))])
 
 
+def test_a_float_weight_is_stored_as_the_checked_fraction():
+    s = FormalSum(RATIONAL, [("x", 0.5)])
+    weight = s.weight("x")
+    assert type(weight) is Fraction and weight == F(1, 2)
+    assert repr(s) == "<'x': 1/2>"
+
+
 def test_sorted_items_are_deterministic():
     s = FormalSum(RATIONAL, [("b", F(1)), ("a", F(2))])
     assert s.sorted_items() == [("a", F(2)), ("b", F(1))]

@@ -420,7 +420,6 @@ def test_explore_deduplicates_roots_and_keeps_breadth_first_order(chain):
     walk = explore(chain, [c2, d, c2], 10, 100)
     # roots in the order given, then successors in behaviour order
     assert walk.order == [c2, d, c3, c1, c4]
-    assert walk.dist == {c2: 0, d: 0, c3: 1, c1: 1, c4: 2}
     assert list(walk.behaviours) == walk.order
     assert all(walk.behaviours[s] is step(chain, s) for s in walk.order)
     assert walk.closed
@@ -447,4 +446,4 @@ def test_explore_expands_the_horizon_then_stops_past_the_cap(chain):
 
 def test_explore_without_roots_is_closed(chain):
     walk = explore(chain, [], 3, 0)
-    assert (walk.order, walk.dist, walk.behaviours, walk.closed) == ([], {}, {}, True)
+    assert (walk.order, walk.behaviours, walk.closed) == ([], {}, True)

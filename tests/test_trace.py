@@ -274,7 +274,14 @@ DIAMOND = SHARED + "rule b -a[1/2]-> s\nrule b -[1/2]-> *\nrule s -[{w}]-> *\n"
 SHARED_CYCLE = SHARED + (
     "rule b -a[1]-> s\nrule s -a[1/2]-> t\nrule s -[{w}]-> *\nrule t -b[1]-> s\n"
 )
-SHARED_SPECS = {"diamond": DIAMOND, "shared_cycle": SHARED_CYCLE}
+# r reaches a in one step and, through b, in two; a steps on to s
+SKEWED = SHARED + "rule b -a[1/2]-> a\nrule b -[1/2]-> *\nrule s -[{w}]-> *\n"
+SHARED_SPECS = {
+    "diamond": DIAMOND,
+    "shared_cycle": SHARED_CYCLE,
+    "skewed": SKEWED,
+    "skewed_loop": SKEWED + "rule a -b[1/2]-> a\n",
+}
 
 
 @pytest.mark.parametrize(
@@ -294,6 +301,16 @@ SHARED_SPECS = {"diamond": DIAMOND, "shared_cycle": SHARED_CYCLE}
          "mass 3/2 at depth 6 exceeds 1, so it is not a termination probability"),
         ("shared_cycle", "0", 6, "non-ast", F(0),
          "no reachable state has positive termination weight"),
+        # b stops with 1/4; a gets 1/2 + 1/4 and passes all of it on to s
+        ("skewed", "1/3", 6, "non-ast", F(1, 2),
+         "closed acyclic state space; limit mass is exactly 1/2 < 1"),
+        ("skewed", "1/2", 6, "non-ast", F(5, 8),
+         "closed acyclic state space; limit mass is exactly 5/8 < 1"),
+        ("skewed", "1", 6, "ast-consistent", F(1),
+         "closed acyclic state space; limit mass is exactly 1"),
+        # a's self-loop: paths of length <= 7 give 1/4 + 1/2 * 21/32 + 1/4 * 31/48
+        ("skewed_loop", "1/3", 8, "inconclusive", None,
+         "mass 71/96 at depth 8; no closure argument applies"),
     ],
 )
 def test_shared_states_and_cycles_behind_them(name, w, depth, verdict, limit, detail):
@@ -319,13 +336,16 @@ EXTREME_WEIGHTS = (
 )
 
 
-@pytest.mark.parametrize("name", ["prob_par", "leaky", "loop", "extreme"])
+@pytest.mark.parametrize("name", ["prob_par", "leaky", "loop", "extreme", "skewed"])
 def test_ast_masses_equal_the_bounded_table_totals(name, request):
-    # an infinite rule weight, a zero-weight rule, a cycle and a termination
-    # premise: the per-state mass recurrence must still give exactly the
-    # per-word total of the table, whatever the closure cap
+    # an infinite rule weight, a zero-weight rule, a cycle, a termination
+    # premise and a state reached at two depths: the per-state forward push
+    # must still give exactly the per-word total of the table, whatever the
+    # closure cap
     if name == "extreme":
         spec = parse_spec(EXTREME_WEIGHTS)
+    elif name == "skewed":
+        spec = parse_spec(SKEWED.format(w="1/3"))
     else:
         spec = request.getfixturevalue(name)
     terms = list(enumerate_closed_terms(spec.signature, 5))
