@@ -18,7 +18,9 @@ declared labels and must be bound by the ``forall`` clause.
 One ``Rule`` type runs from parser to engine: ``expand_forall`` grounds a
 parsed rule over its ``forall`` metavariables, and equal ground rules merge.
 
-Parsing enforces structural sanity (declared names, arities, head shape);
+Parsing enforces structural sanity (declared names, arities, head shape).
+The tokenizer, the term parser and the rule parser raise ``TermSyntaxError``
+with a column; ``parse_spec`` puts each on its line as a ``SpecParseError``.
 ``validate_format`` reports rule-format violations as data without blocking
 evaluation, so deliberately ill-formed specs can still be run against the
 checkers: ``spec.rules`` keeps every ground rule, while ``rules_for`` leaves
@@ -177,130 +179,103 @@ class RuleSpec:
 _IDENT = re.compile(r"[A-Za-z_]\w*")
 
 
-def _tokenize(line_text, line_no):
-    try:
-        return tokenize(line_text)
-    except TermSyntaxError as exc:
-        raise SpecParseError(exc.message, line_no, exc.col) from None
-
-
 class _RuleParser:
-    """Descent over one tokenized ``rule`` line; terms go to ``parse_tokens``."""
+    """Descent over one tokenized ``rule`` line, with one token cursor; terms
+    go to ``parse_tokens``. Errors are ``TermSyntaxError``s with a column,
+    None at the end of the line; ``parse_spec`` puts them on their line."""
 
-    def __init__(self, tokens, line_no, signature, labels, semiring, dialect):
-        self.toks = tokens
-        self.pos = 0
-        self.line = line_no
-        self.signature = signature
-        self.labels = labels
-        self.semiring = semiring
-        self.dialect = dialect
+    def __init__(self, tokens, line, signature, labels, semiring, dialect):
+        self.toks, self.pos, self.line = tokens, 0, line
+        self.signature, self.labels = signature, labels
+        self.semiring, self.dialect = semiring, dialect
 
-    def error(self, msg, col=None):
-        if col is None:
-            col = self.toks[self.pos][2] if self.pos < len(self.toks) else None
-        raise SpecParseError(msg, self.line, col)
+    def col(self):
+        return self.toks[self.pos][2] if self.pos < len(self.toks) else None
 
-    def peek(self, kind=None, value=None):
+    def peek(self, kind, value=None):
         if self.pos >= len(self.toks):
-            return None
+            return False
         k, v, _ = self.toks[self.pos]
-        if kind is not None and k != kind:
-            return None
-        if value is not None and v != value:
-            return None
-        return self.toks[self.pos]
+        return k == kind and value in (None, v)
+
+    def skip(self, kind, value=None):
+        """Consume the next token if it matches; return whether it did."""
+        if self.peek(kind, value):
+            self.pos += 1
+            return True
+        return False
 
     def take(self, kind, what):
-        tok = self.peek(kind)
-        if tok is None:
+        if not self.skip(kind):
             got = "'end of line'"
             if self.pos < len(self.toks):
                 got = show_token(self.toks[self.pos])
-            self.error(f"expected {what}, got {got}")
-        self.pos += 1
-        return tok
+            raise TermSyntaxError(f"expected {what}, got {got}", self.col())
+        return self.toks[self.pos - 1]
 
-    def at_keyword(self, word):
-        tok = self.peek("ident", word)
-        return tok is not None
+    def listed(self, item, *args):
+        """One ``item(*args)``, then one more after each comma."""
+        out = [item(*args)]
+        while self.skip("comma"):
+            out.append(item(*args))
+        return out
 
-    def parse_var(self, want_kind=None):
-        tok = self.take("ident", "a variable")
-        v = var_named(tok[1])
+    def var(self, kind):
+        _, name, col = self.take("ident", "a variable")
+        v = var_named(name)
         if v is None:
-            self.error(f"expected a variable, got {tok[1]!r}", tok[2])
-        if want_kind and v.kind != want_kind:
-            self.error(f"expected an {want_kind}-variable, got {v.name}", tok[2])
+            raise TermSyntaxError(f"expected a variable, got {name!r}", col)
+        if v.kind != kind:
+            raise TermSyntaxError(f"expected an {kind}-variable, got {v.name}", col)
         return v
 
-    def parse_term(self):
-        try:
-            term, self.pos = parse_tokens(
-                self.signature, self.toks, self.pos, allow_vars=True
-            )
-        except TermSyntaxError as exc:
-            raise SpecParseError(exc.message, self.line, exc.col) from None
-        return term
-
-    def parse_weight(self, text, col):
-        if text is None or text.strip() == "":
-            self.error("missing weight", col)
-        try:
-            return self.semiring.parse(text)
-        except ValueError as exc:
-            self.error(str(exc), col)
-
-    def parse_conclusion_arrow(self):
-        tok = self.take("arrow", "an arrow")
-        label, weight_text = tok[1]
-        col = tok[2]
+    def declared(self, arrow):
+        """The arrow's label, None when unlabelled; a plain one must be declared."""
+        label = arrow[1][0]
         if label is not None and not label.startswith("@") and label not in self.labels:
-            self.error(f"undeclared label {label!r}", col)
-        if self.dialect == "desimone":
-            if weight_text is not None:
-                self.error("weights are not part of the desimone dialect", col)
-            weight = self.semiring.one
-        else:
-            weight = self.parse_weight(weight_text, col)
-        return label, weight, col
+            raise TermSyntaxError(f"undeclared label {label!r}", arrow[2])
+        return label
 
-    def parse_premise(self):
-        source = self.parse_var("x")
+    def conclusion_arrow(self):
+        """The conclusion arrow's column, label and weight."""
+        tok = self.take("arrow", "an arrow")
+        label, text, col = self.declared(tok), tok[1][1], tok[2]
+        if self.dialect == "desimone":
+            if text is not None:
+                raise TermSyntaxError("weights are not part of the desimone dialect", col)
+            return col, label, self.semiring.one
+        if text is None or not text.strip():
+            raise TermSyntaxError("missing weight", col)
+        try:
+            return col, label, self.semiring.parse(text)
+        except ValueError as exc:
+            raise TermSyntaxError(str(exc), col) from None
+
+    def premise(self):
+        source = self.var("x")
         tok = self.take("arrow", "a premise arrow")
-        label, weight_text = tok[1]
-        if weight_text is not None:
-            self.error("premises carry no weight", tok[2])
-        if label is None:
+        if tok[1][1] is not None:
+            raise TermSyntaxError("premises carry no weight", tok[2])
+        if tok[1][0] is None:
             self.take("star", "'*'")
             return TermPremise(source.index)
-        if not label.startswith("@") and label not in self.labels:
-            self.error(f"undeclared label {label!r}", tok[2])
-        target = self.parse_var("y")
-        if target.index != source.index:
-            self.error(
-                f"premise successor must be y{source.index} to match x{source.index}"
+        label = self.declared(tok)
+        if self.var("y").index != source.index:
+            raise TermSyntaxError(
+                f"premise successor must be y{source.index} to match x{source.index}",
+                self.col(),
             )
         return TransPremise(source.index, label)
 
     def parse(self):
-        head_tok = self.take("ident", "an operator")
-        op = head_tok[1]
+        _, op, op_col = self.take("ident", "an operator")
         if op not in self.signature:
-            self.error(f"unknown operator {op!r}", head_tok[2])
+            raise TermSyntaxError(f"unknown operator {op!r}", op_col)
         arity = self.signature.arity(op)
         seen = []
-        if self.peek("lparen"):
-            self.pos += 1
-            if self.peek("rparen"):
-                self.pos += 1
-            else:
-                while True:
-                    seen.append(self.parse_var("x"))
-                    if self.peek("rparen"):
-                        self.pos += 1
-                        break
-                    self.take("comma", "',' or ')'")
+        if self.skip("lparen") and not self.skip("rparen"):
+            seen = self.listed(self.var, "x")
+            self.take("rparen", "',' or ')'")
         # lengths first: a declared arity can be far larger than any head
         if len(seen) != arity or seen != [Var("x", i) for i in range(1, arity + 1)]:
             want = (
@@ -308,63 +283,46 @@ class _RuleParser:
                 if arity <= 10
                 else f"x1, ..., x{arity}"
             )
-            self.error(f"rule head for {op!r} must list exactly ({want})", head_tok[2])
+            raise TermSyntaxError(
+                f"rule head for {op!r} must list exactly ({want})", op_col
+            )
 
-        label, weight, arrow_col = self.parse_conclusion_arrow()
-        if self.peek("star"):
-            self.pos += 1
+        arrow_col, label, weight = self.conclusion_arrow()
+        if self.skip("star"):
             target = None
+        elif label is None:
+            raise TermSyntaxError("a term target needs a labelled arrow", arrow_col)
         else:
-            if label is None:
-                self.error("a term target needs a labelled arrow", arrow_col)
-            target = self.parse_term()
-
-        premises = []
-        if self.at_keyword("when"):
-            self.pos += 1
-            while True:
-                premises.append(self.parse_premise())
-                if self.peek("comma"):
-                    self.pos += 1
-                    continue
-                break
-
+            target, self.pos = parse_tokens(
+                self.signature, self.toks, self.pos, allow_vars=True
+            )
+        premises = self.listed(self.premise) if self.skip("ident", "when") else []
         forall = []
-        if self.at_keyword("forall"):
-            self.pos += 1
-            while True:
-                tok = self.take("metavar", "a metavariable")
-                if tok[1] in forall:
-                    self.error(f"metavariable {tok[1]} listed twice", tok[2])
-                forall.append(tok[1])
-                if self.peek("comma"):
-                    self.pos += 1
-                    continue
-                break
 
+        def metavar():
+            _, name, col = self.take("metavar", "a metavariable")
+            if name in forall:
+                raise TermSyntaxError(f"metavariable {name} listed twice", col)
+            forall.append(name)
+
+        if self.skip("ident", "forall"):
+            self.listed(metavar)
         if self.pos != len(self.toks):
-            self.error(f"trailing input {show_token(self.toks[self.pos])}")
+            raise TermSyntaxError(
+                f"trailing input {show_token(self.toks[self.pos])}", self.col()
+            )
 
-        used = {p.label for p in premises if isinstance(p, TransPremise)}
-        if label is not None:
-            used.add(label)
-        used = {m for m in used if isinstance(m, str) and m.startswith("@")}
-        unbound = sorted(used - set(forall))
+        named = [label] + [p.label for p in premises if isinstance(p, TransPremise)]
+        used = {m for m in named if m is not None and m.startswith("@")}
+        unbound = min(used.difference(forall), default=None)
         if unbound:
-            self.error(f"unbound metavariable {unbound[0]}", arrow_col)
-        unused = sorted(set(forall) - used)
+            raise TermSyntaxError(f"unbound metavariable {unbound}", arrow_col)
+        unused = min(set(forall) - used, default=None)
         if unused:
-            self.error(f"metavariable {unused[0]} bound but never used", arrow_col)
+            raise TermSyntaxError(f"metavariable {unused} bound but never used", arrow_col)
 
         return Rule(
-            op=op,
-            arity=arity,
-            premises=tuple(premises),
-            label=label,
-            weight=weight,
-            target=target,
-            line=self.line,
-            forall=tuple(forall),
+            op, arity, tuple(premises), label, weight, target, self.line, tuple(forall)
         )
 
 
@@ -438,59 +396,62 @@ def parse_spec(text):
         word = line.split(None, 1)[0]
         rest = line[len(word):].strip()
 
-        if word == "dialect":
-            if dialect is not None:
-                raise SpecParseError("dialect declared twice", line_no)
-            if rest not in ("desimone", "weighted"):
-                raise SpecParseError(f"unknown dialect {rest!r}", line_no)
-            dialect = rest
-        elif word == "semiring":
-            if dialect is None:
-                raise SpecParseError("dialect must be declared first", line_no)
-            if semiring is not None:
-                raise SpecParseError("semiring declared twice", line_no)
-            if rest not in SEMIRINGS:
-                raise SpecParseError(f"unknown semiring {rest!r}", line_no)
-            if dialect == "desimone" and rest != "boolean":
-                raise SpecParseError(
-                    "desimone dialect requires the boolean semiring", line_no
-                )
-            semiring = SEMIRINGS[rest]
-        elif word == "labels":
-            if semiring is None:
-                raise SpecParseError("labels must follow the header", line_no)
-            for name in [s.strip() for s in rest.split(",")]:
-                if not name or not _IDENT.fullmatch(name):
-                    raise SpecParseError(f"bad label name {name!r}", line_no)
-                if name in labels:
-                    raise SpecParseError(f"label {name!r} declared twice", line_no)
-                labels.append(name)
-        elif word == "op":
-            if semiring is None:
-                raise SpecParseError("op declarations must follow the header", line_no)
-            toks = _tokenize(raw, line_no)[1:]  # columns count from the line start
-            shape = [t[0] for t in toks]
-            if shape != ["ident", "colon", "number"]:
-                raise SpecParseError("expected 'op name : arity'", line_no)
-            name, arity = toks[0][1], int(toks[2][1])
-            if var_named(name) is not None:
-                raise SpecParseError(
-                    f"operator name {name!r} collides with variable syntax", line_no
-                )
-            if any(name == n for n, _ in ops):
-                raise SpecParseError(f"operator {name!r} declared twice", line_no)
-            ops.append((name, arity))
-            signature = None
-        elif word == "rule":
-            if semiring is None:
-                raise SpecParseError("rules must follow the header", line_no)
-            if signature is None:
-                signature = Signature(ops)
-            toks = _tokenize(raw, line_no)[1:]
-            parser = _RuleParser(toks, line_no, signature, labels, semiring, dialect)
-            rules.append(parser.parse())
-        else:
-            raise SpecParseError(f"unknown declaration {word!r}", line_no)
+        try:
+            if word == "dialect":
+                if dialect is not None:
+                    raise SpecParseError("dialect declared twice", line_no)
+                if rest not in ("desimone", "weighted"):
+                    raise SpecParseError(f"unknown dialect {rest!r}", line_no)
+                dialect = rest
+            elif word == "semiring":
+                if dialect is None:
+                    raise SpecParseError("dialect must be declared first", line_no)
+                if semiring is not None:
+                    raise SpecParseError("semiring declared twice", line_no)
+                if rest not in SEMIRINGS:
+                    raise SpecParseError(f"unknown semiring {rest!r}", line_no)
+                if dialect == "desimone" and rest != "boolean":
+                    raise SpecParseError(
+                        "desimone dialect requires the boolean semiring", line_no
+                    )
+                semiring = SEMIRINGS[rest]
+            elif word == "labels":
+                if semiring is None:
+                    raise SpecParseError("labels must follow the header", line_no)
+                for name in [s.strip() for s in rest.split(",")]:
+                    if not name or not _IDENT.fullmatch(name):
+                        raise SpecParseError(f"bad label name {name!r}", line_no)
+                    if name in labels:
+                        raise SpecParseError(f"label {name!r} declared twice", line_no)
+                    labels.append(name)
+            elif word == "op":
+                if semiring is None:
+                    raise SpecParseError("op declarations must follow the header", line_no)
+                toks = tokenize(raw)[1:]  # columns count from the line start
+                shape = [t[0] for t in toks]
+                if shape != ["ident", "colon", "number"]:
+                    raise SpecParseError("expected 'op name : arity'", line_no)
+                name, arity = toks[0][1], int(toks[2][1])
+                if var_named(name) is not None:
+                    raise SpecParseError(
+                        f"operator name {name!r} collides with variable syntax", line_no
+                    )
+                if any(name == n for n, _ in ops):
+                    raise SpecParseError(f"operator {name!r} declared twice", line_no)
+                ops.append((name, arity))
+                signature = None
+            elif word == "rule":
+                if semiring is None:
+                    raise SpecParseError("rules must follow the header", line_no)
+                if signature is None:
+                    signature = Signature(ops)
+                toks = tokenize(raw)[1:]
+                parser = _RuleParser(toks, line_no, signature, labels, semiring, dialect)
+                rules.append(parser.parse())
+            else:
+                raise SpecParseError(f"unknown declaration {word!r}", line_no)
+        except TermSyntaxError as exc:
+            raise SpecParseError(exc.message, line_no, exc.col) from None
 
     if dialect is None:
         raise SpecParseError("missing dialect declaration")
