@@ -90,13 +90,23 @@ def _first_table_difference(a, b):
     return None
 
 
+MAX_CONTEXT_SLOTS = 120_000_000
+
+
 def generate_contexts(spec, count, max_size, seed):
     """Depth-1 contexts first (every operator, every hole position, remaining
     slots filled with the least closed term), then distinct seeded random
-    one-hole contexts up to the size bound."""
+    one-hole contexts up to the size bound. A depth-1 layer of more than
+    ``MAX_CONTEXT_SLOTS`` argument slots is refused with ``ValueError``."""
     if count < 1:
         raise ValueError("context count must be at least 1")
     sig = spec.signature
+    slots = sum(sig.arity(op) ** 2 for op in sig.names())
+    if slots > MAX_CONTEXT_SLOTS:
+        raise ValueError(
+            f"the depth-1 context layer needs {slots:,} argument slots, "
+            f"more than {MAX_CONTEXT_SLOTS:,}"
+        )
     filler_pool = list(enumerate_closed_terms(sig, max(max_size, 1)))
     if not filler_pool:
         raise ValueError("signature has no closed terms to fill context slots")

@@ -4,12 +4,13 @@ Every command computes its result once, as the payload that ``--json``
 prints with sorted keys and deterministic entry order, byte-identical across
 runs for fixed inputs and seeds. The human output is rendered from that same
 payload: weights as exact strings ("1/4", "inf"), and with ``--float`` each
-followed by its decimal approximation.
+followed by its decimal approximation, ``null`` in JSON when it has none.
 
 Exit codes: 0 success / property holds, 1 semantic failure (format
 violation, witness, inequivalence, bad term), 2 usage, file or spec-parse
-error, a fired rule whose target names an unbound variable, or an input too
-deep for Python's recursion limit, each refused with one line on stderr.
+error, a fired rule whose target names an unbound variable, a declared
+arity too wide to enumerate, or an input too deep for Python's recursion
+limit, each refused with one line on stderr.
 A reader that closes stdout early ends the command quietly with exit 1.
 Two inputs meet the depth refusal: a table depth past the limit (tables
 recurse once per depth), and premised nesting past it under ``step`` (it
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -62,22 +64,27 @@ def _load_term(spec, text):
 
 
 def _emit_json(payload):
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _weighed(spec, entry, key, w, with_float):
     """Store ``w`` in ``entry[key]`` exactly, plus ``entry[key + "_float"]``
-    when floats are asked for; returns the entry."""
+    when floats are asked for, None (JSON ``null``) when ``w`` has no finite
+    float; returns the entry."""
     entry[key] = spec.semiring.show(w)
     if with_float:
-        entry[f"{key}_float"] = spec.semiring.as_float(w)
+        try:
+            f = spec.semiring.as_float(w)
+        except OverflowError:  # a Fraction past the float range
+            f = math.inf
+        entry[f"{key}_float"] = f if math.isfinite(f) else None
     return entry
 
 
 def _shown(entry, key):
     """A weight stored by ``_weighed``, as ``1/2`` or ``1/2 = 0.5``."""
     text = entry[key]
-    if f"{key}_float" in entry:
+    if entry.get(f"{key}_float") is not None:
         text += f" = {entry[f'{key}_float']:g}"
     return text
 
@@ -357,14 +364,17 @@ def cmd_congruence(args):
     if args.contexts < 0:
         raise CliError("--contexts must be >= 0", 2)
     buckets = fingerprint_buckets(spec, args.size, args.depth)
-    violation = counterexample_search(
-        spec,
-        args.size,
-        args.depth,
-        extra_contexts=args.contexts,
-        seed=args.seed,
-        buckets=buckets,
-    )
+    try:
+        violation = counterexample_search(
+            spec,
+            args.size,
+            args.depth,
+            extra_contexts=args.contexts,
+            seed=args.seed,
+            buckets=buckets,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc), 2) from None
     payload = {
         "size": args.size,
         "depth": args.depth,

@@ -179,6 +179,7 @@ def _argument_sums(spec, carrier, include_nonaffine):
 
 
 MAX_CARRIER = 3
+MAX_NATURALITY_INPUTS = 1_000_000
 
 
 def naturality_check(spec, carrier_size=2, include_nonaffine=False):
@@ -186,7 +187,8 @@ def naturality_check(spec, carrier_size=2, include_nonaffine=False):
 
     Arguments range over pure affine sums, observed steps into affine sums,
     and observed termination; include_nonaffine adds empty and sub-unit sums.
-    Returns the first disagreement in enumeration order, if any.
+    Returns the first disagreement in enumeration order, if any. More than
+    ``MAX_NATURALITY_INPUTS`` inputs are refused with ``ValueError``.
     """
     if not 1 <= carrier_size <= MAX_CARRIER:
         raise ValueError(f"carrier size must be between 1 and {MAX_CARRIER}")
@@ -196,11 +198,18 @@ def naturality_check(spec, carrier_size=2, include_nonaffine=False):
     pool = [Pure(s) for s in sums]
     pool.extend(Obs(Step(label, s)) for label in spec.labels for s in sums)
     pool.append(Obs(STOP))
+    sig = spec.signature
+    # the pool holds a sum and a stop, so 64 argument positions already
+    # give more inputs than the bound: past that only the digits grow
+    inputs = sum(len(pool) ** min(sig.arity(op), 64) for op in sig.names())
+    if inputs > MAX_NATURALITY_INPUTS:
+        raise ValueError(
+            f"naturality would check more than {MAX_NATURALITY_INPUTS:,} inputs"
+        )
 
     checked = 0
-    for op in spec.signature.names():
-        arity = spec.signature.arity(op)
-        for args in product(pool, repeat=arity):
+    for op in sig.names():
+        for args in product(pool, repeat=sig.arity(op)):
             checked += 1
             left = leg_law_first(spec, op, args)
             right = leg_args_first(spec, op, args)

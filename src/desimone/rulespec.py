@@ -525,7 +525,7 @@ def validate_format(spec):
                     f"variable {dup.name} occurs twice in {print_term(rule.target)}",
                 )
             trans_indices = {p.index for p in rule.trans_premises()}
-            for v in set(term_vars(rule.target)):
+            for v in dict.fromkeys(term_vars(rule.target)):
                 if v.kind == "y":
                     if v.index not in trans_indices:
                         flag(

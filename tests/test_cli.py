@@ -1,12 +1,15 @@
 """Command-line behaviour: output bytes, exit codes, error routing.
 
-Everything runs in-process through ``main(argv)`` except two subprocess
+Everything runs in-process through ``main(argv)`` except the subprocess
 tests: a smoke test for the console-script entry point declared in
-pyproject.toml, and a reader that closes stdout early.
+pyproject.toml, a reader that closes stdout early, ``validate`` under two
+hash seeds, and the refusals of inputs too wide to enumerate, run under an
+address-space limit.
 """
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -440,12 +443,15 @@ def test_ast_exact_limit_human_with_floats(run):
     ]
 
 
+HOT = (
+    "dialect weighted\nsemiring rational\nlabels a\nop nil : 0\nop hot : 0\n"
+    "rule hot -a[inf]-> nil\nrule hot -[1/2]-> *\nrule nil -[1]-> *\n"
+)
+
+
 def test_ast_limit_above_one_is_inconclusive(run, tmp_path):
     spec = tmp_path / "hot.spec"
-    spec.write_text(
-        "dialect weighted\nsemiring rational\nlabels a\nop nil : 0\nop hot : 0\n"
-        "rule hot -a[inf]-> nil\nrule hot -[1/2]-> *\nrule nil -[1]-> *\n"
-    )
+    spec.write_text(HOT)
     code, out, err = run("ast", str(spec), "hot", "--depth", "3", "--json")
     assert (code, err) == (1, "")
     payload = json.loads(out)
@@ -455,6 +461,23 @@ def test_ast_limit_above_one_is_inconclusive(run, tmp_path):
         "closed acyclic state space; limit mass is exactly inf > 1, "
         "so it is not a termination probability"
     )
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command", ["traces", "ast"])
+def test_float_json_writes_null_for_an_infinite_weight(run, tmp_path, command):
+    spec = tmp_path / "hot.spec"
+    spec.write_text(HOT)
+    code, out, err = run(command, str(spec), "hot", "--depth", "3", "--float", "--json")
+    assert err == "" and code in (0, 1)
+    payload = json.loads(out, parse_constant=_reject_constant)
+    floats = {k: v for k, v in payload.items() if k.endswith("_float")}
+    assert floats == {"mass_float" if command == "traces" else "limit_float": None}
+    _, human, _ = run(command, str(spec), "hot", "--depth", "3", "--float")
+    assert ("mass: inf" if command == "traces" else "limit: inf (exact)") in human
 
 
 CHAIN_CELLS = 500
@@ -751,6 +774,69 @@ def test_json_output_is_byte_stable_across_runs(run):
     assert first == second and first[0] == 0
 
 
+def _cli_env(**extra):
+    """The environment of a fresh interpreter that imports this checkout."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(desimone.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    return env
+
+
+def test_validate_lists_violations_in_the_same_order_under_any_hash_seed(tmp_path):
+    spec = tmp_path / "vars.spec"
+    spec.write_text(
+        "dialect weighted\nsemiring rational\nlabels a\nop f : 2\n"
+        "rule f(x1, x2) -a[1]-> f(y1, f(y2, f(x3, x1))) when x1 -a-> y1\n"
+    )
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "desimone", "validate", str(spec), "--json"],
+            capture_output=True, env=_cli_env(PYTHONHASHSEED=seed), timeout=60,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1]
+    fragments = [v["fragment"] for v in json.loads(outs[0])["violations"]]
+    assert [f.split()[0] for f in fragments] == ["y2", "x3", "x1"]
+
+
+def _limit_memory():
+    gib = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+
+
+@pytest.mark.parametrize(
+    "base, extra, argv, message",
+    [
+        (
+            "prob_par", "op p : 100000\n", ["congruence", "--size", "4", "--depth", "3"],
+            "the depth-1 context layer needs 10,000,000,006 argument slots, "
+            "more than 120,000,000",
+        ),
+        (
+            "pair_affine", "op g : 20\n", ["naturality"],
+            "naturality would check more than 1,000,000 inputs",
+        ),
+    ],
+)
+def test_a_huge_declared_arity_is_refused_before_it_is_enumerated(
+    tmp_path, base, extra, argv, message
+):
+    # under a 1 GiB address space and a timeout, so that a command that
+    # allocates or enumerates first fails here instead of exhausting memory
+    spec = tmp_path / "wide.spec"
+    spec.write_text(desimone.spec_text(base) + extra)
+    command, *rest = argv
+    proc = subprocess.run(
+        [sys.executable, "-m", "desimone", command, str(spec), *rest],
+        capture_output=True, text=True, env=_cli_env(), timeout=10,
+        preexec_fn=_limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"desimone: {message}\n"
+
+
 def test_console_script_smoke():
     # run the [project.scripts] entry point, which need not be installed on
     # PATH, in a fresh interpreter that imports this checkout's package
@@ -760,17 +846,13 @@ def test_console_script_smoke():
     with open(root / "pyproject.toml", "rb") as handle:
         entry = tomllib.load(handle)["project"]["scripts"]["desimone"]
     module, _, func = entry.partition(":")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(desimone.__file__).parents[1]), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [
             sys.executable, "-c",
             f"import sys; from {module} import {func}; sys.exit({func}())",
             "validate", path("loop"),
         ],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_cli_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "valid"
@@ -783,16 +865,12 @@ def test_a_closed_stdout_ends_quietly():
         "par(par(pre_a(pre_b(pre_a(nil))), pre_b(pre_a(pre_b(nil)))), "
         "par(pre_a(pre_a(pre_b(nil))), pre_b(pre_a(pre_b(nil)))))"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(desimone.__file__).parents[1]), env.get("PYTHONPATH")])
-    )
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "desimone", "traces", path("de_simone_par"),
             term, "--depth", "13", "--json",
         ],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
     )
     head = [proc.stdout.readline() for _ in range(2)]
     proc.stdout.close()
