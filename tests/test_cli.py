@@ -480,6 +480,17 @@ def test_float_json_writes_null_for_an_infinite_weight(run, tmp_path, command):
     assert ("mass: inf" if command == "traces" else "limit: inf (exact)") in human
 
 
+def test_float_of_a_weight_past_the_float_range_is_null(run, tmp_path):
+    big = 10**400
+    spec = tmp_path / "big.spec"
+    spec.write_text(HOT.replace("[inf]", f"[{big}]"))
+    code, out, err = run("traces", str(spec), "hot", "--depth", "3", "--float", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert (payload["mass"], payload["mass_float"]) == (f"{2 * big + 1}/2", None)
+    assert [t["weight_float"] for t in payload["traces"]] == [0.5, None]
+
+
 CHAIN_CELLS = 500
 
 

@@ -64,7 +64,10 @@ def texts():
             text = _mutate(rng, text)
         out.append(text)
     out.extend(_HEADER + line + "\n" for line in MALFORMED)
-    out.append("dialect desimone\nsemiring boolean\nlabels a\nop nil : 0\nrule nil -a[1]-> nil\n")
+    out.append(
+        "dialect desimone\nsemiring boolean\nlabels a\nop nil : 0\n"
+        "rule nil -a[1]-> nil\n"  # a weight outside the weighted dialect
+    )
     return out
 
 
