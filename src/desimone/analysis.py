@@ -30,7 +30,7 @@ from .terms import (
     HOLE,
     Leaf,
     Node,
-    closed_terms_of_size,
+    closed_terms_by_size,
     enumerate_closed_terms,
     fold,
     print_term,
@@ -273,8 +273,7 @@ def bisim_blocks(spec, size_bound, depth):
     ``bisim_partition`` places the first term of each new key among the
     first members of the known blocks."""
     blocks, key_blocks, firsts = {}, {}, []
-    for size in range(1, size_bound + 1):
-        terms = closed_terms_of_size(spec.signature, size)
+    for terms in closed_terms_by_size(spec.signature, size_bound):
         keys = [(t.op, tuple(blocks[c] for c in t.children)) for t in terms]
         fresh = {}  # new key -> its first term
         for key, t in zip(keys, terms):

@@ -1,16 +1,21 @@
 """Command-line front end: load a spec file, run one analysis, report.
 
-Every command computes its result once, as the payload that ``--json``
-prints with sorted keys and deterministic entry order, byte-identical across
-runs for fixed inputs and seeds. The human output is rendered from that same
-payload: weights as exact strings ("1/4", "inf"), and with ``--float`` each
-followed by its decimal approximation, ``null`` in JSON when it has none.
+One pipeline serves every command: ``main`` loads the spec, runs the
+command's ``cmd_X``, which computes its result once as a payload, prints
+that payload as ``--json`` or hands it to ``show_X`` for the human output,
+and sets the exit code. The JSON has sorted keys and deterministic entry
+order, byte-identical across runs for fixed inputs and seeds. The human
+output is rendered from the payload and the flags alone: weights as exact
+strings ("1/4", "inf"), and with ``--float`` each followed by its decimal
+approximation, ``null`` in JSON when it has none.
 
 Exit codes: 0 success / property holds, 1 semantic failure (format
 violation, witness, inequivalence, bad term), 2 usage, file or spec-parse
-error, a fired rule whose target names an unbound variable, a declared
-arity too wide to enumerate, or an input too deep for Python's recursion
-limit, each refused with one line on stderr.
+error, a fired rule whose target names an unbound variable, a library
+refusal (a ``ValueError``: a bound out of range, a declared arity too wide
+to enumerate, or more than ``MAX_CLOSED_TERMS`` closed terms up to
+``--size``), or an input too deep for Python's recursion limit. ``main``
+maps each refusal to one line on stderr.
 A reader that closes stdout early ends the command quietly with exit 1.
 Two inputs meet the depth refusal: a table depth past the limit (tables
 recurse once per depth), and premised nesting past it under ``step`` (it
@@ -26,6 +31,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .analysis import counterexample_search, fingerprint_buckets, first_difference
 from .formalsum import STOP, Pure, fs_empty, fs_total
@@ -124,13 +130,16 @@ def _print_table(entries):
 
 # --- subcommands -----------------------------------------------------------
 #
-# Each command builds its ``--json`` payload once; the human rendering reads
-# only that payload.
+# Each command is ``cmd_X(spec, args)``, which returns its ``--json`` payload
+# and whether the checked property holds, and ``show_X(payload, args)``,
+# which renders the human output from that payload and the flags alone.
 
-def cmd_validate(args):
-    spec = _load_spec(args.spec)
-    violations = validate_format(spec)
-    errors = sum(v.severity == "error" for v in violations)
+def _at_least(args, flag, low):
+    if getattr(args, flag) < low:
+        raise CliError(f"--{flag} must be >= {low}", 2)
+
+
+def cmd_validate(spec, args):
     payload = {
         "spec": args.spec,
         "dialect": spec.dialect,
@@ -141,42 +150,34 @@ def cmd_validate(args):
             for name in spec.signature.names()
         ],
         "rules": len(spec.rules),
-        "violations": [
-            {
-                "rule": v.rule,
-                "condition": v.condition,
-                "fragment": v.fragment,
-                "severity": v.severity,
-                "line": v.line,
-            }
-            for v in violations
-        ],
-        "valid": not errors,
+        "violations": [asdict(v) for v in validate_format(spec)],
     }
-    if args.json:
-        _emit_json(payload)
+    found = payload["violations"]
+    payload["valid"] = not any(v["severity"] == "error" for v in found)
+    return payload, payload["valid"]
+
+
+def show_validate(payload, args):
+    ops = ", ".join(f"{o['name']}/{o['arity']}" for o in payload["operators"])
+    print(
+        f"{payload['spec']}: dialect {payload['dialect']}, "
+        f"semiring {payload['semiring']}, labels {', '.join(payload['labels'])}, "
+        f"ops {ops}, {payload['rules']} ground rules"
+    )
+    found = payload["violations"]
+    for v in found:
+        print(f"  line {v['line']} {v['severity']} {v['condition']}: {v['fragment']}")
+        print(f"    in rule: {v['rule']}")
+    errors = sum(v["severity"] == "error" for v in found)
+    if errors:
+        print(f"invalid: {errors} format violations, {len(found) - errors} warnings")
+    elif found:
+        print(f"valid with {len(found)} warnings")
     else:
-        ops = ", ".join(f"{o['name']}/{o['arity']}" for o in payload["operators"])
-        print(
-            f"{payload['spec']}: dialect {payload['dialect']}, "
-            f"semiring {payload['semiring']}, labels {', '.join(payload['labels'])}, "
-            f"ops {ops}, {payload['rules']} ground rules"
-        )
-        found = payload["violations"]
-        for v in found:
-            print(f"  line {v['line']} {v['severity']} {v['condition']}: {v['fragment']}")
-            print(f"    in rule: {v['rule']}")
-        if not payload["valid"]:
-            print(f"invalid: {errors} format violations, {len(found) - errors} warnings")
-        elif found:
-            print(f"valid with {len(found)} warnings")
-        else:
-            print("valid")
-    return 0 if payload["valid"] else 1
+        print("valid")
 
 
-def cmd_step(args):
-    spec = _load_spec(args.spec)
+def cmd_step(spec, args):
     term = _load_term(spec, args.term)
     if args.oracle:
         canonical = step_law(spec, term)
@@ -190,24 +191,22 @@ def cmd_step(args):
         behaviour = step(spec, term) if args.direct else step_law(spec, term)
         payload = {"entries": _behaviour_entries(spec, behaviour, args.float)}
     payload["term"] = print_term(term)
-    if args.json:
-        _emit_json(payload)
-    else:
-        how = "rule-by-rule" if args.direct and not args.oracle else "structural recursion"
-        print(f"step of {payload['term']} ({how}):")
-        _print_behaviour(payload["entries"], "  ")
-        if args.oracle:
-            print("step of the same term (rule-by-rule):")
-            _print_behaviour(payload["direct_entries"], "  ")
-            print(f"agree: {'yes' if payload['agree'] else 'NO'}")
-    return 0 if payload.get("agree", True) else 1
+    return payload, payload.get("agree", True)
 
 
-def cmd_traces(args):
-    spec = _load_spec(args.spec)
+def show_step(payload, args):
+    how = "rule-by-rule" if args.direct and not args.oracle else "structural recursion"
+    print(f"step of {payload['term']} ({how}):")
+    _print_behaviour(payload["entries"], "  ")
+    if args.oracle:
+        print("step of the same term (rule-by-rule):")
+        _print_behaviour(payload["direct_entries"], "  ")
+        print(f"agree: {'yes' if payload['agree'] else 'NO'}")
+
+
+def cmd_traces(spec, args):
     term = _load_term(spec, args.term)
-    if args.depth < 0:
-        raise CliError("--depth must be >= 0", 2)
+    _at_least(args, "depth", 0)
     table = trace_bounded(spec, term, args.depth)
     payload = {
         "term": print_term(term),
@@ -225,25 +224,23 @@ def cmd_traces(args):
         )
         payload["oracle"] = _table_entries(spec, oracle, args.float)
         payload["agree"] = oracle == table
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"completed traces of {payload['term']} at depth {payload['depth']}:")
-        _print_table(payload["traces"])
-        print(f"mass: {_shown(payload, 'mass')}")
-        if args.oracle:
-            print("path-sum oracle:")
-            _print_table(payload["oracle"])
-            print(f"agree: {'yes' if payload['agree'] else 'NO'}")
-    return 0 if payload.get("agree", True) else 1
+    return payload, payload.get("agree", True)
 
 
-def cmd_equiv(args):
-    spec = _load_spec(args.spec)
+def show_traces(payload, args):
+    print(f"completed traces of {payload['term']} at depth {payload['depth']}:")
+    _print_table(payload["traces"])
+    print(f"mass: {_shown(payload, 'mass')}")
+    if args.oracle:
+        print("path-sum oracle:")
+        _print_table(payload["oracle"])
+        print(f"agree: {'yes' if payload['agree'] else 'NO'}")
+
+
+def cmd_equiv(spec, args):
     left = _load_term(spec, args.left)
     right = _load_term(spec, args.right)
-    if args.depth < 0:
-        raise CliError("--depth must be >= 0", 2)
+    _at_least(args, "depth", 0)
     difference = first_difference(spec, left, right, args.depth)
     payload = {
         "left": print_term(left),
@@ -259,20 +256,17 @@ def cmd_equiv(args):
             "left_weight": spec.semiring.show(wl),
             "right_weight": spec.semiring.show(wr),
         }
-    if args.json:
-        _emit_json(payload)
+    return payload, payload["equivalent"]
+
+
+def show_equiv(payload, args):
+    pair, depth = f"{payload['left']} and {payload['right']}", payload["depth"]
+    d = payload["first_difference"]
+    if d is None:
+        print(f"{pair} have equal trace tables at depth {depth}")
     else:
-        pair, depth = f"{payload['left']} and {payload['right']}", payload["depth"]
-        d = payload["first_difference"]
-        if d is None:
-            print(f"{pair} have equal trace tables at depth {depth}")
-        else:
-            print(f"{pair} differ at depth {depth}:")
-            print(
-                f"  word {d['word'] or '(empty)'}: "
-                f"{d['left_weight']} vs {d['right_weight']}"
-            )
-    return 0 if payload["equivalent"] else 1
+        print(f"{pair} differ at depth {depth}:")
+        print(f"  word {d['word'] or '(empty)'}: {d['left_weight']} vs {d['right_weight']}")
 
 
 def _sum_entries(spec, s):
@@ -306,14 +300,10 @@ def _arg_str(arg):
     return f"observed step {arg['label']} into {_sum_str(arg['sum'])}"
 
 
-def cmd_naturality(args):
-    spec = _load_spec(args.spec)
-    try:
-        result = naturality_check(
-            spec, carrier_size=args.carrier, include_nonaffine=args.include_nonaffine
-        )
-    except ValueError as exc:
-        raise CliError(str(exc), 2) from None
+def cmd_naturality(spec, args):
+    result = naturality_check(
+        spec, carrier_size=args.carrier, include_nonaffine=args.include_nonaffine
+    )
     payload = {
         "carrier": list(result.carrier),
         "include_nonaffine": args.include_nonaffine,
@@ -329,52 +319,41 @@ def cmd_naturality(args):
             "law_first": _behaviour_entries(spec, w.law_first),
             "args_first": _behaviour_entries(spec, w.args_first),
         }
-    if args.json:
-        _emit_json(payload)
-    else:
-        mode = "affine and sub-unit sums" if payload["include_nonaffine"] else "affine sums"
-        carrier = ", ".join(payload["carrier"])
-        w = payload["witness"]
-        if w is None:
-            print(
-                f"naturality holds on carrier ({carrier}) over {mode}: "
-                f"{payload['checked']} inputs checked"
-            )
-        else:
-            print(
-                f"naturality fails on carrier ({carrier}) over {mode} "
-                f"(input {payload['checked']}):"
-            )
-            print(f"  operator {w['op']}")
-            for i, a in enumerate(w["args"], start=1):
-                print(f"  argument {i}: {_arg_str(a)}")
-            print("  law first, then distribute:")
-            _print_behaviour(w["law_first"], "    ")
-            print("  distribute arguments first, then law:")
-            _print_behaviour(w["args_first"], "    ")
-    return 0 if payload["passed"] else 1
+    return payload, payload["passed"]
 
 
-def cmd_congruence(args):
-    spec = _load_spec(args.spec)
-    if args.depth < 1:
-        raise CliError("--depth must be >= 1", 2)
-    if args.size < 0:
-        raise CliError("--size must be >= 0", 2)
-    if args.contexts < 0:
-        raise CliError("--contexts must be >= 0", 2)
-    buckets = fingerprint_buckets(spec, args.size, args.depth)
-    try:
-        violation = counterexample_search(
-            spec,
-            args.size,
-            args.depth,
-            extra_contexts=args.contexts,
-            seed=args.seed,
-            buckets=buckets,
+def show_naturality(payload, args):
+    mode = "affine and sub-unit sums" if payload["include_nonaffine"] else "affine sums"
+    carrier = ", ".join(payload["carrier"])
+    w = payload["witness"]
+    if w is None:
+        print(
+            f"naturality holds on carrier ({carrier}) over {mode}: "
+            f"{payload['checked']} inputs checked"
         )
-    except ValueError as exc:
-        raise CliError(str(exc), 2) from None
+        return
+    print(
+        f"naturality fails on carrier ({carrier}) over {mode} "
+        f"(input {payload['checked']}):"
+    )
+    print(f"  operator {w['op']}")
+    for i, a in enumerate(w["args"], start=1):
+        print(f"  argument {i}: {_arg_str(a)}")
+    print("  law first, then distribute:")
+    _print_behaviour(w["law_first"], "    ")
+    print("  distribute arguments first, then law:")
+    _print_behaviour(w["args_first"], "    ")
+
+
+def cmd_congruence(spec, args):
+    _at_least(args, "depth", 1)
+    _at_least(args, "size", 0)
+    _at_least(args, "contexts", 0)
+    buckets = fingerprint_buckets(spec, args.size, args.depth)
+    violation = counterexample_search(
+        spec, args.size, args.depth,
+        extra_contexts=args.contexts, seed=args.seed, buckets=buckets,
+    )
     payload = {
         "size": args.size,
         "depth": args.depth,
@@ -387,34 +366,33 @@ def cmd_congruence(args):
         "violation": violation.describe(spec) if violation else None,
         "passed": violation is None,
     }
-    if args.json:
-        _emit_json(payload)
-    elif payload["passed"]:
+    return payload, payload["passed"]
+
+
+def show_congruence(payload, args):
+    d = payload["violation"]
+    if d is None:
         print(
             f"no congruence violation: {payload['terms']} terms of size "
             f"<= {payload['size']}, {payload['equivalent_pairs']} trace-equivalent "
             f"pairs at depth {payload['depth']}, seed {payload['seed']}"
         )
-    else:
-        d = payload["violation"]
-        print("congruence violation:")
-        print(f"  pair:     {d['pair'][0]}  vs  {d['pair'][1]}")
-        print(f"  context:  {d['context']}")
-        print(f"  word:     {d['word'] or '(empty)'}")
-        print(f"  weights:  {d['left_weight']} vs {d['right_weight']}")
-        print(f"  verified by path-sum recomputation: {'yes' if d['verified'] else 'NO'}")
-        if d["deep_context"]:
-            print("  (found only beyond the depth-1 context layer)")
-    return 0 if payload["passed"] else 1
+        return
+    print("congruence violation:")
+    print(f"  pair:     {d['pair'][0]}  vs  {d['pair'][1]}")
+    print(f"  context:  {d['context']}")
+    print(f"  word:     {d['word'] or '(empty)'}")
+    print(f"  weights:  {d['left_weight']} vs {d['right_weight']}")
+    print(f"  verified by path-sum recomputation: {'yes' if d['verified'] else 'NO'}")
+    if d["deep_context"]:
+        print("  (found only beyond the depth-1 context layer)")
 
 
-def cmd_ast(args):
-    spec = _load_spec(args.spec)
+def cmd_ast(spec, args):
     if spec.semiring.name != "rational":
         raise CliError("ast needs a weighted spec over the rational semiring", 2)
     term = _load_term(spec, args.term)
-    if args.depth < 1:
-        raise CliError("--depth must be >= 1", 2)
+    _at_least(args, "depth", 1)
     report = ast_estimate(spec, term, args.depth)
     payload = {
         "term": print_term(term),
@@ -430,20 +408,24 @@ def cmd_ast(args):
     }
     if report.limit is not None:
         _weighed(spec, payload, "limit", report.limit, args.float)
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"completed-trace mass of {payload['term']} by depth:")
-        for e in payload["masses"]:
-            print(f"  {e['depth']:>3}  {_shown(e, 'mass')}")
-        if payload["limit"] is not None:
-            print(f"limit: {_shown(payload, 'limit')} (exact)")
-        print(f"verdict: {payload['verdict']}")
-        print(f"  {payload['detail']}")
-    return 0 if payload["verdict"] == "ast-consistent" else 1
+    return payload, payload["verdict"] == "ast-consistent"
+
+
+def show_ast(payload, args):
+    print(f"completed-trace mass of {payload['term']} by depth:")
+    for e in payload["masses"]:
+        print(f"  {e['depth']:>3}  {_shown(e, 'mass')}")
+    if payload["limit"] is not None:
+        print(f"limit: {_shown(payload, 'limit')} (exact)")
+    print(f"verdict: {payload['verdict']}")
+    print(f"  {payload['detail']}")
 
 
 # --- wiring ----------------------------------------------------------------
+
+def _arg(*flags, **options):
+    return flags, options
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -456,113 +438,96 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def spec_arg(p):
+    def command(name, summary, run, show, *arguments, floats=False):
+        """A subcommand: ``spec``, then ``arguments`` (``_arg`` pairs), then
+        ``--json`` and, with ``floats``, ``--float``; argparse lists the
+        options in that order."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("spec", help="path to a .spec file")
-
-    def json_arg(p):
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        if floats:
+            p.add_argument(
+                "--float", action="store_true", help="append decimal approximations"
+            )
+        p.set_defaults(run=run, show=show)
 
-    def float_arg(p):
-        p.add_argument(
-            "--float", action="store_true", help="append decimal approximations"
-        )
-
-    p = sub.add_parser("validate", help="check a spec against the rule format")
-    spec_arg(p)
-    json_arg(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("step", help="one-step behaviour of a closed term")
-    spec_arg(p)
-    p.add_argument("term", help="closed term, e.g. 'par(pre_a(nil), nil)'")
-    p.add_argument(
-        "--direct",
-        action="store_true",
-        help="compute rule-by-rule instead of through the law pipeline",
+    command("validate", "check a spec against the rule format", cmd_validate, show_validate)
+    command(
+        "step", "one-step behaviour of a closed term", cmd_step, show_step,
+        _arg("term", help="closed term, e.g. 'par(pre_a(nil), nil)'"),
+        _arg(
+            "--direct",
+            action="store_true",
+            help="compute rule-by-rule instead of through the law pipeline",
+        ),
+        _arg("--oracle", action="store_true", help="compute both ways and compare"),
+        floats=True,
     )
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="compute both ways and compare",
+    command(
+        "traces", "bounded completed-trace table of a term", cmd_traces, show_traces,
+        _arg("term"),
+        _arg("--depth", type=int, default=5, help="fixpoint iterations (default 5)"),
+        _arg(
+            "--oracle",
+            action="store_true",
+            help="also compute by path summation and compare",
+        ),
+        floats=True,
     )
-    json_arg(p)
-    float_arg(p)
-    p.set_defaults(func=cmd_step)
-
-    p = sub.add_parser("traces", help="bounded completed-trace table of a term")
-    spec_arg(p)
-    p.add_argument("term")
-    p.add_argument("--depth", type=int, default=5, help="fixpoint iterations (default 5)")
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="also compute by path summation and compare",
+    command(
+        "equiv", "compare two terms' bounded trace tables", cmd_equiv, show_equiv,
+        _arg("left"),
+        _arg("right"),
+        _arg("--depth", type=int, default=6, help="table depth (default 6)"),
     )
-    json_arg(p)
-    float_arg(p)
-    p.set_defaults(func=cmd_traces)
-
-    p = sub.add_parser("equiv", help="compare two terms' bounded trace tables")
-    spec_arg(p)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--depth", type=int, default=6, help="table depth (default 6)")
-    json_arg(p)
-    p.set_defaults(func=cmd_equiv)
-
-    p = sub.add_parser(
+    command(
         "congruence",
-        help="search enumerated trace-equivalent pairs for a context that splits them",
+        "search enumerated trace-equivalent pairs for a context that splits them",
+        cmd_congruence,
+        show_congruence,
+        _arg("--size", type=int, default=6, help="term size bound (default 6)"),
+        _arg("--depth", type=int, default=4, help="trace depth (default 4)"),
+        _arg(
+            "--contexts",
+            type=int,
+            default=100,
+            help="random contexts beyond the depth-1 layer (default 100)",
+        ),
+        _arg("--seed", type=int, default=0, help="context sampling seed"),
     )
-    spec_arg(p)
-    p.add_argument("--size", type=int, default=6, help="term size bound (default 6)")
-    p.add_argument("--depth", type=int, default=4, help="trace depth (default 4)")
-    p.add_argument(
-        "--contexts",
-        type=int,
-        default=100,
-        help="random contexts beyond the depth-1 layer (default 100)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="context sampling seed")
-    json_arg(p)
-    p.set_defaults(func=cmd_congruence)
-
-    p = sub.add_parser(
+    command(
         "naturality",
-        help="compare the two evaluation orders of the law on a small carrier",
+        "compare the two evaluation orders of the law on a small carrier",
+        cmd_naturality,
+        show_naturality,
+        _arg("--carrier", type=int, default=2, help="carrier size 1..3 (default 2)"),
+        _arg(
+            "--include-nonaffine",
+            action="store_true",
+            help="also range over empty and sub-unit argument sums",
+        ),
     )
-    spec_arg(p)
-    p.add_argument(
-        "--carrier", type=int, default=2, help="carrier size 1..3 (default 2)"
+    command(
+        "ast", "estimate whether a term terminates with probability one", cmd_ast, show_ast,
+        _arg("term"),
+        _arg("--depth", type=int, default=20, help="mass sequence depth (default 20)"),
+        floats=True,
     )
-    p.add_argument(
-        "--include-nonaffine",
-        action="store_true",
-        help="also range over empty and sub-unit argument sums",
-    )
-    json_arg(p)
-    p.set_defaults(func=cmd_naturality)
-
-    p = sub.add_parser(
-        "ast", help="estimate whether a term terminates with probability one"
-    )
-    spec_arg(p)
-    p.add_argument("term")
-    p.add_argument("--depth", type=int, default=20, help="mass sequence depth (default 20)")
-    json_arg(p)
-    float_arg(p)
-    p.set_defaults(func=cmd_ast)
-
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        payload, holds = args.run(_load_spec(args.spec), args)
+        if args.json:
+            _emit_json(payload)
+        else:
+            args.show(payload, args)
         sys.stdout.flush()  # so a closed stdout fails here, not at exit
-        return code
+        return 0 if holds else 1
     except BrokenPipeError:
         # the reader is gone: the exit flush writes to devnull (Python docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -579,6 +544,9 @@ def main(argv=None):
             "(maximum recursion depth exceeded)",
             file=sys.stderr,
         )
+        return 2
+    except ValueError as exc:  # a library refusal: a bound or a range
+        print(f"desimone: {exc}", file=sys.stderr)
         return 2
 
 

@@ -15,7 +15,9 @@ recursion limit. ``fold`` is the one bottom-up walk: ``substitute``,
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 
 @dataclass(frozen=True)
@@ -430,9 +432,52 @@ def closed_terms_of_size(signature, size):
     return out
 
 
-def enumerate_closed_terms(signature, max_size):
-    """Closed terms of size <= max_size, size-ascending, no duplicates."""
+def closed_term_counts(signature, max_size):
+    """For n = 1..``max_size`` in turn, the number of closed terms of size
+    <= n, by the size recurrence and without building one: a term of size
+    n is an operator of arity k over a k-tuple of closed terms of n - 1
+    nodes in all."""
+    arities = Counter(signature.arity(op) for op in signature.names())
+    widest = max(arities, default=0)
+    counts = [0]  # counts[n]: closed terms with exactly n nodes
+    tuples = [[1]]  # tuples[k][m]: k-tuples of closed terms with m nodes in all
+    total = 0
+    for n in range(1, max_size + 1):
+        m = n - 1
+        if m:
+            tuples[0].append(0)
+            if m <= widest:
+                tuples.append([0] * m)  # m nodes make no tuple longer than m
+        for k in range(1, min(widest, m) + 1):
+            # the last argument takes s nodes, the first k - 1 the rest
+            shorter = tuples[k - 1]
+            tuples[k].append(sum(counts[s] * shorter[m - s] for s in range(1, m - k + 2)))
+        counts.append(sum(c * tuples[k][m] for k, c in arities.items() if k <= m))
+        total += counts[n]
+        yield total
+
+
+MAX_CLOSED_TERMS = 5_000_000  # about 1.8 GB at some 360 bytes per term
+
+
+def closed_terms_by_size(signature, max_size):
+    """``closed_terms_of_size`` for each size 1..``max_size``, in order.
+
+    Every listing of the enumeration comes through here. One of more than
+    ``MAX_CLOSED_TERMS`` terms is refused with ``ValueError`` before any
+    term is built; the count stops at the first size that passes the bound.
+    """
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
-    for size in range(1, max_size + 1):
-        yield from closed_terms_of_size(signature, size)
+    for size, count in enumerate(closed_term_counts(signature, max_size), start=1):
+        if count > MAX_CLOSED_TERMS:
+            raise ValueError(
+                f"there are {count:,} closed terms of size <= {size}, "
+                f"more than {MAX_CLOSED_TERMS:,}"
+            )
+    return (closed_terms_of_size(signature, size) for size in range(1, max_size + 1))
+
+
+def enumerate_closed_terms(signature, max_size):
+    """Closed terms of size <= max_size, size-ascending, no duplicates."""
+    return chain.from_iterable(closed_terms_by_size(signature, max_size))

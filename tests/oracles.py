@@ -433,7 +433,11 @@ SPEC_WEIGHTS = ("1/4", "1/3", "1/2", "1")
 SPEC_LABELS = ("a", "b")
 
 
-def random_valid_spec(rng):
+# ways to split 1 among an operator's rules in the normalised family
+NORMALISED_SPLITS = (("1",), ("1/2", "1/2"), ("1/4", "1/4", "1/2"), ("1/3", "1/3", "1/3"))
+
+
+def random_valid_spec(rng, normalised=False):
     """Text of a random spec inside the format, drawn from ``rng``.
 
     Two to four operators, the first a constant so that closed terms exist,
@@ -443,8 +447,16 @@ def random_valid_spec(rng):
     premised ``y``s, and at most two operators deep, which bounds every
     target at seven nodes. Weighted rules weigh 1/4, 1/3, 1/2 or 1, and a
     quarter of them conclude ``-> *``.
+
+    ``normalised`` draws the paper's probabilistic format instead: weighted
+    specs whose every closed term has step mass 1. Each operator splits 1
+    into the parts of one of ``NORMALISED_SPLITS``, and each part of weight
+    ``w`` is a premise-free rule of weight ``w``, or, for one argument
+    ``i``, the pair ``-@l[w]-> T when xi -@l-> yi forall @l`` and
+    ``-[w]-> * when xi -> *``, which passes on ``w`` times the argument's
+    mass of 1.
     """
-    weighted = rng.random() < 0.5
+    weighted = normalised or rng.random() < 0.5
     ops = [("k0", 0)] + [
         (f"f{i}", rng.randint(0, 2)) for i in range(1, rng.randint(2, 4))
     ]
@@ -455,9 +467,33 @@ def random_valid_spec(rng):
     lines.append("labels " + ", ".join(SPEC_LABELS))
     lines += [f"op {name} : {arity}" for name, arity in ops]
     for name, arity in ops:
+        if normalised:
+            for weight in rng.choice(NORMALISED_SPLITS):
+                lines += _normalised_part(rng, ops, name, arity, weight)
+            continue
         for _ in range(rng.randint(0, 2)):
             lines.append(_random_rule(rng, ops, name, arity, weighted))
     return "\n".join(lines) + "\n"
+
+
+def _normalised_part(rng, ops, name, arity, weight):
+    """The rules of one part of weight ``weight``; see ``random_valid_spec``."""
+    xs = [f"x{i}" for i in range(1, arity + 1)]
+    head = f"{name}({', '.join(xs)})" if arity else name
+    if not arity or rng.random() < 0.5:
+        if rng.random() < 0.25:
+            return [f"rule {head} -[{weight}]-> *"]
+        rng.shuffle(xs)
+        target = _random_target(rng, ops, xs, 2)
+        return [f"rule {head} -{rng.choice(SPEC_LABELS)}[{weight}]-> {target}"]
+    i = rng.randint(1, arity)
+    free = [x for x in xs if x != f"x{i}"] + [f"y{i}"]
+    rng.shuffle(free)
+    target = _random_target(rng, ops, free, 2)
+    return [
+        f"rule {head} -@l[{weight}]-> {target} when x{i} -@l-> y{i} forall @l",
+        f"rule {head} -[{weight}]-> * when x{i} -> *",
+    ]
 
 
 def _random_rule(rng, ops, name, arity, weighted):

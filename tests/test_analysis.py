@@ -19,6 +19,7 @@ from desimone import (
     SpecParseError,
     Var,
     bisim_partition,
+    check_probabilistic,
     counterexample_search,
     enumerate_closed_terms,
     explore,
@@ -190,6 +191,16 @@ def test_sampling_stops_once_no_context_can_be_new(prob_par):
 def test_context_count_must_be_positive(prob_par):
     with pytest.raises(ValueError):
         generate_contexts(prob_par, 0, 3, 0)
+
+
+def test_buckets_and_contexts_refuse_an_enumeration_past_the_bound(copy_nonaffine):
+    # 13,092,190 closed terms of size <= 10: refused before one is built
+    for enumerate_to_size_10 in (
+        lambda: fingerprint_buckets(copy_nonaffine, 10, 2),
+        lambda: generate_contexts(copy_nonaffine, 5, 10, 0),
+    ):
+        with pytest.raises(ValueError, match="13,092,190 closed terms of size <= 10"):
+            enumerate_to_size_10()
 
 
 def test_context_apply(prob_par):
@@ -484,6 +495,20 @@ def test_random_format_valid_specs_are_compositional():
         assert counterexample_search(spec, 4, 3) is None, text
         for term in enumerate_closed_terms(spec.signature, 4):
             assert step(spec, term) == step_law(spec, term), (text, term)
+        assert naturality_check(spec, 2).passed, text
+
+
+def test_random_normalised_specs_are_probabilistic_and_compositional():
+    """The paper's probabilistic format as a property: every closed term of
+    a normalised spec has step mass 1, and no congruence violation or
+    naturality failure shows."""
+    rng = random.Random(0)
+    for _ in range(40):
+        text = random_valid_spec(rng, normalised=True)
+        spec = parse_spec(text)
+        assert format_errors(spec) == [], text
+        assert check_probabilistic(spec, 4).passed, text
+        assert counterexample_search(spec, 4, 3) is None, text
         assert naturality_check(spec, 2).passed, text
 
 

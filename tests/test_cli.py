@@ -302,6 +302,76 @@ def test_congruence_finds_the_copying_violation(run):
     }
 
 
+COPY_WITNESS_REPORT = (
+    "congruence violation:\n"
+    "  pair:     pre_a(plus(pre_b(nil), pre_c(nil)))  vs  "
+    "plus(pre_a(pre_b(nil)), pre_a(pre_c(nil)))\n"
+    "  context:  {context}\n"
+    "  word:     abc\n"
+    "  weights:  1 vs 0\n"
+    "  verified by path-sum recomputation: yes\n"
+)
+
+
+def test_congruence_reports_the_copying_violation_as_text(run):
+    code, out, err = run(
+        "congruence", path("copy_nonaffine"), "--size", "7", "--depth", "4",
+        "--contexts", "10",
+    )
+    assert (code, err) == (1, "")
+    assert out == COPY_WITNESS_REPORT.format(context="f([])")
+
+
+def _wrapped_copy_spec(tmp_path):
+    """copy_nonaffine with f reading only a new label d, which only the new
+    wrapper w gives (for its argument's a): the copying pair splits only
+    under the two-deep context f(w([]))."""
+    text = desimone.spec_text("copy_nonaffine")
+    for old, new in [
+        ("labels a, b, c\n", "labels a, b, c, d\n"),
+        ("op h : 1\n", "op h : 1\nop w : 1\n"),
+        ("g(y1, y1) when x1 -a-> y1\n", "g(y1, y1) when x1 -d-> y1\n"),
+    ]:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    spec = tmp_path / "wrapped.spec"
+    spec.write_text(text + "rule w(x1) -d-> y1 when x1 -a-> y1\n")
+    return str(spec)
+
+
+def test_congruence_reports_a_witness_beyond_the_depth_one_layer(run, tmp_path):
+    spec = _wrapped_copy_spec(tmp_path)
+    argv = ("congruence", spec, "--size", "7", "--depth", "4", "--seed", "0")
+    code, out, err = run(*argv, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "depth": 4,
+        "equivalent_pairs": 1319469149,
+        "extra_contexts": 100,
+        "passed": False,
+        "seed": 0,
+        "size": 7,
+        "terms": 104265,
+        "violation": {
+            "context": "f(w([]))",
+            "deep_context": True,
+            "left_weight": "1",
+            "pair": [
+                "pre_a(plus(pre_b(nil), pre_c(nil)))",
+                "plus(pre_a(pre_b(nil)), pre_a(pre_c(nil)))",
+            ],
+            "right_weight": "0",
+            "verified": True,
+            "word": "abc",
+        },
+    }
+    code, out, err = run(*argv)
+    assert (code, err) == (1, "")
+    assert out == COPY_WITNESS_REPORT.format(context="f(w([]))") + (
+        "  (found only beyond the depth-1 context layer)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -846,6 +916,24 @@ def test_a_huge_declared_arity_is_refused_before_it_is_enumerated(
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"desimone: {message}\n"
+
+
+def test_an_enumeration_too_large_to_hold_is_refused_before_it_is_built():
+    # 13,092,190 closed terms of size <= 10 would take some 4.7 GB; size 9,
+    # with 1,933,985, still answers
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "desimone", "congruence", path("copy_nonaffine"),
+            "--size", "10", "--depth", "2",
+        ],
+        capture_output=True, text=True, env=_cli_env(), timeout=10,
+        preexec_fn=_limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "desimone: there are 13,092,190 closed terms of size <= 10, "
+        "more than 5,000,000\n"
+    )
 
 
 def test_console_script_smoke():

@@ -8,6 +8,11 @@ A change that alters output on purpose rewrites the pins with
     PYTHONPATH=src python tests/test_output_pins.py --write
 
 and says in its description which commands moved.
+
+A second test checks that the text output is rendered from the payload
+alone: for each pinned text command, and its ``--float`` variant where the
+command has one, the command's ``show`` function prints the text output
+from the parsed ``--json`` payload and the command's flags.
 """
 
 import contextlib
@@ -20,10 +25,11 @@ from itertools import islice
 from pathlib import Path
 
 from desimone import SPEC_NAMES, enumerate_closed_terms, load_spec, print_term, spec_path
-from desimone.cli import main
+from desimone.cli import _build_parser, main
 
 PINS = Path(__file__).with_name("output_pins.json")
 TERMS_PER_SPEC = 6
+FLOAT_COMMANDS = ("step", "traces", "ast")
 
 
 def _terms(spec):
@@ -53,9 +59,9 @@ def commands():
     return [argv + flag for argv in out for flag in ([], ["--json"])]
 
 
-def _digest(argv):
-    """sha256 of ``(argv, exit code, stdout)``. The command runs in the
-    specs' directory, so ``validate`` prints the same path in any checkout."""
+def _run(argv):
+    """``(exit code, stdout)`` of a pinned command. It runs in the specs'
+    directory, so ``validate`` prints the same path in any checkout."""
     command, name, *rest = argv
     stdout = io.StringIO()
     cwd = os.getcwd()
@@ -65,7 +71,12 @@ def _digest(argv):
             code = main([command, f"{name}.spec", *rest])
     finally:
         os.chdir(cwd)
-    record = json.dumps([argv, code, stdout.getvalue()])
+    return code, stdout.getvalue()
+
+
+def _digest(argv):
+    """sha256 of ``(argv, exit code, stdout)``."""
+    record = json.dumps([argv, *_run(argv)])
     return hashlib.sha256(record.encode("utf-8")).hexdigest()
 
 
@@ -78,6 +89,28 @@ def test_cli_output_matches_the_pins():
     got = {_key(argv): _digest(argv) for argv in commands()}
     assert sorted(got) == sorted(pins)
     assert [k for k in got if got[k] != pins[k]] == []
+
+
+def test_each_text_output_is_rendered_from_its_json_payload():
+    # every pinned text command, and with --float where the command has it:
+    # the command's show function, given the parsed --json payload and the
+    # same flags, prints exactly the text output
+    parser = _build_parser()
+    text_commands = [argv for argv in commands() if argv[-1] != "--json"]
+    text_commands += [
+        argv + ["--float"] for argv in text_commands if argv[0] in FLOAT_COMMANDS
+    ]
+    assert len(text_commands) == 192
+    for argv in text_commands:
+        code, text = _run(argv)
+        json_code, out = _run(argv + ["--json"])
+        assert code == json_code, argv
+        command, name, *rest = argv
+        args = parser.parse_args([command, f"{name}.spec", *rest])
+        rendered = io.StringIO()
+        with contextlib.redirect_stdout(rendered):
+            args.show(json.loads(out), args)
+        assert rendered.getvalue() == text, argv
 
 
 if __name__ == "__main__":

@@ -33,7 +33,13 @@ from desimone import (
     substitute,
     term_vars,
 )
-from desimone.terms import parse_tokens, tokenize
+from desimone.terms import (
+    MAX_CLOSED_TERMS,
+    closed_term_counts,
+    closed_terms_by_size,
+    parse_tokens,
+    tokenize,
+)
 from oracles import count_closed_terms, map_leaves, term_key
 
 F = Fraction
@@ -335,6 +341,55 @@ def test_enumeration_counts_match_direct_recursion(de_simone_par, prob_par):
         for size in range(1, 7):
             got = len(list(closed_terms_of_size(signature, size)))
             assert got == count_closed_terms(signature, size)
+
+
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_the_size_recurrence_counts_each_bundled_enumeration(name):
+    signature = load_spec(name).signature
+    expected = [
+        sum(count_closed_terms(signature, n) for n in range(1, bound + 1))
+        for bound in range(1, 12)
+    ]
+    assert list(closed_term_counts(signature, 11)) == expected
+    assert expected[4] == len(list(enumerate_closed_terms(signature, 5)))
+
+
+def test_the_size_recurrence_counts_wide_and_narrow_signatures():
+    for ops in (
+        [("a", 0), ("t", 3), ("b", 0), ("u", 1)],
+        [("k", 0), ("w", 40)],
+        [("k", 0)],
+        [("f", 1)],
+        [],
+    ):
+        signature = Signature(ops)
+        expected = [
+            sum(count_closed_terms(signature, n) for n in range(1, bound + 1))
+            for bound in range(1, 9)
+        ]
+        assert list(closed_term_counts(signature, 8)) == expected
+    # a constant and a unary operator: one term per size, up to a large size
+    *_, last = closed_term_counts(Signature([("k", 0), ("f", 1)]), 2000)
+    assert last == 2000
+
+
+def test_an_enumeration_past_the_bound_is_refused_before_a_term_is_built():
+    # copy_nonaffine has 1,933,985 closed terms of size <= 9 and 13,092,190
+    # of size <= 10; a fresh signature holds no term yet
+    signature = Signature(load_spec("copy_nonaffine").signature.ops.items())
+    assert list(closed_term_counts(signature, 10))[-2:] == [1_933_985, 13_092_190]
+    assert 1_933_985 <= MAX_CLOSED_TERMS < 13_092_190
+    closed_terms_by_size(signature, 9)  # lazy: checks the count, builds nothing
+    for listing in (closed_terms_by_size, enumerate_closed_terms):
+        with pytest.raises(ValueError) as exc:
+            listing(signature, 10)
+        assert str(exc.value) == (
+            "there are 13,092,190 closed terms of size <= 10, more than 5,000,000"
+        )
+    # the count stops at the first size past the bound
+    with pytest.raises(ValueError, match="13,092,190 closed terms of size <= 10,"):
+        closed_terms_by_size(signature, 10**6)
+    assert signature._closed == {}
 
 
 def test_enumeration_is_the_prefix_of_larger_bounds(sig):
