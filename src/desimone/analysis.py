@@ -15,14 +15,17 @@ seeded random one-hole terms, each carrying the path to its hole. By the
 same argument, a context that first steps its hole ``g`` steps in splits
 only one representative per block of bisimilarity up to ``depth - g``.
 Buckets go in enumeration order, so the first reported violation is
-deterministic. With no bucket of two representatives there is nothing to
-split, and the search answers before it builds a context.
+deterministic, and it is verified on the two composites it was found in:
+the path-sum oracle ``trace_direct`` recomputes the word's weight in each.
+With no bucket of two representatives there is nothing to split, and the
+search answers before it builds a context.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import groupby
 
 from .formalsum import STOP, payload_key
 from .opmodel import explore
@@ -30,7 +33,6 @@ from .terms import (
     HOLE,
     Leaf,
     Node,
-    closed_terms_by_size,
     enumerate_closed_terms,
     fold,
     print_term,
@@ -98,6 +100,15 @@ def generate_contexts(spec, count, max_size, seed):
     slots filled with the least closed term), then distinct seeded random
     one-hole contexts up to the size bound. A depth-1 layer of more than
     ``MAX_CONTEXT_SLOTS`` argument slots is refused with ``ValueError``."""
+    return _contexts(spec, count, max_size, seed, ())
+
+
+def _contexts(spec, count, max_size, seed, unbuilt):
+    """``generate_contexts``, with None in place of each depth-1 context of
+    an operator in ``unbuilt``, so every other context keeps its index. Each
+    such operator needs an arity of at least ``max_size``: it then has no
+    closed term up to that size, so no sampled context equals one of its
+    depth-1 contexts, and the draws are deduplicated as with them built."""
     if count < 1:
         raise ValueError("context count must be at least 1")
     sig = spec.signature
@@ -123,6 +134,9 @@ def generate_contexts(spec, count, max_size, seed):
     hole = Leaf(HOLE)
     for op in sig.names():
         arity = sig.arity(op)
+        if op in unbuilt:
+            contexts.extend([None] * arity)
+            continue
         for position in range(arity):
             children = [filler] * arity
             children[position] = hole
@@ -181,43 +195,30 @@ class CongruenceViolation:
         }
 
 
-def _verify_violation(spec, violation, depth):
-    """Recompute the split through the path-sum oracle."""
-    ct = violation.context.apply(violation.left)
-    cs = violation.context.apply(violation.right)
-    a = trace_direct(spec, ct, depth - 1)
-    b = trace_direct(spec, cs, depth - 1)
-    return (
-        a.weight(violation.word) == violation.left_weight
-        and b.weight(violation.word) == violation.right_weight
-        and violation.left_weight != violation.right_weight
-    )
-
-
 def _split_violation(spec, members, context, depth, depth1_clean):
     """First pair of members whose composites' tables differ under context.
 
     The first member is the base; later members' tables are built only up to
     the first one that differs from it.
     """
-    base = trace_bounded(spec, context.apply(members[0]), depth)
+    base = context.apply(members[0])
+    table = trace_bounded(spec, base, depth)
     for t in members[1:]:
-        diff = _first_table_difference(
-            base, trace_bounded(spec, context.apply(t), depth)
-        )
+        composite = context.apply(t)
+        diff = _first_table_difference(table, trace_bounded(spec, composite, depth))
         if diff is not None:
             word, wl, wr = diff
-            v = CongruenceViolation(
+            a, b = (trace_direct(spec, c, depth - 1) for c in (base, composite))
+            return CongruenceViolation(
                 left=members[0],
                 right=t,
                 context=context,
                 word=word,
                 left_weight=wl,
                 right_weight=wr,
+                verified=(a.weight(word), b.weight(word)) == (wl, wr),
                 deep_context=depth1_clean,
             )
-            v.verified = _verify_violation(spec, v, depth)
-            return v
     return None
 
 
@@ -273,7 +274,9 @@ def bisim_blocks(spec, size_bound, depth):
     ``bisim_partition`` places the first term of each new key among the
     first members of the known blocks."""
     blocks, key_blocks, firsts = {}, {}, []
-    for terms in closed_terms_by_size(spec.signature, size_bound):
+    sizes = groupby(enumerate_closed_terms(spec.signature, size_bound), lambda t: t.size)
+    for _, terms in sizes:
+        terms = list(terms)
         keys = [(t.op, tuple(blocks[c] for c in t.children)) for t in terms]
         fresh = {}  # new key -> its first term
         for key, t in zip(keys, terms):
@@ -303,18 +306,15 @@ def fingerprint_buckets(spec, size_bound, depth):
     term's ``depth``-step bisimulation class, so the quotient comes first
     and each block is fingerprinted once.
     """
-    fingerprints = {}  # block -> the fingerprint of its first member
-    buckets = {}
+    buckets = {}  # fingerprint -> (fingerprint, members, representatives)
+    bucket_of = {}  # block -> its bucket, found from its first member
     for t, block in bisim_blocks(spec, size_bound, depth).items():
-        first = block not in fingerprints
-        if first:
-            completed = trace_bounded(spec, t, depth)
-            fingerprints[block] = completed, partial_trace_bounded(spec, t, depth - 1)
-        fp = fingerprints[block]
-        _, members, reps = buckets.setdefault(fp, (fp, [], []))
-        members.append(t)
-        if first:
-            reps.append(t)
+        bucket = bucket_of.get(block)
+        if bucket is None:
+            fp = trace_bounded(spec, t, depth), partial_trace_bounded(spec, t, depth - 1)
+            bucket = bucket_of[block] = buckets.setdefault(fp, (fp, [], []))
+            bucket[2].append(t)
+        bucket[1].append(t)
     return list(buckets.values())
 
 
@@ -348,12 +348,27 @@ def counterexample_search(
         buckets = fingerprint_buckets(spec, size_bound, depth)
     if all(len(reps) < 2 for _, _, reps in buckets):
         return None
-    depth1_arity = sum(spec.signature.arity(op) for op in spec.signature.names())
+    sig = spec.signature
+    depth1_arity = sum(sig.arity(op) for op in sig.names())
     count = depth1_arity + extra_contexts
-    # a signature of constants only has no one-hole context at all
-    contexts = generate_contexts(spec, count, size_bound, seed) if count else []
+    # An operator with no rules steps no argument, so each of its depth-1
+    # contexts has guard ``depth`` and is never checked. Those of an arity
+    # no sampled context can reach are not built. With none to skip, the
+    # call is generate_contexts itself, whose return bench/tracer.py takes
+    # for the start of the split phase.
+    idle = {
+        op for op in sig.names() if sig.arity(op) >= size_bound and not spec.rules_for(op)
+    }
+    if not count:  # a signature of constants only has no one-hole context at all
+        contexts = []
+    elif idle:
+        contexts = _contexts(spec, count, size_bound, seed, idle)
+    else:
+        contexts = generate_contexts(spec, count, size_bound, seed)
     # original positions are kept: they tell the depth-1 layer apart
-    guarded = [(i, c, _hole_guard(spec, c, depth)) for i, c in enumerate(contexts)]
+    guarded = [
+        (i, c, _hole_guard(spec, c, depth)) for i, c in enumerate(contexts) if c is not None
+    ]
     for _, _, reps in buckets:
         if len(reps) < 2:
             continue

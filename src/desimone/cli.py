@@ -548,7 +548,3 @@ def main(argv=None):
     except ValueError as exc:  # a library refusal: a bound or a range
         print(f"desimone: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

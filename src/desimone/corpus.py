@@ -46,12 +46,14 @@ SPEC_NAMES = (
 )
 
 
-def spec_text(name):
+def _bundled(name):
     if name not in SPEC_NAMES:
         raise KeyError(f"unknown bundled spec {name!r}; have {SPEC_NAMES}")
-    return (
-        resources.files("desimone").joinpath(f"specs/{name}.spec").read_text()
-    )
+    return resources.files("desimone").joinpath(f"specs/{name}.spec")
+
+
+def spec_text(name):
+    return _bundled(name).read_text()
 
 
 def load_spec(name):
@@ -60,6 +62,4 @@ def load_spec(name):
 
 def spec_path(name):
     """Filesystem path of a bundled spec (for handing to the CLI)."""
-    if name not in SPEC_NAMES:
-        raise KeyError(f"unknown bundled spec {name!r}; have {SPEC_NAMES}")
-    return str(resources.files("desimone").joinpath(f"specs/{name}.spec"))
+    return str(_bundled(name))

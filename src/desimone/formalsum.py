@@ -1,7 +1,9 @@
 """Finite-support formal sums over a weight semiring, and the behaviour functors.
 
 ``FormalSum`` is the monad T: canonical form keeps nonzero weights only, so
-boolean sums are finite sets and rational sums are weight tables. ``Step``/
+boolean sums are finite sets and rational sums are weight tables. Weights are
+nonnegative, so a merged weight is zero only when each of its parts is: the
+constructor skips zero entries as they arrive and merges in one pass. ``Step``/
 ``STOP`` are the elements of B X = L x X + 1; ``Pure``/``Obs`` tag the
 coproduct B0 X = X + B X, and ``fs_pair_join`` pairs a sum of values with a
 sum of observations under those tags. The law pipeline's distributive laws
@@ -34,13 +36,12 @@ class FormalSum:
         merged = {}
         for payload, weight in entries:
             weight = semiring.check(weight)
-            if payload in merged:
-                merged[payload] = semiring.add(merged[payload], weight)
-            else:
-                merged[payload] = weight
-        cleaned = {p: w for p, w in merged.items() if not semiring.is_zero(w)}
+            if semiring.is_zero(weight):
+                continue
+            seen = merged.get(payload)
+            merged[payload] = weight if seen is None else semiring.add(seen, weight)
         object.__setattr__(self, "semiring", semiring)
-        object.__setattr__(self, "_entries", cleaned)
+        object.__setattr__(self, "_entries", merged)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -238,8 +239,6 @@ def payload_key(x):
             "fs",
             tuple((payload_key(p), payload_key(w)) for p, w in x.sorted_items()),
         )
-    if x is None:
-        return ("none",)
     raise TypeError(f"no canonical order for payload {x!r}")
 
 

@@ -328,29 +328,16 @@ class _RuleParser:
 
 def expand_forall(rule, labels):
     """Ground a rule: its metavariables range independently over the labels."""
-
-    def ground_label(lbl, asg):
-        if isinstance(lbl, str) and lbl.startswith("@"):
-            return asg[lbl]
-        return lbl
-
     out = []
     for combo in itertools.product(labels, repeat=len(rule.forall)):
         asg = dict(zip(rule.forall, combo))
-        premises = tuple(
-            TransPremise(p.index, ground_label(p.label, asg))
-            if isinstance(p, TransPremise)
-            else p
+        premises = _canonical_premises(
+            TransPremise(p.index, asg.get(p.label, p.label))
+            if isinstance(p, TransPremise) else p
             for p in rule.premises
         )
-        out.append(
-            replace(
-                rule,
-                premises=_canonical_premises(premises),
-                label=ground_label(rule.label, asg),
-                forall=(),
-            )
-        )
+        label = asg.get(rule.label, rule.label)
+        out.append(replace(rule, premises=premises, label=label, forall=()))
     return out
 
 

@@ -460,12 +460,13 @@ def closed_term_counts(signature, max_size):
 MAX_CLOSED_TERMS = 5_000_000  # about 1.8 GB at some 360 bytes per term
 
 
-def closed_terms_by_size(signature, max_size):
-    """``closed_terms_of_size`` for each size 1..``max_size``, in order.
+def enumerate_closed_terms(signature, max_size):
+    """Closed terms of size <= max_size, size-ascending, no duplicates.
 
-    Every listing of the enumeration comes through here. One of more than
-    ``MAX_CLOSED_TERMS`` terms is refused with ``ValueError`` before any
-    term is built; the count stops at the first size that passes the bound.
+    The one listing of the enumeration, ``closed_terms_of_size`` for each
+    size in turn, built as it is read. One of more than ``MAX_CLOSED_TERMS``
+    terms is refused with ``ValueError`` at the call, before any term is
+    built; the count stops at the first size that passes the bound.
     """
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
@@ -475,9 +476,5 @@ def closed_terms_by_size(signature, max_size):
                 f"there are {count:,} closed terms of size <= {size}, "
                 f"more than {MAX_CLOSED_TERMS:,}"
             )
-    return (closed_terms_of_size(signature, size) for size in range(1, max_size + 1))
-
-
-def enumerate_closed_terms(signature, max_size):
-    """Closed terms of size <= max_size, size-ascending, no duplicates."""
-    return chain.from_iterable(closed_terms_by_size(signature, max_size))
+    sizes = range(1, max_size + 1)
+    return chain.from_iterable(closed_terms_of_size(signature, s) for s in sizes)

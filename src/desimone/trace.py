@@ -36,15 +36,19 @@ from .opmodel import explore, model_cache, step
 from .terms import Node
 
 
+def _check_table_args(caller, term, bound_name, bound):
+    if not isinstance(term, Node):
+        raise TypeError(f"{caller} needs a closed term, got {term!r}")
+    if bound < 0:
+        raise ValueError(f"{bound_name} must be >= 0")
+
+
 def trace_bounded(spec, term, depth):
     """The depth-th iterate of the trace functional from the empty table.
 
     Contains exactly the completed traces of length <= depth - 1.
     """
-    if not isinstance(term, Node):
-        raise TypeError(f"trace_bounded needs a closed term, got {term!r}")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    _check_table_args("trace_bounded", term, "depth", depth)
     return _bounded(spec, term, depth, model_cache(spec).trace, partial=False)
 
 
@@ -55,10 +59,7 @@ def partial_trace_bounded(spec, term, max_len):
     table this is everything a depth-bounded context can observe of a term,
     which is why the congruence machinery fingerprints on both.
     """
-    if not isinstance(term, Node):
-        raise TypeError(f"partial_trace_bounded needs a closed term, got {term!r}")
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
+    _check_table_args("partial_trace_bounded", term, "max_len", max_len)
     return _bounded(spec, term, max_len, model_cache(spec).partial, partial=True)
 
 
@@ -91,10 +92,7 @@ def _bounded(spec, term, n, memo, partial):
 
 def trace_direct(spec, term, max_len):
     """Word weights summed over explicit transition paths of length <= max_len."""
-    if not isinstance(term, Node):
-        raise TypeError(f"trace_direct needs a closed term, got {term!r}")
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
+    _check_table_args("trace_direct", term, "max_len", max_len)
     sr = spec.semiring
     entries = []
 

@@ -437,7 +437,7 @@ SPEC_LABELS = ("a", "b")
 NORMALISED_SPLITS = (("1",), ("1/2", "1/2"), ("1/4", "1/4", "1/2"), ("1/3", "1/3", "1/3"))
 
 
-def random_valid_spec(rng, normalised=False):
+def random_valid_spec(rng, normalised=False, copying=False):
     """Text of a random spec inside the format, drawn from ``rng``.
 
     Two to four operators, the first a constant so that closed terms exist,
@@ -455,17 +455,17 @@ def random_valid_spec(rng, normalised=False):
     ``i``, the pair ``-@l[w]-> T when xi -@l-> yi forall @l`` and
     ``-[w]-> * when xi -> *``, which passes on ``w`` times the argument's
     mass of 1.
+
+    ``copying`` draws specs just outside the format instead, shaped like
+    ``copy_nonaffine``; see ``_copying_spec``.
     """
+    if copying:
+        return _copying_spec(rng)
     weighted = normalised or rng.random() < 0.5
     ops = [("k0", 0)] + [
         (f"f{i}", rng.randint(0, 2)) for i in range(1, rng.randint(2, 4))
     ]
-    if weighted:
-        lines = ["dialect weighted", "semiring rational"]
-    else:
-        lines = ["dialect desimone", "semiring boolean"]
-    lines.append("labels " + ", ".join(SPEC_LABELS))
-    lines += [f"op {name} : {arity}" for name, arity in ops]
+    lines = _spec_header(weighted, ops)
     for name, arity in ops:
         if normalised:
             for weight in rng.choice(NORMALISED_SPLITS):
@@ -473,6 +473,55 @@ def random_valid_spec(rng, normalised=False):
             continue
         for _ in range(rng.randint(0, 2)):
             lines.append(_random_rule(rng, ops, name, arity, weighted))
+    return "\n".join(lines) + "\n"
+
+
+def _spec_header(weighted, ops):
+    """The dialect, semiring, label and operator lines of a random spec."""
+    if weighted:
+        lines = ["dialect weighted", "semiring rational"]
+    else:
+        lines = ["dialect desimone", "semiring boolean"]
+    lines.append("labels " + ", ".join(SPEC_LABELS))
+    return lines + [f"op {name} : {arity}" for name, arity in ops]
+
+
+def _copying_spec(rng):
+    """A spec whose one non-affine rule, ``cp(x1) -l-> tst(y1, y1) when
+    x1 -l-> y1``, copies a successor into both positions of ``tst``, whose
+    rule then tests the first position with one label and the second with
+    the other. A constant ``e<m>`` stepping ``m`` to ``k0`` per label ``m``,
+    a prefix ``p`` stepping ``l`` and a choice ``plus`` build the
+    trace-equivalent pair ``p(plus(ea, eb))`` and ``plus(p(ea), p(eb))``,
+    which ``cp`` splits. In weighted specs ``k0`` stops and ``plus`` weighs
+    each side 1/2, so the pair also agrees on partial traces. Zero to two
+    random format-valid rules follow, which may break the pair or split
+    another.
+    """
+    weighted = rng.random() < 0.5
+    w = (lambda: f"[{rng.choice(SPEC_WEIGHTS)}]") if weighted else (lambda: "")
+    half = "[1/2]" if weighted else ""
+    ops = [("k0", 0)] + [(f"e{m}", 0) for m in SPEC_LABELS]
+    ops += [("p", 1), ("plus", 2), ("cp", 1), ("tst", 2)]
+    lines = _spec_header(weighted, ops)
+    if weighted:
+        lines.append(f"rule k0 -{w()}-> *")
+    lines += [f"rule e{m} -{m}{w()}-> k0" for m in SPEC_LABELS]
+    lines += [
+        f"rule plus(x1, x2) -@l{half}-> y{i} when x{i} -@l-> y{i} forall @l"
+        for i in (1, 2)
+    ]
+    copied = rng.choice(SPEC_LABELS)
+    first, second = rng.sample(SPEC_LABELS, 2)
+    lines += [
+        f"rule p(x1) -{copied}{w()}-> x1",
+        f"rule cp(x1) -{copied}{w()}-> tst(y1, y1) when x1 -{copied}-> y1",
+        f"rule tst(x1, x2) -{rng.choice(SPEC_LABELS)}{w()}-> k0 "
+        f"when x1 -{first}-> y1, x2 -{second}-> y2",
+    ]
+    for _ in range(rng.randint(0, 2)):
+        name, arity = rng.choice(ops)
+        lines.append(_random_rule(rng, ops, name, arity, weighted))
     return "\n".join(lines) + "\n"
 
 

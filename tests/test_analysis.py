@@ -512,6 +512,28 @@ def test_random_normalised_specs_are_probabilistic_and_compositional():
         assert naturality_check(spec, 2).passed, text
 
 
+def test_random_copying_specs_break_naturality_and_congruence():
+    """The other side of the theorem: a rule that copies a successor into
+    two positions tested by different labels breaks the law's naturality on
+    every spec of the copying family, and every congruence witness the
+    search reports is verified by the path-sum oracle. The family plants a
+    pair that the copy splits at size 5, depth 3; 14 of these 16 specs yield
+    a witness there, and on the other two the random extra rules break the
+    pair."""
+    rng = random.Random(0)
+    found = 0
+    for _ in range(16):
+        text = random_valid_spec(rng, copying=True)
+        spec = parse_spec(text)
+        assert "affine-target" in {v.condition for v in format_errors(spec)}, text
+        assert not naturality_check(spec, 2).passed, text
+        violation = counterexample_search(spec, 5, 3)
+        if violation is not None:
+            assert violation.verified, text
+            found += 1
+    assert found >= 14
+
+
 def test_search_refuses_a_negative_context_count(copy_nonaffine):
     # fewer contexts than the depth-1 layer would lose the f([]) witness
     with pytest.raises(ValueError, match="extra_contexts"):
@@ -668,6 +690,48 @@ def test_guarded_search_matches_the_unguarded_loop_on_mutated_specs():
         assert results[0] == results[1], text
         outcomes["refused" if isinstance(results[1], str) else "answered"] += 1
     assert min(outcomes.values()) > 0
+
+
+# the pair p(plus(ea, eb)) / plus(p(ea), p(eb)) splits only under a context
+# that reaches cp through w; r and s have no rules
+IDLE_OPERATORS = """\
+dialect desimone
+semiring boolean
+labels a, b, d
+op k0 : 0
+op ea : 0
+op eb : 0
+op p : 1
+op plus : 2
+op r : 5
+op s : 3
+op cp : 1
+op tst : 2
+op w : 1
+rule ea -a-> k0
+rule eb -b-> k0
+rule p(x1) -a-> x1
+rule plus(x1, x2) -@l-> y1 when x1 -@l-> y1 forall @l
+rule plus(x1, x2) -@l-> y2 when x2 -@l-> y2 forall @l
+rule cp(x1) -a-> tst(y1, y1) when x1 -d-> y1
+rule tst(x1, x2) -a-> k0 when x1 -a-> y1, x2 -b-> y2
+rule w(x1) -d-> y1 when x1 -a-> y1
+"""
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_no_context_is_built_for_an_operator_without_rules_past_the_size(depth):
+    # at size 5 no sampled context holds r, so the search builds none of
+    # its depth-1 contexts and steps no r-term; s is sampled, so its own
+    # are built, and every other context keeps its place and its flag
+    guarded, unguarded = parse_spec(IDLE_OPERATORS), parse_spec(IDLE_OPERATORS)
+    found = counterexample_search(guarded, 5, depth)
+    assert found.deep_context and found.verified
+    assert found.describe(guarded) == unguarded_search(unguarded, 5, depth).describe(
+        unguarded
+    )
+    assert all(t.op != "r" for t in model_cache(guarded).step)
+    assert any(t.op == "r" for t in model_cache(unguarded).step)
 
 
 def test_prob_search_tables_only_what_its_guards_let_through():

@@ -3,8 +3,8 @@
 Everything runs in-process through ``main(argv)`` except the subprocess
 tests: a smoke test for the console-script entry point declared in
 pyproject.toml, a reader that closes stdout early, ``validate`` under two
-hash seeds, and the refusals of inputs too wide to enumerate, run under an
-address-space limit.
+hash seeds, and, under an address-space limit, the refusals of inputs too
+wide to enumerate and a search past an operator with no rules.
 """
 
 import json
@@ -725,6 +725,119 @@ def test_a_fired_rule_with_an_unbound_target_variable_is_refused(
 
 # --- error routing ----------------------------------------------------------
 
+# --- output paths the bundled specs do not reach --------------------------
+
+TICKS = """\
+dialect weighted
+semiring rational
+labels tick, tock
+op nil : 0
+op t : 1
+rule nil -[1]-> *
+rule t(x1) -tick[1/4]-> x1
+rule t(x1) -tock[1/4]-> x1
+rule t(x1) -[1/2]-> *
+"""
+
+
+def test_words_over_multi_character_labels_are_dotted(run, tmp_path):
+    spec = tmp_path / "ticks.spec"
+    spec.write_text(TICKS)
+    code, out, err = run("traces", str(spec), "t(t(nil))", "--depth", "3", "--oracle")
+    assert (code, err) == (0, "")
+    table = [
+        "  (empty)      1/2",
+        "  tick         1/8",
+        "  tock         1/8",
+        "  tick.tick    1/16",
+        "  tick.tock    1/16",
+        "  tock.tick    1/16",
+        "  tock.tock    1/16",
+    ]
+    assert out.splitlines() == [
+        "completed traces of t(t(nil)) at depth 3:", *table, "mass: 1",
+        "path-sum oracle:", *table, "agree: yes",
+    ]
+
+
+def test_traces_at_depth_zero_with_the_oracle_are_empty(run, tmp_path):
+    spec = tmp_path / "ticks.spec"
+    spec.write_text(TICKS)
+    code, out, err = run("traces", str(spec), "t(nil)", "--depth", "0", "--oracle")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "completed traces of t(nil) at depth 0:",
+        "  (no completed traces)",
+        "mass: 0",
+        "path-sum oracle:",
+        "  (no completed traces)",
+        "agree: yes",
+    ]
+    code, out, _ = run("traces", str(spec), "t(nil)", "--depth", "0", "--oracle", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "agree": True, "depth": 0, "mass": "0", "oracle": [], "term": "t(nil)",
+        "traces": [],
+    }
+
+
+def test_a_spec_whose_only_finding_is_a_warning_is_valid(run, tmp_path):
+    spec = tmp_path / "inf.spec"
+    spec.write_text(
+        "dialect weighted\nsemiring rational\nlabels a\nop nil : 0\n"
+        "rule nil -[inf]-> *\n"
+    )
+    code, out, err = run("validate", str(spec))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"{spec}: dialect weighted, semiring rational, labels a, ops nil/0, "
+        "1 ground rules",
+        "  line 5 warning weight-inf: infinite rule weight",
+        "    in rule: nil -[inf]-> *",
+        "valid with 1 warnings",
+    ]
+
+
+def test_a_naturality_witness_can_observe_termination(run, tmp_path):
+    spec = tmp_path / "stop.spec"
+    spec.write_text(
+        "dialect weighted\nsemiring rational\nlabels a\nop nil : 0\nop f : 2\n"
+        "rule nil -[1]-> *\nrule f(x1, x2) -a[1]-> f(x2, x2) when x1 -> *\n"
+    )
+    code, out, err = run("naturality", str(spec), "--carrier", "2")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "naturality fails on carrier (x0, x1) over affine sums (input 112):",
+        "  operator f",
+        "  argument 1: observed termination",
+        "  argument 2: pure {x0: 1/4, x1: 3/4}",
+        "  law first, then distribute:",
+        "    -a-> f(x0, x0)  [1/16]",
+        "    -a-> f(x0, x1)  [3/16]",
+        "    -a-> f(x1, x0)  [3/16]",
+        "    -a-> f(x1, x1)  [9/16]",
+        "  distribute arguments first, then law:",
+        "    -a-> f(x0, x0)  [1/4]",
+        "    -a-> f(x1, x1)  [3/4]",
+    ]
+    code, out, _ = run("naturality", str(spec), "--carrier", "2", "--json")
+    assert code == 1
+    assert json.loads(out)["witness"]["args"] == [
+        {"kind": "stop"},
+        {"kind": "pure", "sum": [
+            {"value": "x0", "weight": "1/4"}, {"value": "x1", "weight": "3/4"},
+        ]},
+    ]
+
+
+def test_an_empty_spec_misses_its_dialect_declaration(run, tmp_path):
+    spec = tmp_path / "empty.spec"
+    spec.write_text("")
+    code, out, err = run("validate", str(spec))
+    assert (code, out) == (2, "")
+    assert err == f"desimone: {spec}: missing dialect declaration\n"
+
+
 def test_missing_spec_file_is_a_usage_error(run):
     code, out, err = run("validate", "/does/not/exist.spec")
     assert code == 2 and out == ""
@@ -882,9 +995,9 @@ def test_validate_lists_violations_in_the_same_order_under_any_hash_seed(tmp_pat
     assert [f.split()[0] for f in fragments] == ["y2", "x3", "x1"]
 
 
-def _limit_memory():
-    gib = 1 << 30
-    resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+def _limit_memory(mib=1024):
+    limit = mib << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 @pytest.mark.parametrize(
@@ -916,6 +1029,27 @@ def test_a_huge_declared_arity_is_refused_before_it_is_enumerated(
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"desimone: {message}\n"
+
+
+def test_an_operator_without_rules_gets_no_depth_one_contexts_built(tmp_path):
+    # each of the 10,000 depth-1 contexts of p would hold 10,000 children,
+    # some 800 MB in all, and none steps its hole; under 256 MiB of address
+    # space the search answers without them
+    spec = tmp_path / "idle.spec"
+    spec.write_text(desimone.spec_text("prob_par") + "op p : 10000\n")
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "desimone", "congruence", str(spec),
+            "--size", "4", "--depth", "3",
+        ],
+        capture_output=True, text=True, env=_cli_env(), timeout=10,
+        preexec_fn=lambda: _limit_memory(256),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "no congruence violation: 22 terms of size <= 4, "
+        "9 trace-equivalent pairs at depth 3, seed 0\n"
+    )
 
 
 def test_an_enumeration_too_large_to_hold_is_refused_before_it_is_built():
