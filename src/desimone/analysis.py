@@ -11,7 +11,9 @@ enumeration is quotiented size by size, stepping one term per operator and
 tuple of child blocks, and no deeper than the tables look. That gives one
 trace fingerprint per block, and buckets of equal fingerprints whose block
 representatives are split by contexts: the complete depth-1 layer, then
-seeded random one-hole terms, each carrying the path to its hole. By the
+seeded random one-hole terms, each carrying the path to its hole, all made
+by one ``generate_contexts`` call, which leaves ``unbuilt`` the depth-1
+contexts of rule-less operators too wide for a sampled context. By the
 same argument, a context that first steps its hole ``g`` steps in splits
 only one representative per block of bisimilarity up to ``depth - g``.
 Buckets go in enumeration order, so the first reported violation is
@@ -89,29 +91,27 @@ def _first_table_difference(a, b):
     for w in words:
         if a.weight(w) != b.weight(w):
             return w, a.weight(w), b.weight(w)
-    return None
 
 
 MAX_CONTEXT_SLOTS = 120_000_000
 
 
-def generate_contexts(spec, count, max_size, seed):
+def generate_contexts(spec, count, max_size, seed, *, unbuilt=()):
     """Depth-1 contexts first (every operator, every hole position, remaining
     slots filled with the least closed term), then distinct seeded random
     one-hole contexts up to the size bound. A depth-1 layer of more than
-    ``MAX_CONTEXT_SLOTS`` argument slots is refused with ``ValueError``."""
-    return _contexts(spec, count, max_size, seed, ())
-
-
-def _contexts(spec, count, max_size, seed, unbuilt):
-    """``generate_contexts``, with None in place of each depth-1 context of
-    an operator in ``unbuilt``, so every other context keeps its index. Each
-    such operator needs an arity of at least ``max_size``: it then has no
-    closed term up to that size, so no sampled context equals one of its
+    ``MAX_CONTEXT_SLOTS`` argument slots is refused with ``ValueError``.
+    Each depth-1 context of an operator in ``unbuilt`` is None, so every
+    other context keeps its index. Such an operator must have no rules and
+    an arity of at least ``max_size`` (else ``ValueError``): then no closed
+    term up to that size has it, no sampled context equals one of its
     depth-1 contexts, and the draws are deduplicated as with them built."""
     if count < 1:
         raise ValueError("context count must be at least 1")
     sig = spec.signature
+    for op in unbuilt:
+        if spec.rules_for(op) or sig.arity(op) < max_size:
+            raise ValueError(f"cannot leave out the depth-1 contexts of {op}")
     slots = sum(sig.arity(op) ** 2 for op in sig.names())
     if slots > MAX_CONTEXT_SLOTS:
         raise ValueError(
@@ -154,7 +154,7 @@ def _contexts(spec, count, max_size, seed, unbuilt):
         path = rng.choice([p for p in _node_paths(host) if p])
         drawn.add((host, path))
         add(_replace_at(host, path, hole), path)
-    return contexts[:count] if len(contexts) > count else contexts
+    return contexts[:count]
 
 
 def _node_paths(t):
@@ -180,8 +180,8 @@ class CongruenceViolation:
     word: tuple
     left_weight: object
     right_weight: object
-    verified: bool = False
-    deep_context: bool = False  # split found beyond the depth-1 layer only
+    verified: bool
+    deep_context: bool  # split found beyond the depth-1 layer only
 
     def describe(self, spec):
         return {
@@ -353,18 +353,14 @@ def counterexample_search(
     count = depth1_arity + extra_contexts
     # An operator with no rules steps no argument, so each of its depth-1
     # contexts has guard ``depth`` and is never checked. Those of an arity
-    # no sampled context can reach are not built. With none to skip, the
-    # call is generate_contexts itself, whose return bench/tracer.py takes
-    # for the start of the split phase.
+    # no sampled context can reach are not built.
     idle = {
         op for op in sig.names() if sig.arity(op) >= size_bound and not spec.rules_for(op)
     }
     if not count:  # a signature of constants only has no one-hole context at all
         contexts = []
-    elif idle:
-        contexts = _contexts(spec, count, size_bound, seed, idle)
     else:
-        contexts = generate_contexts(spec, count, size_bound, seed)
+        contexts = generate_contexts(spec, count, size_bound, seed, unbuilt=idle)
     # original positions are kept: they tell the depth-1 layer apart
     guarded = [
         (i, c, _hole_guard(spec, c, depth)) for i, c in enumerate(contexts) if c is not None

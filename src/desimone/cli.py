@@ -35,8 +35,8 @@ from dataclasses import asdict
 
 from .analysis import counterexample_search, fingerprint_buckets, first_difference
 from .formalsum import STOP, Pure, fs_empty, fs_total
-from .law import naturality_check
-from .opmodel import step, step_law
+from .law import naturality_check, step_law
+from .opmodel import step
 from .rulespec import RuleTargetError, SpecParseError, parse_spec, validate_format
 from .terms import TermSyntaxError, parse_term, print_term
 from .trace import ast_estimate, trace_bounded, trace_direct, word_to_str

@@ -6,9 +6,10 @@ rule loop for both dialects: the desimone dialect only adds the stop every
 state observes, and answers an observed termination with the stop alone.
 ``bar_rho_step`` is the composite law on behaviour-carrying arguments,
 assembled literally from unit, pairing, argument distribution, rule
-application and flattening, in that order; ``opmodel.step_law`` extends it
-to closed terms. ``naturality_check`` enumerates the two evaluation orders of
-the affineness square and reports the first input on which they disagree.
+application and flattening, in that order; ``step_law`` folds it over a
+closed term, the canonical model that checks the engine ``opmodel.step``.
+``naturality_check`` enumerates the two evaluation orders of the affineness
+square and reports the first input on which they disagree.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .formalsum import (
     fs_unit,
     payload_key,
 )
-from .terms import Leaf, Var
+from .terms import Leaf, Var, fold, graft
 
 
 def _decompose(args):
@@ -113,6 +114,23 @@ def bar_rho_step(spec, op, pairs):
     sr = spec.semiring
     arg_sums = [fs_pair_join(fs_unit(sr, x), behaviour) for x, behaviour in pairs]
     return _distribute_and_apply(spec, op, arg_sums)
+
+
+def step_law(spec, term):
+    """``opmodel.step``'s behaviour by structural recursion through the law.
+
+    The oracle for ``step``: a fold whose node step runs ``bar_rho_step`` on
+    the children's behaviours and grafts the two term layers flat.
+    """
+
+    def leaf(payload):
+        raise TypeError(f"step_law needs a closed term, got {Leaf(payload)!r}")
+
+    def node(n, behaviours):
+        stepped = bar_rho_step(spec, n.op, list(zip(n.children, behaviours)))
+        return fs_map(lambda e: belem_map(e, graft), stepped)
+
+    return fold(term, leaf, node)
 
 
 def _distribute_and_apply(spec, op, arg_sums):

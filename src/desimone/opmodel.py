@@ -5,11 +5,10 @@ term's transitions rule by rule from the inductive reading of the format:
 each premise independently picks a matching entry of its argument's
 (recursively stepped) behaviour, and a combination contributes the rule
 weight times the premise weights. An argument that no rule of its
-operator premises is never stepped: it only moves into targets. ``step_law``
-is its oracle: the canonical model, a ``terms.fold`` through the composite
-law (``bar_rho_step``), sharing none of the engine's reading of the rules so
-the two can check each other. Only ``step`` memoizes, per spec in
-``model_cache``.
+operator premises is never stepped: it only moves into targets. ``step``
+memoizes, per spec in ``model_cache``. Its oracle is ``law.step_law``, which
+reaches the same behaviour through the composite law and shares none of this
+reading of the rules, so this module imports nothing from ``law``.
 
 ``explore`` is the one breadth-first walk over the states reachable from a
 set of roots: ``check_probabilistic``, bisimulation and the termination
@@ -23,18 +22,9 @@ import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .formalsum import (
-    STOP,
-    FormalSum,
-    Step,
-    belem_map,
-    fs_map,
-    fs_total,
-    is_affine,
-)
-from .law import bar_rho_step
+from .formalsum import STOP, FormalSum, Step, fs_total, is_affine
 from .rulespec import TermPremise
-from .terms import Leaf, Node, Var, enumerate_closed_terms, fold, graft, print_term
+from .terms import Node, Var, enumerate_closed_terms, print_term
 
 
 class ModelCache:
@@ -138,23 +128,6 @@ def _step(spec, term, memo):
 
     result = memo[term] = FormalSum(sr, entries)
     return result
-
-
-def step_law(spec, term):
-    """The same behaviour by structural recursion through the composite law.
-
-    The oracle for ``step``: a fold whose node step runs ``bar_rho_step`` on
-    the children's behaviours and grafts the two term layers flat.
-    """
-
-    def leaf(payload):
-        raise TypeError(f"step_law needs a closed term, got {Leaf(payload)!r}")
-
-    def node(n, behaviours):
-        stepped = bar_rho_step(spec, n.op, list(zip(n.children, behaviours)))
-        return fs_map(lambda e: belem_map(e, graft), stepped)
-
-    return fold(term, leaf, node)
 
 
 class Walk(NamedTuple):

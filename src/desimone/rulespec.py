@@ -147,8 +147,8 @@ class Violation:
     rule: str
     condition: str
     fragment: str
-    severity: str = "error"
-    line: int = 0
+    severity: str
+    line: int
 
 
 class RuleSpec:

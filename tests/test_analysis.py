@@ -734,6 +734,40 @@ def test_no_context_is_built_for_an_operator_without_rules_past_the_size(depth):
     assert any(t.op == "r" for t in model_cache(unguarded).step)
 
 
+@pytest.mark.parametrize("name, size, depth", [("idle", 5, 3), ("prob_par", 5, 4)])
+def test_a_search_makes_its_contexts_in_one_call(monkeypatch, name, size, depth):
+    # also when it leaves the depth-1 contexts of r unbuilt
+    import desimone.analysis as analysis_module
+
+    spec = parse_spec(IDLE_OPERATORS) if name == "idle" else load_spec(name)
+    calls = []
+    contexts = analysis_module.generate_contexts
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("unbuilt", ()))
+        return contexts(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_module, "generate_contexts", counting)
+    counterexample_search(spec, size, depth)
+    assert len(calls) == 1
+    assert set(calls[0]) == ({"r"} if name == "idle" else set())
+
+
+@pytest.mark.parametrize("op, size", [("plus", 2), ("s", 5)])
+def test_contexts_a_check_could_use_cannot_be_left_unbuilt(op, size):
+    # plus has rules, and s has none but an arity below the size bound, so
+    # a sampled context could hold s and be deduplicated against its own
+    spec = parse_spec(IDLE_OPERATORS)
+    with pytest.raises(ValueError, match=f"depth-1 contexts of {op}$"):
+        generate_contexts(spec, 30, size, 0, unbuilt={op})
+    # r has no rules and no closed term of size <= 5: each of its slots is
+    # None, and every other context is the one built with them
+    built = generate_contexts(spec, 30, 5, 0)
+    assert generate_contexts(spec, 30, 5, 0, unbuilt={"r"}) == [
+        None if c.term.op == "r" else c for c in built
+    ]
+
+
 def test_prob_search_tables_only_what_its_guards_let_through():
     spec = load_spec("prob_par")  # fresh, so the memo counts this search
     buckets = fingerprint_buckets(spec, 7, 5)

@@ -402,6 +402,54 @@ def test_congruence_over_constants_only_has_no_context_to_try(run):
     )
 
 
+# c1 and c2 both have the traces ab and ac, and c1 alone moves to a state
+# offering both b and c: trace-equivalent, not bisimilar
+BRANCHING_CONSTANTS = """\
+dialect desimone
+semiring boolean
+labels a, b, c
+op c1 : 0
+op c2 : 0
+op d1 : 0
+op d2 : 0
+op d3 : 0
+op nil : 0
+rule c1 -a-> d1
+rule d1 -b-> nil
+rule d1 -c-> nil
+rule c2 -a-> d2
+rule c2 -a-> d3
+rule d2 -b-> nil
+rule d3 -c-> nil
+"""
+
+
+def test_congruence_over_constants_only_splits_a_bucket_with_no_context(
+    run, tmp_path
+):
+    # the bucket {c1, c2} has two representatives, so the search goes on to
+    # split it, and over constants only there is no context to do it with
+    spec = tmp_path / "branching.spec"
+    spec.write_text(BRANCHING_CONSTANTS)
+    parsed = desimone.parse_spec(BRANCHING_CONSTANTS)
+    buckets = desimone.fingerprint_buckets(parsed, 1, 3)
+    assert [len(reps) for _, _, reps in buckets if len(reps) > 1] == [2]
+    argv = ("congruence", str(spec), "--size", "1", "--depth", "3", "--contexts", "0")
+    code, out, err = run(*argv)
+    assert (code, err) == (0, "")
+    assert out == (
+        "no congruence violation: 6 terms of size <= 1, "
+        "1 trace-equivalent pairs at depth 3, seed 0\n"
+    )
+    code, out, err = run(*argv, "--json")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "depth": 3,\n  "equivalent_pairs": 1,\n  "extra_contexts": 0,\n'
+        '  "passed": true,\n  "seed": 0,\n  "size": 1,\n  "terms": 6,\n'
+        '  "violation": null\n}\n'
+    )
+
+
 NO_CLOSED_TERMS = (
     "dialect desimone\nsemiring boolean\nlabels a\nop f : 1\nrule f(x1) -a-> x1\n"
 )

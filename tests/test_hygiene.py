@@ -1,6 +1,7 @@
 """Source hygiene: no uncalled functions, no unread module-level names, no
 unread imports, a package ``__all__`` that lists exactly what the package
-imports, and recursion only in the functions an allowlist names.
+imports, recursion only in the functions an allowlist names, and no module
+below the command line that imports the law pipeline.
 
 The checks read syntax trees with ``ast``; nothing is imported or run. A
 package function counts as called only when the package, the demos or the
@@ -152,3 +153,27 @@ def test_only_the_allowed_functions_recurse():
                     found.add(scope)
             todo.extend((child, scope) for child in ast.iter_child_nodes(node))
     assert found == RECURSIVE
+
+
+# The law pipeline is the oracle for the engine: only the command line and
+# the package namespace, which offer both, may import it.
+LAW_IMPORTERS = {"cli", "__init__"}
+
+
+def _imported(node):
+    """The dotted names an import binds, a relative one read from the package."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = (["desimone"] if node.level else []) + (node.module or "").split(".")
+    return [".".join(filter(None, base + [alias.name])) for alias in node.names]
+
+
+def test_only_the_command_line_imports_the_law_pipeline():
+    importers = set()
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                name.split(".")[:2] == ["desimone", "law"] for name in _imported(node)
+            ):
+                importers.add(path.stem)
+    assert importers == LAW_IMPORTERS
