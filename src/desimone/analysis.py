@@ -12,8 +12,8 @@ tuple of child blocks, and no deeper than the tables look. That gives one
 trace fingerprint per block, and buckets of equal fingerprints whose block
 representatives are split by contexts: the complete depth-1 layer, then
 seeded random one-hole terms, each carrying the path to its hole, all made
-by one ``generate_contexts`` call, which leaves ``unbuilt`` the depth-1
-contexts of rule-less operators too wide for a sampled context. By the
+by one ``generate_contexts`` call, which leaves None the depth-1 contexts
+of rule-less operators too wide for a sampled context. By the
 same argument, a context that first steps its hole ``g`` steps in splits
 only one representative per block of bisimilarity up to ``depth - g``.
 Buckets go in enumeration order, so the first reported violation is
@@ -96,23 +96,23 @@ def _first_table_difference(a, b):
 MAX_CONTEXT_SLOTS = 120_000_000
 
 
-def generate_contexts(spec, count, max_size, seed, *, unbuilt=()):
+def generate_contexts(spec, count, max_size, seed):
     """Depth-1 contexts first (every operator, every hole position, remaining
     slots filled with the least closed term), then distinct seeded random
-    one-hole contexts up to the size bound. A depth-1 layer of more than
-    ``MAX_CONTEXT_SLOTS`` argument slots is refused with ``ValueError``.
-    Each depth-1 context of an operator in ``unbuilt`` is None, so every
-    other context keeps its index. Such an operator must have no rules and
-    an arity of at least ``max_size`` (else ``ValueError``): then no closed
-    term up to that size has it, no sampled context equals one of its
-    depth-1 contexts, and the draws are deduplicated as with them built."""
-    if count < 1:
-        raise ValueError("context count must be at least 1")
+    one-hole contexts up to the size bound. Every caller gets None for each
+    depth-1 context of an operator with no rules and an arity of at least
+    ``max_size``: none steps its hole or can equal a sampled context, so the
+    draws and every other index are as with it built. More than
+    ``MAX_CONTEXT_SLOTS`` built argument slots are refused (``ValueError``)."""
+    if count < 0:
+        raise ValueError("context count must be >= 0")
+    if not count:
+        return []
     sig = spec.signature
-    for op in unbuilt:
-        if spec.rules_for(op) or sig.arity(op) < max_size:
-            raise ValueError(f"cannot leave out the depth-1 contexts of {op}")
-    slots = sum(sig.arity(op) ** 2 for op in sig.names())
+    unbuilt = {
+        op for op in sig.names() if sig.arity(op) >= max_size and not spec.rules_for(op)
+    }
+    slots = sum(sig.arity(op) ** 2 for op in sig.names() if op not in unbuilt)
     if slots > MAX_CONTEXT_SLOTS:
         raise ValueError(
             f"the depth-1 context layer needs {slots:,} argument slots, "
@@ -350,17 +350,7 @@ def counterexample_search(
         return None
     sig = spec.signature
     depth1_arity = sum(sig.arity(op) for op in sig.names())
-    count = depth1_arity + extra_contexts
-    # An operator with no rules steps no argument, so each of its depth-1
-    # contexts has guard ``depth`` and is never checked. Those of an arity
-    # no sampled context can reach are not built.
-    idle = {
-        op for op in sig.names() if sig.arity(op) >= size_bound and not spec.rules_for(op)
-    }
-    if not count:  # a signature of constants only has no one-hole context at all
-        contexts = []
-    else:
-        contexts = generate_contexts(spec, count, size_bound, seed, unbuilt=idle)
+    contexts = generate_contexts(spec, depth1_arity + extra_contexts, size_bound, seed)
     # original positions are kept: they tell the depth-1 layer apart
     guarded = [
         (i, c, _hole_guard(spec, c, depth)) for i, c in enumerate(contexts) if c is not None

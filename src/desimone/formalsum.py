@@ -59,9 +59,6 @@ class FormalSum:
     def payloads(self):
         return self._entries.keys()
 
-    def __contains__(self, payload):
-        return payload in self._entries
-
     def __len__(self):
         return len(self._entries)
 

@@ -135,7 +135,10 @@ class Walk(NamedTuple):
 
     order: list  # states in breadth-first order
     behaviours: dict  # expanded state -> its memoized ``step`` behaviour
-    closed: bool  # every known state expanded, and no more than the cap
+    closed: bool  # every known state expanded, and within both bounds
+
+
+MAX_WALK_NODES = 1_000_000
 
 
 def explore(spec, roots, horizon, max_states):
@@ -144,22 +147,29 @@ def explore(spec, roots, horizon, max_states):
     Roots are deduplicated and taken in the order given, successors in
     behaviour order. Every state within ``horizon`` steps of a root is
     expanded; past that the walk stops as soon as it knows more than
-    ``max_states`` states. ``closed`` says it expanded the whole reachable
-    space and that space fits the cap.
+    ``max_states`` states, or states of more than ``MAX_WALK_NODES`` term
+    nodes in all. Steps build their targets node by node, so the node count
+    bounds the work where the state count does not: the bound allows 100
+    nodes for each of ``ast``'s 10,000 default states, and a chain whose
+    every step adds 200 nodes stops after about 100 states instead of 10,000.
+    ``closed`` says it expanded the whole reachable space and that space
+    fits both bounds.
     """
     dist = dict.fromkeys(roots, 0)
     order = list(dist)
+    nodes = sum(t.size for t in order)
     behaviours = {}
     for t in order:  # grows as the walk goes
         d = dist[t]
-        if d > horizon and len(order) > max_states:
+        if d > horizon and (len(order) > max_states or nodes > MAX_WALK_NODES):
             return Walk(order, behaviours, False)
         behaviour = behaviours[t] = step(spec, t)
         for e in behaviour:
             if e is not STOP and e.target not in dist:
                 dist[e.target] = d + 1
                 order.append(e.target)
-    return Walk(order, behaviours, len(order) <= max_states)
+                nodes += e.target.size
+    return Walk(order, behaviours, len(order) <= max_states and nodes <= MAX_WALK_NODES)
 
 
 @dataclass

@@ -152,9 +152,6 @@ class Signature:
     def __contains__(self, name):
         return name in self._ops
 
-    def __eq__(self, other):
-        return isinstance(other, Signature) and self._ops == other._ops
-
     def __repr__(self):
         body = ", ".join(f"{n}/{a}" for n, a in self._ops.items())
         return f"Signature({body})"

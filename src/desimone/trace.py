@@ -193,8 +193,9 @@ def ast_estimate(spec, term, max_depth, max_states=10000):
     exactly that length reaches; no word table is built, and
     ``trace_bounded``'s total mass is their oracle in the tests. The walk
     also decides closure: past the horizon of max_depth - 1 steps it goes on
-    until it has expanded the whole space or knows more than ``max_states``
-    states, so it can step up to ``max_states`` states that no mass reads.
+    until it has expanded the whole space or passed a bound of ``explore``,
+    ``max_states`` states or ``MAX_WALK_NODES`` nodes, stepping states that
+    no mass reads.
 
     The mass sequence is monotone by construction; a decrease raises
     ``RuntimeError``. A closed acyclic reachable space gives the exact limit,

@@ -392,18 +392,21 @@ def plug(context_term, t):
 
 def unguarded_search(spec, size_bound, depth, extra_contexts=100, seed=0):
     """``counterexample_search`` with no context guard: each bucket's
-    representatives are all split, in bucket order, by every context,
-    hole-blind ones included, depth-1 layer first."""
+    representatives are all split, in bucket order, by every built context,
+    hole-blind ones included, depth-1 layer first. A context left None
+    never steps its hole, so it could split no pair."""
     buckets = fingerprint_buckets(spec, size_bound, depth)
     if all(len(reps) < 2 for _, _, reps in buckets):
         return None
     depth1_arity = sum(spec.signature.arity(op) for op in spec.signature.names())
     count = depth1_arity + extra_contexts
-    contexts = generate_contexts(spec, count, size_bound, seed) if count else []
+    contexts = generate_contexts(spec, count, size_bound, seed)
     for _, _, reps in buckets:
         if len(reps) < 2:
             continue
         for i, context in enumerate(contexts):
+            if context is None:
+                continue
             v = _split_violation(spec, reps, context, depth, i >= depth1_arity)
             if v is not None:
                 return v

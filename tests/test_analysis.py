@@ -189,8 +189,15 @@ def test_sampling_stops_once_no_context_can_be_new(prob_par):
 
 
 def test_context_count_must_be_positive(prob_par):
-    with pytest.raises(ValueError):
-        generate_contexts(prob_par, 0, 3, 0)
+    with pytest.raises(ValueError, match="^context count must be >= 0$"):
+        generate_contexts(prob_par, -1, 3, 0)
+    assert generate_contexts(prob_par, 0, 3, 0) == []
+
+
+def test_contexts_need_a_closed_term_to_fill_their_slots():
+    spec = parse_spec("dialect desimone\nsemiring boolean\nlabels a\nop f : 1\n")
+    with pytest.raises(ValueError, match="^signature has no closed terms to fill"):
+        generate_contexts(spec, 3, 3, 0)
 
 
 def test_buckets_and_contexts_refuse_an_enumeration_past_the_bound(copy_nonaffine):
@@ -512,6 +519,26 @@ def test_random_normalised_specs_are_probabilistic_and_compositional():
         assert naturality_check(spec, 2).passed, text
 
 
+def test_random_format_valid_specs_give_the_split_loop_work_and_pass():
+    """The theorem where the split loop has work to do: seed-0 format-valid
+    specs are drawn until 30 of them have a bucket of two representatives at
+    size 5, depth 3, which takes 160 draws. On each, neither the search nor
+    the unguarded loop finds a congruence violation."""
+    rng = random.Random(0)
+    drawn = checked = 0
+    while checked < 30:
+        text = random_valid_spec(rng)
+        drawn += 1
+        spec = parse_spec(text)
+        buckets = fingerprint_buckets(spec, 5, 3)
+        if all(len(reps) < 2 for _, _, reps in buckets):
+            continue
+        checked += 1
+        assert counterexample_search(spec, 5, 3, buckets=buckets) is None, text
+        assert unguarded_search(spec, 5, 3) is None, text
+    assert drawn == 160
+
+
 def test_random_copying_specs_break_naturality_and_congruence():
     """The other side of the theorem: a rule that copies a successor into
     two positions tested by different labels breaks the law's naturality on
@@ -721,9 +748,9 @@ rule w(x1) -d-> y1 when x1 -a-> y1
 
 @pytest.mark.parametrize("depth", [3, 4])
 def test_no_context_is_built_for_an_operator_without_rules_past_the_size(depth):
-    # at size 5 no sampled context holds r, so the search builds none of
-    # its depth-1 contexts and steps no r-term; s is sampled, so its own
-    # are built, and every other context keeps its place and its flag
+    # at size 5 no sampled context holds r, so none of its depth-1 contexts
+    # is built and no r-term is stepped; s is sampled, so its own are
+    # built, and every other context keeps its place and its flag
     guarded, unguarded = parse_spec(IDLE_OPERATORS), parse_spec(IDLE_OPERATORS)
     found = counterexample_search(guarded, 5, depth)
     assert found.deep_context and found.verified
@@ -731,26 +758,34 @@ def test_no_context_is_built_for_an_operator_without_rules_past_the_size(depth):
         unguarded
     )
     assert all(t.op != "r" for t in model_cache(guarded).step)
-    assert any(t.op == "r" for t in model_cache(unguarded).step)
+
+
+def _depth1_slots(spec, op):
+    """The indices of ``op``'s depth-1 contexts: operators in order, one
+    context per argument position."""
+    names = spec.signature.names()
+    first = sum(spec.signature.arity(o) for o in names[: names.index(op)])
+    return list(range(first, first + spec.signature.arity(op)))
 
 
 @pytest.mark.parametrize("name, size, depth", [("idle", 5, 3), ("prob_par", 5, 4)])
 def test_a_search_makes_its_contexts_in_one_call(monkeypatch, name, size, depth):
-    # also when it leaves the depth-1 contexts of r unbuilt
+    # also when the depth-1 contexts of r are left unbuilt
     import desimone.analysis as analysis_module
 
     spec = parse_spec(IDLE_OPERATORS) if name == "idle" else load_spec(name)
-    calls = []
+    made = []
     contexts = analysis_module.generate_contexts
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("unbuilt", ()))
-        return contexts(*args, **kwargs)
+        made.append(contexts(*args, **kwargs))
+        return made[-1]
 
     monkeypatch.setattr(analysis_module, "generate_contexts", counting)
     counterexample_search(spec, size, depth)
-    assert len(calls) == 1
-    assert set(calls[0]) == ({"r"} if name == "idle" else set())
+    assert len(made) == 1
+    unbuilt = [i for i, c in enumerate(made[0]) if c is None]
+    assert unbuilt == (_depth1_slots(spec, "r") if name == "idle" else [])
 
 
 @pytest.mark.parametrize("op, size", [("plus", 2), ("s", 5)])
@@ -758,14 +793,25 @@ def test_contexts_a_check_could_use_cannot_be_left_unbuilt(op, size):
     # plus has rules, and s has none but an arity below the size bound, so
     # a sampled context could hold s and be deduplicated against its own
     spec = parse_spec(IDLE_OPERATORS)
-    with pytest.raises(ValueError, match=f"depth-1 contexts of {op}$"):
-        generate_contexts(spec, 30, size, 0, unbuilt={op})
-    # r has no rules and no closed term of size <= 5: each of its slots is
-    # None, and every other context is the one built with them
-    built = generate_contexts(spec, 30, 5, 0)
-    assert generate_contexts(spec, 30, 5, 0, unbuilt={"r"}) == [
-        None if c.term.op == "r" else c for c in built
+    contexts = generate_contexts(spec, 30, size, 0)
+    assert [(contexts[i].term.op, contexts[i].path) for i in _depth1_slots(spec, op)] == [
+        (op, (k,)) for k in range(spec.signature.arity(op))
     ]
+
+
+def test_the_depth_one_contexts_of_an_operator_without_rules_past_the_size_are_none():
+    # r has no rules and no closed term of size <= 5: each of its slots is
+    # None, and the other contexts are those of the spec without r
+    spec = parse_spec(IDLE_OPERATORS)
+    without_r = parse_spec(IDLE_OPERATORS.replace("op r : 5\n", ""))
+    for count in (8, 15, 30, 60):
+        contexts = generate_contexts(spec, count, 5, 0)
+        assert [i for i, c in enumerate(contexts) if c is None] == _depth1_slots(spec, "r")
+        assert [c for c in contexts if c is not None] == generate_contexts(
+            without_r, count - 5, 5, 0
+        )
+    # at size 6, r(k0, k0, k0, k0, k0) is a closed term, and r's are built
+    assert None not in generate_contexts(spec, 30, 6, 0)
 
 
 def test_prob_search_tables_only_what_its_guards_let_through():

@@ -19,6 +19,7 @@ import pytest
 import desimone
 from desimone import spec_path
 from desimone.cli import main
+from test_error_pins import WIDE_RULE
 
 
 @pytest.fixture
@@ -1051,10 +1052,11 @@ def _limit_memory(mib=1024):
 @pytest.mark.parametrize(
     "base, extra, argv, message",
     [
-        (
-            "prob_par", "op p : 100000\n", ["congruence", "--size", "4", "--depth", "3"],
-            "the depth-1 context layer needs 10,000,000,006 argument slots, "
+        pytest.param(
+            "prob_par", WIDE_RULE, ["congruence", "--size", "4", "--depth", "3"],
+            "the depth-1 context layer needs 121,000,006 argument slots, "
             "more than 120,000,000",
+            id="congruence",
         ),
         (
             "pair_affine", "op g : 20\n", ["naturality"],
@@ -1079,12 +1081,14 @@ def test_a_huge_declared_arity_is_refused_before_it_is_enumerated(
     assert proc.stderr == f"desimone: {message}\n"
 
 
-def test_an_operator_without_rules_gets_no_depth_one_contexts_built(tmp_path):
-    # each of the 10,000 depth-1 contexts of p would hold 10,000 children,
-    # some 800 MB in all, and none steps its hole; under 256 MiB of address
-    # space the search answers without them
+@pytest.mark.parametrize("arity", [10_000, 100_000])
+def test_an_operator_without_rules_gets_no_depth_one_contexts_built(tmp_path, arity):
+    # each of the depth-1 contexts of p would hold as many children as it
+    # has, some 800 MB in all at arity 10,000, and none steps its hole;
+    # under 256 MiB of address space the search answers without them, and
+    # the context-slot bound does not count them
     spec = tmp_path / "idle.spec"
-    spec.write_text(desimone.spec_text("prob_par") + "op p : 10000\n")
+    spec.write_text(desimone.spec_text("prob_par") + f"op p : {arity}\n")
     proc = subprocess.run(
         [
             sys.executable, "-m", "desimone", "congruence", str(spec),

@@ -14,25 +14,29 @@ and says in its description which commands moved.
 """
 
 import contextlib
-import hashlib
 import io
 import json
 import os
-import sys
 import tempfile
 from pathlib import Path
 
 from desimone import SPEC_NAMES, spec_text
 from desimone.cli import main
+from pins import check_pins, digest, write_pins
 
 PINS = Path(__file__).with_name("error_pins.json")
 
 COMMANDS = ("validate", "step", "traces", "equiv", "congruence", "naturality", "ast")
 
+# an operator of arity 11,000 with a rule, so its depth-1 contexts are built
+WIDE_RULE = "op q : 11000\nrule q({}) -a[1]-> nil\n".format(
+    ", ".join(f"x{i}" for i in range(1, 11001))
+)
+
 # specs written beside the bundled ones, by file name
 BROKEN_SPECS = {
     "bad.spec": "dialect nonsense\n",
-    "wide_contexts.spec": spec_text("prob_par") + "op p : 100000\n",
+    "wide_contexts.spec": spec_text("prob_par") + WIDE_RULE,
     "wide_naturality.spec": spec_text("pair_affine") + "op g : 20\n",
     "target.spec": (
         "dialect weighted\nsemiring rational\nlabels a\n"
@@ -138,8 +142,7 @@ def _digest(argv):
             code = main(list(argv))
         except SystemExit as exc:  # argparse usage errors and --help
             code = exc.code
-    record = json.dumps([argv, code, stdout.getvalue(), stderr.getvalue()])
-    return hashlib.sha256(record.encode("utf-8")).hexdigest()
+    return digest([argv, code, stdout.getvalue(), stderr.getvalue()])
 
 
 def _key(argv):
@@ -152,15 +155,8 @@ def _digests():
 
 
 def test_cli_refusals_usage_errors_and_help_match_the_pins():
-    pins = json.loads(PINS.read_text(encoding="utf-8"))
-    got = _digests()
-    assert sorted(got) == sorted(pins)
-    assert [k for k in got if got[k] != pins[k]] == []
+    check_pins(PINS, _digests())
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_error_pins.py --write")
-    pins = _digests()
-    PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(pins)} pins to {PINS}")
+    write_pins(PINS, _digests)

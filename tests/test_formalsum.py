@@ -371,3 +371,42 @@ def test_dist_sigma_star_nested_term():
         Node("f", [Node("g", [Leaf("x")]), Leaf("z")]),
         Node("f", [Node("g", [Leaf("y")]), Leaf("z")]),
     }
+
+
+# --- refusals and reprs -------------------------------------------------------
+
+def test_sums_and_steps_refuse_a_non_semiring_and_mutation():
+    with pytest.raises(TypeError, match="^first argument must be a Semiring$"):
+        FormalSum("rational")
+    with pytest.raises(AttributeError, match="^FormalSum is immutable$"):
+        fs_empty(BOOLEAN).semiring = RATIONAL
+    with pytest.raises(AttributeError, match="^Step is immutable$"):
+        Step("a", "v").label = "b"
+
+
+def test_step_and_stop_reprs():
+    assert repr(Step("a", Node("nil"))) == "Step('a', Node('nil', []))"
+    assert repr(STOP) == "STOP"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: fs_flatten(fs_unit(BOOLEAN, "v")), TypeError,
+         "fs_flatten needs sum-of-sums, got payload 'v'"),
+        (lambda: fs_pair_join(fs_empty(BOOLEAN), fs_empty(RATIONAL)), ValueError,
+         "fs_pair_join needs sums over the same semiring"),
+        (lambda: payload_key(1.5), TypeError, "no canonical order for payload 1.5"),
+        (lambda: dist_b(BOOLEAN, Step("a", "v")), TypeError,
+         "dist_b expects a formal-sum successor, got 'v'"),
+        (lambda: dist_b0(BOOLEAN, Pure("v")), TypeError,
+         "dist_b0 expects a formal-sum payload, got 'v'"),
+        (lambda: dist_b0(BOOLEAN, "v"), TypeError, "not a B0 element: 'v'"),
+        (lambda: dist_sigma_star(BOOLEAN, Node("f", [Leaf("v")])), TypeError,
+         "dist_sigma_star expects formal-sum leaves, got 'v'"),
+    ],
+)
+def test_payloads_of_the_wrong_kind_are_refused(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -31,6 +31,7 @@ from desimone import (
     step,
     step_law,
 )
+from desimone.law import _decompose
 from oracles import law_star, map_leaves, two_level_oracle
 
 F = Fraction
@@ -386,3 +387,13 @@ def test_carrier_cap(pair_affine):
     for bad in (0, 4):
         with pytest.raises(ValueError):
             naturality_check(pair_affine, carrier_size=bad)
+
+
+@pytest.mark.parametrize(
+    "arg, message",
+    [(Obs("v"), "bad observation 'v'"), ("v", "argument 1 is not a B0 element: 'v'")],
+)
+def test_the_law_refuses_an_argument_that_is_no_observation(arg, message):
+    with pytest.raises(TypeError) as exc:
+        _decompose((arg,))
+    assert str(exc.value) == message

@@ -447,3 +447,11 @@ def test_explore_expands_the_horizon_then_stops_past_the_cap(chain):
 def test_explore_without_roots_is_closed(chain):
     walk = explore(chain, [], 3, 0)
     assert (walk.order, walk.behaviours, walk.closed) == ([], {}, True)
+
+
+def test_a_half_step_mass_is_described_as_not_probabilistic():
+    spec = parse_spec(
+        "dialect weighted\nsemiring rational\nlabels a\nop c : 0\nrule c -[1/2]-> *\n"
+    )
+    report = check_probabilistic(spec, 1)
+    assert report.describe(spec.semiring) == "not probabilistic: c has step mass 1/2"

@@ -16,16 +16,15 @@ from the parsed ``--json`` payload and the command's flags.
 """
 
 import contextlib
-import hashlib
 import io
 import json
 import os
-import sys
 from itertools import islice
 from pathlib import Path
 
 from desimone import SPEC_NAMES, enumerate_closed_terms, load_spec, print_term, spec_path
 from desimone.cli import _build_parser, main
+from pins import check_pins, digest, write_pins
 
 PINS = Path(__file__).with_name("output_pins.json")
 TERMS_PER_SPEC = 6
@@ -74,21 +73,13 @@ def _run(argv):
     return code, stdout.getvalue()
 
 
-def _digest(argv):
-    """sha256 of ``(argv, exit code, stdout)``."""
-    record = json.dumps([argv, *_run(argv)])
-    return hashlib.sha256(record.encode("utf-8")).hexdigest()
-
-
-def _key(argv):
-    return " ".join(argv)
+def _digests():
+    """sha256 of ``(argv, exit code, stdout)`` per command, keyed by argv."""
+    return {" ".join(argv): digest([argv, *_run(argv)]) for argv in commands()}
 
 
 def test_cli_output_matches_the_pins():
-    pins = json.loads(PINS.read_text(encoding="utf-8"))
-    got = {_key(argv): _digest(argv) for argv in commands()}
-    assert sorted(got) == sorted(pins)
-    assert [k for k in got if got[k] != pins[k]] == []
+    check_pins(PINS, _digests())
 
 
 def test_each_text_output_is_rendered_from_its_json_payload():
@@ -114,8 +105,4 @@ def test_each_text_output_is_rendered_from_its_json_payload():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_output_pins.py --write")
-    pins = {_key(argv): _digest(argv) for argv in commands()}
-    PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(pins)} pins to {PINS}")
+    write_pins(PINS, _digests)

@@ -13,13 +13,11 @@ A change that alters the parser's answers on purpose rewrites the pins with
 and says in its description which outcomes moved.
 """
 
-import hashlib
-import json
 import random
-import sys
 from pathlib import Path
 
 from desimone import SPEC_NAMES, SpecParseError, parse_spec, print_term, spec_text
+from pins import check_pins, digest, write_pins
 from test_rulespec import _mutate
 
 PINS = Path(__file__).with_name("parse_pins.json")
@@ -91,22 +89,12 @@ def outcome(text):
 
 
 def _digests():
-    return {
-        f"{i:04d}": hashlib.sha256(json.dumps(outcome(t)).encode("utf-8")).hexdigest()
-        for i, t in enumerate(texts())
-    }
+    return {f"{i:04d}": digest(outcome(t)) for i, t in enumerate(texts())}
 
 
 def test_parse_outcomes_match_the_pins():
-    pins = json.loads(PINS.read_text(encoding="utf-8"))
-    got = _digests()
-    assert sorted(got) == sorted(pins)
-    assert [k for k in got if got[k] != pins[k]] == []
+    check_pins(PINS, _digests())
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_parse_pins.py --write")
-    pins = _digests()
-    PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(pins)} pins to {PINS}")
+    write_pins(PINS, _digests)

@@ -418,3 +418,12 @@ def test_mutated_specs_answer_or_refuse():
                     assert "rational semiring" in str(exc)
                     outcomes["boolean"] += 1
     assert min(outcomes[k] for k in ("parse", "answer", "target", "boolean")) > 0
+
+
+def test_spec_repr_and_corpus_refusals():
+    assert repr(load_spec("prob_par")) == "RuleSpec(weighted/rational, 4 ops, 9 rules)"
+    with pytest.raises(ValueError, match="^cutoff must be >= 0$"):
+        leaky_spec_text(-1)
+    with pytest.raises(KeyError) as exc:
+        spec_text("nope")
+    assert exc.value.args[0] == f"unknown bundled spec 'nope'; have {SPEC_NAMES}"

@@ -132,3 +132,8 @@ def test_payload_key_sorts_weights_like_leq(ws):
     ordered = sorted(ws, key=payload_key)
     assert all(RATIONAL.leq(x, y) for x, y in zip(ordered, ordered[1:]))
     assert payload_key(INF) > payload_key(Fraction(10**9))
+
+
+def test_infinity_and_semiring_reprs():
+    assert repr(INF) == "inf"
+    assert repr(RATIONAL) == "Semiring(rational)"

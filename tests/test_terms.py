@@ -8,6 +8,7 @@ import pytest
 
 from desimone import (
     FormalSum,
+    HOLE,
     Leaf,
     Node,
     RATIONAL,
@@ -431,3 +432,54 @@ def test_closed_terms_of_size_partitions_enumeration(sig):
 def test_signature_rejects_duplicate_ops():
     with pytest.raises(ValueError):
         Signature([("nil", 0), ("nil", 1)])
+
+
+# --- refusals, reprs and leaves that are no variable ---------------------------
+
+def test_a_variable_outside_x_and_y_or_below_index_one_is_refused():
+    with pytest.raises(ValueError, match="^variable kind must be x or y, got 'z'$"):
+        Var("z", 1)
+    with pytest.raises(ValueError, match="^variable index must be >= 1, got 0$"):
+        Var("x", 0)
+
+
+def test_signature_rejects_a_negative_arity():
+    with pytest.raises(ValueError, match="^negative arity for 'f'$"):
+        Signature([("f", -1)])
+
+
+def test_enumeration_refuses_a_negative_size():
+    with pytest.raises(ValueError, match="^max_size must be >= 0$"):
+        enumerate_closed_terms(Signature([("nil", 0)]), -1)
+
+
+def test_terms_are_immutable():
+    for term, name in ((Leaf(1), "Leaf"), (Node("nil"), "Node")):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            term.size = 5
+
+
+def test_nodes_whose_hashes_collide_compare_their_leaf_payloads():
+    # hash(-1) == hash(-2) in CPython, so both nodes pass the hash check
+    left, right = Node("f", [Leaf(-1)]), Node("f", [Leaf(-2)])
+    assert hash(left) == hash(right)
+    assert left != right and left == Node("f", [Leaf(-1)])
+
+
+def test_node_and_signature_reprs():
+    assert repr(Node("f", [Leaf(Var("x", 1)), Node("nil")])) == (
+        "Node('f', [Leaf(x1), Node('nil', [])])"
+    )
+    assert repr(Signature([("nil", 0), ("f", 2)])) == "Signature(nil/0, f/2)"
+
+
+def test_substitute_keeps_a_leaf_that_is_no_variable():
+    term = Node("f", [Leaf(HOLE), Leaf(Var("x", 1))])
+    assert substitute(term, {Var("x", 1): Node("nil")}) == Node(
+        "f", [Leaf(HOLE), Node("nil")]
+    )
+
+
+def test_graft_refuses_a_leaf_that_holds_no_term():
+    with pytest.raises(TypeError, match="^graft on non-term leaf payload 'v'$"):
+        graft(Node("f", [Leaf("v")]))

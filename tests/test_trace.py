@@ -1,6 +1,7 @@
 """Depth-bounded trace tables: fixpoint iteration, the path-sum oracle,
 partial-word tables, masses, and termination estimation."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,13 @@ from desimone import (
     AST_TOLERANCE,
     BOOLEAN,
     FormalSum,
+    HOLE,
     INF,
+    Leaf,
     RATIONAL,
     ast_estimate,
     enumerate_closed_terms,
+    explore,
     fs_empty,
     fs_total,
     parse_spec,
@@ -253,6 +257,27 @@ def test_cyclic_leak_is_inconclusive_at_shallow_depth():
     assert report.masses[-1][1] < F(1, 2)
 
 
+def test_the_closure_walk_stops_once_its_states_hold_a_million_nodes():
+    # every step of s adds 200 nodes: stepping 10,000 states past the
+    # horizon took some 9 s, and about 100 of them hold a million nodes
+    target = "x1"
+    for _ in range(200):
+        target = f"s({target})"
+    spec = parse_spec(
+        "dialect weighted\nsemiring rational\nlabels a\nop nil : 0\nop s : 1\n"
+        f"rule nil -[1]-> *\nrule s(x1) -a[1]-> {target}\n"
+    )
+    start = time.perf_counter()
+    report = ast_estimate(spec, t(spec, "s(nil)"), 5)
+    assert time.perf_counter() - start < 3
+    assert report.masses == [(depth, 0) for depth in range(1, 6)]
+    assert (report.verdict, report.exact, report.limit) == ("inconclusive", False, None)
+    assert report.detail == "mass 0 at depth 5; no closure argument applies"
+    walk = explore(spec, [t(spec, "s(nil)")], 4, 10_000)
+    assert not walk.closed and len(walk.order) == 101
+    assert sum(u.size for u in walk.order) == 1_005_152
+
+
 def test_cycle_that_still_terminates_is_consistent():
     spec = parse_spec(
         "dialect weighted\nsemiring rational\nlabels a\nop c : 0\n"
@@ -423,3 +448,9 @@ def test_ast_estimate_refuses_a_falling_mass_sequence(leaky, monkeypatch):
 def test_word_to_str(prob_par):
     assert word_to_str(("a", "b", "a"), prob_par.labels) == "aba"
     assert word_to_str((), prob_par.labels) == ""
+
+
+def test_tables_refuse_a_leaf(prob_par):
+    with pytest.raises(TypeError) as exc:
+        trace_bounded(prob_par, Leaf(HOLE), 2)
+    assert str(exc.value) == "trace_bounded needs a closed term, got Leaf(HOLE)"
