@@ -87,10 +87,9 @@ def _first_table_difference(a, b):
     weights; None when the tables are equal."""
     if a == b:
         return None
-    words = sorted(set(a.payloads()) | set(b.payloads()), key=payload_key)
-    for w in words:
-        if a.weight(w) != b.weight(w):
-            return w, a.weight(w), b.weight(w)
+    words = set(a.payloads()) | set(b.payloads())
+    w = min((w for w in words if a.weight(w) != b.weight(w)), key=payload_key)
+    return w, a.weight(w), b.weight(w)
 
 
 MAX_CONTEXT_SLOTS = 120_000_000

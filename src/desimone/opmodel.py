@@ -194,9 +194,8 @@ def check_probabilistic(spec, size_bound):
     if spec.semiring.name != "rational":
         raise ValueError("check_probabilistic is not applicable to the boolean dialect")
     roots = enumerate_closed_terms(spec.signature, size_bound)
-    walk = explore(spec, roots, size_bound - 1, 0)
-    for checked, t in enumerate(walk.order, start=1):
-        behaviour = step(spec, t)
+    walk = explore(spec, roots, size_bound, 0)
+    for checked, (t, behaviour) in enumerate(walk.behaviours.items(), start=1):
         if not is_affine(behaviour):
             return ProbReport(
                 passed=False,
@@ -205,4 +204,4 @@ def check_probabilistic(spec, size_bound):
                 violator=t,
                 mass=fs_total(behaviour),
             )
-    return ProbReport(passed=True, bound=size_bound, checked=len(walk.order))
+    return ProbReport(passed=True, bound=size_bound, checked=len(walk.behaviours))

@@ -10,14 +10,21 @@ their work on an explicit stack, so term depth is not bounded by the
 recursion limit. ``fold`` is the one bottom-up walk: ``substitute``,
 ``graft``, ``print_term``, ``payload_key``, ``dist_sigma_star``,
 ``step_law`` and the context paths of ``analysis`` all go through it.
+
+One size recurrence counts the closed terms for the enumeration bound and
+lists them, so the bound counts exactly the terms the listing builds; an
+argument tuple is built only at the size where an operator first takes it.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
+from itertools import accumulate, chain, count, islice
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,8 @@ class Signature:
             if arity < 0:
                 raise ValueError(f"negative arity for {name!r}")
             self._ops[name] = arity
-        self._closed = {}  # size -> closed terms in order, see closed_terms_of_size
+        self._closed = [()]  # closed terms by size, see closed_terms_of_size
+        self._growing = _sizes(self, *_TUPLES)  # builds the next size when read
 
     @property
     def ops(self):
@@ -391,70 +399,55 @@ def print_term(t):
 
 # --- enumeration -----------------------------------------------------------
 
-def closed_terms_of_size(signature, size):
-    """All closed terms with exactly `size` Node constructors, in order.
+def _sizes(signature, unit, join, first, apply):
+    """The results for sizes 1, 2, ... by the size recurrence: a term of size
+    m + 1 is an operator of arity k over k arguments of m nodes in all. The
+    algebra: ``unit`` is the empty tuple, ``join`` joins alternatives in
+    order, ``first(terms, tuples)`` puts each of ``terms`` before each of
+    ``tuples`` and ``apply(op, tuples)`` applies an operator. The order is
+    operator declaration order, then the arguments from the first: each
+    position by size, then in its own size's order. A k-tuple of j nodes is
+    built only when first used: as the last k arguments, with a node in each
+    of the others, of an operator of the narrowest arity a >= k at m = j + a - k."""
+    ops = signature.ops.items()
+    arities = sorted(set(signature.ops.values()))
+    empty = join(())
+    sizes = [empty]  # sizes[n]: the result for size n
+    rows = defaultdict(dict, {0: {0: unit}})  # rows[k][j]: k-tuples of j nodes in all
+    for m in count():  # the nodes below the root of size m + 1
+        for k in range(1, max((a for a in arities if a <= m), default=0) + 1):
+            j = m + k - arities[bisect_left(arities, k)]
+            # the first argument takes s nodes and leaves each later one at
+            # least one; a lone argument takes all j
+            splits = range(j if k == 1 else 1, j - k + 2)
+            rows[k][j] = join(first(sizes[s], rows[k - 1][j - s]) for s in splits)
+        sizes.append(join(apply(op, rows[k].get(m, empty)) for op, k in ops if k <= m))
+        yield sizes[-1]
 
-    The order is operator declaration order, then the arguments from the
-    first: each position by size, then in its own size's order. Argument
-    tuples are generated in exactly that order, so nothing is sorted. The
-    tuples are kept on the signature: each size is built once.
-    """
-    cache = signature._closed
-    if size in cache:
-        return cache[size]
-    out = []
-    for op in signature.names():
-        arity = signature.arity(op)
-        if arity == 0:
-            if size == 1:
-                out.append(Node(op))
-            continue
-        if arity >= size:
-            continue  # each argument takes at least one node
-        partials = [((), size - 1)]  # argument prefixes, with the size left
-        for later in reversed(range(arity)):  # positions after this one
-            grown = []
-            for args, rest in partials:
-                # the last position takes what is left; earlier ones leave
-                # at least one node to each later position
-                low = max(rest, 1) if later == 0 else 1
-                for s in range(low, rest - later + 1):
-                    grown.extend(
-                        (args + (c,), rest - s)
-                        for c in closed_terms_of_size(signature, s)
-                    )
-            partials = grown
-        out.extend(Node(op, args) for args, _ in partials)
-    out = cache[size] = tuple(out)
-    return out
+
+_TUPLES = (((),), lambda parts: tuple(chain.from_iterable(parts)),  # lists the terms
+           lambda terms, tuples: ((c,) + rest for c in terms for rest in tuples),
+           lambda op, tuples: map(partial(Node, op), tuples))
+
+
+def closed_terms_of_size(signature, size):
+    """All closed terms with exactly `size` Node constructors, in order: the
+    size recurrence over tuples, so operators of equal arity share argument
+    tuples. The signature keeps the built sizes and the running recurrence,
+    so a later call continues where the last one stopped."""
+    built = signature._closed
+    built.extend(islice(signature._growing, max(size + 1 - len(built), 0)))
+    return built[max(size, 0)]
 
 
 def closed_term_counts(signature, max_size):
     """For n = 1..``max_size`` in turn, the number of closed terms of size
-    <= n, by the size recurrence and without building one: a term of size
-    n is an operator of arity k over a k-tuple of closed terms of n - 1
-    nodes in all."""
-    arities = Counter(signature.arity(op) for op in signature.names())
-    widest = max(arities, default=0)
-    counts = [0]  # counts[n]: closed terms with exactly n nodes
-    tuples = [[1]]  # tuples[k][m]: k-tuples of closed terms with m nodes in all
-    total = 0
-    for n in range(1, max_size + 1):
-        m = n - 1
-        if m:
-            tuples[0].append(0)
-            if m <= widest:
-                tuples.append([0] * m)  # m nodes make no tuple longer than m
-        for k in range(1, min(widest, m) + 1):
-            # the last argument takes s nodes, the first k - 1 the rest
-            shorter = tuples[k - 1]
-            tuples[k].append(sum(counts[s] * shorter[m - s] for s in range(1, m - k + 2)))
-        counts.append(sum(c * tuples[k][m] for k, c in arities.items() if k <= m))
-        total += counts[n]
-        yield total
+    <= n: the size recurrence over counts, which builds no term."""
+    counts = _sizes(signature, 1, sum, mul, lambda op, n: n)
+    return accumulate(islice(counts, max(max_size, 0)))
 
 
-MAX_CLOSED_TERMS = 5_000_000  # about 1.8 GB at some 360 bytes per term
+MAX_CLOSED_TERMS = 5_000_000  # about 1.7 GB at the 330 bytes a term costs congruence
 
 
 def enumerate_closed_terms(signature, max_size):
@@ -467,10 +460,10 @@ def enumerate_closed_terms(signature, max_size):
     """
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
-    for size, count in enumerate(closed_term_counts(signature, max_size), start=1):
-        if count > MAX_CLOSED_TERMS:
+    for size, total in enumerate(closed_term_counts(signature, max_size), start=1):
+        if total > MAX_CLOSED_TERMS:
             raise ValueError(
-                f"there are {count:,} closed terms of size <= {size}, "
+                f"there are {total:,} closed terms of size <= {size}, "
                 f"more than {MAX_CLOSED_TERMS:,}"
             )
     sizes = range(1, max_size + 1)

@@ -132,7 +132,6 @@ RECURSIVE = {
     "trace.trace_direct.walk",  # the word length
     "analysis._replace_at",  # a context path
     "formalsum.payload_key",  # words and sums
-    "terms.closed_terms_of_size",  # the term size, memoized
 }
 
 

@@ -1,6 +1,9 @@
 """Signatures, term trees, substitution, and closed-term enumeration."""
 
+import inspect
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -31,6 +34,7 @@ from desimone import (
     parse_spec,
     parse_term,
     print_term,
+    spec_text,
     substitute,
     term_vars,
 )
@@ -361,6 +365,7 @@ def test_the_size_recurrence_counts_wide_and_narrow_signatures():
         [("k", 0)],
         [("f", 1)],
         [],
+        [("k", 0), ("q", 4), ("f", 1), ("g", 2)],  # arity 3 missing
     ):
         signature = Signature(ops)
         expected = [
@@ -371,6 +376,26 @@ def test_the_size_recurrence_counts_wide_and_narrow_signatures():
     # a constant and a unary operator: one term per size, up to a large size
     *_, last = closed_term_counts(Signature([("k", 0), ("f", 1)]), 2000)
     assert last == 2000
+
+
+def test_no_argument_tuple_is_built_before_an_operator_can_use_it():
+    # a wide operator out of reach of the size leaves its narrower rows
+    # unbuilt: listing all k-tuples of constants for k < 10 would hold
+    # 31 + 31**2 + 31**3 + 31**4 tuples for leaky at size 5, and (3**11 - 1) / 2
+    # unary chains at size 12
+    leaky = parse_spec(spec_text("leaky") + "\nop w : 10\n")
+    for ops, size, terms, limit in (
+        (leaky.signature.ops.items(), 5, 31, 100_000),
+        ([("nil", 0), ("a", 1), ("b", 1), ("w", 30)], 12, 4095, 2_000_000),
+    ):
+        signature = Signature(ops)
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in enumerate_closed_terms(signature, size)) == terms
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 def test_an_enumeration_past_the_bound_is_refused_before_a_term_is_built():
@@ -388,7 +413,8 @@ def test_an_enumeration_past_the_bound_is_refused_before_a_term_is_built():
     # the count stops at the first size past the bound
     with pytest.raises(ValueError, match="13,092,190 closed terms of size <= 10,"):
         enumerate_closed_terms(signature, 10**6)
-    assert signature._closed == {}
+    assert signature._closed == [()]
+    assert inspect.getgeneratorstate(signature._growing) == inspect.GEN_CREATED
 
 
 def test_enumeration_is_the_prefix_of_larger_bounds(sig):
@@ -416,10 +442,14 @@ def test_each_bundled_enumeration_is_in_term_key_order(name):
 
 
 def test_enumeration_with_a_ternary_operator_is_in_term_key_order():
-    signature = Signature([("a", 0), ("t", 3), ("b", 0), ("u", 1)])
-    terms = list(enumerate_closed_terms(signature, 6))
-    assert len(terms) == sum(count_closed_terms(signature, n) for n in range(1, 7))
-    assert terms == sorted(terms, key=lambda t: term_key(t, signature))
+    for ops in (
+        [("a", 0), ("t", 3), ("b", 0), ("u", 1)],
+        [("k", 0), ("q", 4), ("f", 1), ("g", 2)],  # arity 3 missing
+    ):
+        signature = Signature(ops)
+        terms = list(enumerate_closed_terms(signature, 6))
+        assert len(terms) == sum(count_closed_terms(signature, n) for n in range(1, 7))
+        assert terms == sorted(terms, key=lambda t: term_key(t, signature))
 
 
 def test_closed_terms_of_size_partitions_enumeration(sig):
@@ -427,6 +457,44 @@ def test_closed_terms_of_size_partitions_enumeration(sig):
     for size in range(1, 6):
         merged.extend(closed_terms_of_size(sig, size))
     assert merged == list(enumerate_closed_terms(sig, 5))
+
+
+def test_sizes_asked_out_of_order_are_the_sizes_an_enumeration_builds(sig):
+    fresh = Signature(sig.ops.items())
+    asked = {size: closed_terms_of_size(fresh, size) for size in (5, 2, 7, 0, -1)}
+    assert asked[0] == asked[-1] == ()
+    for size, terms in asked.items():
+        assert terms is closed_terms_of_size(fresh, size)
+    # an in-order enumeration lists the very terms asked for, and the same
+    # terms as one on a signature never asked out of order
+    listed = list(enumerate_closed_terms(fresh, 7))
+    assert listed == list(enumerate_closed_terms(Signature(sig.ops.items()), 7))
+    for size in (5, 2, 7):
+        of_size = [t for t in listed if t.size == size]
+        assert len(of_size) == len(asked[size])
+        assert all(a is b for a, b in zip(asked[size], of_size))
+    assert list(closed_term_counts(fresh, -1)) == []
+
+
+def test_a_deep_size_is_built_without_recursion():
+    start = time.perf_counter()
+    (term,) = closed_terms_of_size(Signature([("k", 0), ("f", 1)]), 5000)
+    assert time.perf_counter() - start < 2.0
+    assert term.size == 5000 and print_term(term).count("f(") == 4999
+
+
+def test_operators_of_equal_arity_share_their_argument_tuples():
+    signature = Signature(load_spec("copy_nonaffine").signature.ops.items())
+    unary = ["pre_a", "pre_b", "pre_c", "f", "h"]
+    by_op = {
+        op: [t.children for t in closed_terms_of_size(signature, 3) if t.op == op]
+        for op in unary
+    }
+    first = by_op["pre_a"]
+    assert len(first) == 5  # each over one of the five terms of size 2
+    for op in unary[1:]:
+        assert len(by_op[op]) == len(first)
+        assert all(a is b for a, b in zip(by_op[op], first))
 
 
 def test_signature_rejects_duplicate_ops():
