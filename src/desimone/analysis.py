@@ -6,14 +6,17 @@ context. ``counterexample_search`` is the congruence check. It quotients
 first, by bisimilarity up to the table depth: a depth-``d`` table observes
 only ``d`` steps, and ``d``-step bisimilarity is preserved by every context
 for ``d`` steps under any GSOS law, copying ones included (the stepwise
-congruence proof of Bloom, Istrail and Meyer, J. ACM 1995). So the
-enumeration is quotiented size by size, stepping one term per operator and
-tuple of child blocks, and no deeper than the tables look. That gives one
-trace fingerprint per block, and buckets of equal fingerprints whose block
-representatives are split by contexts: the complete depth-1 layer, then
-seeded random one-hole terms, each carrying the path to its hole, all made
-by one ``generate_contexts`` call, which leaves None the depth-1 contexts
-of rule-less operators too wide for a sampled context. By the
+congruence proof of Bloom, Istrail and Meyer, J. ACM 1995). So the closed
+terms are quotiented size by size without being listed: they are counted
+per key, an operator and a tuple of child blocks, and only the first term
+of each new key is built and stepped, no deeper than the tables look. That
+gives one trace fingerprint per block, and buckets of equal fingerprints,
+each with its term count and its block representatives, which are split
+by contexts: the complete depth-1 layer, then seeded random one-hole
+terms, each carrying the path to its hole, all made by one
+``generate_contexts`` call, which draws each host by its index in the
+enumeration and rebuilds it from the counts, and leaves None the depth-1
+contexts of rule-less operators too wide for a sampled context. By the
 same argument, a context that first steps its hole ``g`` steps in splits
 only one representative per block of bisimilarity up to ``depth - g``.
 Buckets go in enumeration order, so the first reported violation is
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import groupby
 
 from .formalsum import STOP, payload_key
 from .opmodel import explore
@@ -35,7 +37,9 @@ from .terms import (
     HOLE,
     Leaf,
     Node,
-    enumerate_closed_terms,
+    closed_term_at,
+    closed_term_classes,
+    enumeration_counts,
     fold,
     print_term,
 )
@@ -102,7 +106,10 @@ def generate_contexts(spec, count, max_size, seed):
     depth-1 context of an operator with no rules and an arity of at least
     ``max_size``: none steps its hole or can equal a sampled context, so the
     draws and every other index are as with it built. More than
-    ``MAX_CONTEXT_SLOTS`` built argument slots are refused (``ValueError``)."""
+    ``MAX_CONTEXT_SLOTS`` built argument slots are refused (``ValueError``).
+    No term is listed: a host is drawn by its index among the closed terms
+    of sizes 2 .. ``max_size``, by the draw ``rng.choice`` of their listing
+    takes, and rebuilt by ``closed_term_at``, as is the filler, index 0."""
     if count < 0:
         raise ValueError("context count must be >= 0")
     if not count:
@@ -117,10 +124,10 @@ def generate_contexts(spec, count, max_size, seed):
             f"the depth-1 context layer needs {slots:,} argument slots, "
             f"more than {MAX_CONTEXT_SLOTS:,}"
         )
-    filler_pool = list(enumerate_closed_terms(sig, max(max_size, 1)))
-    if not filler_pool:
+    counts, rows = enumeration_counts(sig, max(max_size, 1))
+    if not sum(counts):
         raise ValueError("signature has no closed terms to fill context slots")
-    filler = filler_pool[0]
+    filler = closed_term_at(sig, counts, rows, 0)
 
     contexts = []
     seen = set()
@@ -142,14 +149,14 @@ def generate_contexts(spec, count, max_size, seed):
             add(Node(op, children), (position,))
 
     rng = random.Random(seed)
-    hosts = [t for t in filler_pool if t.size >= 2]
+    hosts = sum(counts[2:])  # after the counts[1] terms of size 1
     # once every (host, non-root path) pair is drawn, no context can be new
-    pairs = sum(t.size - 1 for t in hosts)
+    pairs = sum(n * (size - 1) for size, n in enumerate(counts))
     drawn = set()
     attempts = 0
     while len(contexts) < count and len(drawn) < pairs and attempts < 50 * count:
         attempts += 1
-        host = rng.choice(hosts)
+        host = closed_term_at(sig, counts, rows, counts[1] + rng.randrange(hosts))
         path = rng.choice([p for p in _node_paths(host) if p])
         drawn.add((host, path))
         add(_replace_at(host, path, hole), path)
@@ -266,55 +273,54 @@ def bisim_partition(spec, terms, depth):
     return dict(zip(walk.order, current))
 
 
-def bisim_blocks(spec, size_bound, depth):
-    """The enumerated closed terms, in order, each with its block of
-    bisimilarity up to ``depth``. That is a congruence, so a term's block
-    follows from its key ``(op, child blocks)``: per size, one
-    ``bisim_partition`` places the first term of each new key among the
-    first members of the known blocks."""
-    blocks, key_blocks, firsts = {}, {}, []
-    sizes = groupby(enumerate_closed_terms(spec.signature, size_bound), lambda t: t.size)
-    for _, terms in sizes:
-        terms = list(terms)
-        keys = [(t.op, tuple(blocks[c] for c in t.children)) for t in terms]
-        fresh = {}  # new key -> its first term
-        for key, t in zip(keys, terms):
-            if key not in key_blocks:
-                fresh.setdefault(key, t)
+def _quotient(spec, size_bound, depth):
+    """Per size up to ``size_bound``, ``{block: (count, first member)}`` of
+    the closed terms' blocks of bisimilarity up to ``depth``, in order of
+    first member. That is a congruence, so a term's block follows from its
+    key ``(op, child blocks)``, and the terms are counted, not listed: per
+    size, one ``bisim_partition`` places the first term of each new key
+    among the first members of the known blocks."""
+    firsts = []  # firsts[b]: the first member of block b
+
+    def classify(fresh):
         # roots are numbered first, in order, so known blocks keep their ids
         partition = bisim_partition(spec, firsts + list(fresh.values()), depth)
-        for key, t in fresh.items():
-            key_blocks[key] = partition[t]
+        for t in fresh.values():
             if partition[t] == len(firsts):
                 firsts.append(t)
-        blocks.update(zip(terms, [key_blocks[key] for key in keys]))
-    return blocks
+        return [partition[t] for t in fresh.values()]
+
+    return list(closed_term_classes(spec.signature, size_bound, classify))
 
 
 def fingerprint_buckets(spec, size_bound, depth):
-    """Group enumerated closed terms by what bounded contexts can observe.
+    """Group the closed terms up to ``size_bound`` by what bounded contexts
+    can observe.
 
-    Returns ``[(fingerprint, members, representatives)]`` in enumeration
-    order of first members; the representatives are the first member of each
-    ``bisim_blocks`` block in the bucket. The fingerprint is everything a
-    depth-bounded context can observe: a context word of length < ``depth``
-    exposes the plugged term's completed traces and its partial words up to
-    that length, so it is the completed table at ``depth`` with the partial
-    table below it (pairs equal only on the completed table can still split
-    under a context that interleaves termination). Both are functions of a
-    term's ``depth``-step bisimulation class, so the quotient comes first
-    and each block is fingerprinted once.
+    Returns ``[(fingerprint, count, representatives)]`` in enumeration order
+    of first members: ``count`` closed terms have the fingerprint, and the
+    representatives are the first member of each ``_quotient`` block among
+    them. The fingerprint is everything a depth-bounded context can observe:
+    a context word of length < ``depth`` exposes the plugged term's
+    completed traces and its partial words up to that length, so it is the
+    completed table at ``depth`` with the partial table below it (pairs
+    equal only on the completed table can still split under a context that
+    interleaves termination). Both are functions of a term's ``depth``-step
+    bisimulation class, so the quotient comes first and each block is
+    fingerprinted once, after the bound of ``enumeration_counts``.
     """
-    buckets = {}  # fingerprint -> (fingerprint, members, representatives)
-    bucket_of = {}  # block -> its bucket, found from its first member
-    for t, block in bisim_blocks(spec, size_bound, depth).items():
-        bucket = bucket_of.get(block)
-        if bucket is None:
-            fp = trace_bounded(spec, t, depth), partial_trace_bounded(spec, t, depth - 1)
-            bucket = bucket_of[block] = buckets.setdefault(fp, (fp, [], []))
-            bucket[2].append(t)
-        bucket[1].append(t)
-    return list(buckets.values())
+    enumeration_counts(spec.signature, size_bound)
+    blocks = {}  # block -> [count, first member], in order of first member
+    for size in _quotient(spec, size_bound, depth):
+        for block, (n, first) in size.items():
+            blocks.setdefault(block, [0, first])[0] += n
+    buckets = {}  # fingerprint -> [fingerprint, count, representatives]
+    for n, t in blocks.values():
+        fp = trace_bounded(spec, t, depth), partial_trace_bounded(spec, t, depth - 1)
+        bucket = buckets.setdefault(fp, [fp, 0, []])
+        bucket[1] += n
+        bucket[2].append(t)
+    return [tuple(bucket) for bucket in buckets.values()]
 
 
 def counterexample_search(

@@ -359,10 +359,8 @@ def cmd_congruence(spec, args):
         "depth": args.depth,
         "extra_contexts": args.contexts,
         "seed": args.seed,
-        "terms": sum(len(members) for _, members, _ in buckets),
-        "equivalent_pairs": sum(
-            len(members) * (len(members) - 1) // 2 for _, members, _ in buckets
-        ),
+        "terms": sum(n for _, n, _ in buckets),
+        "equivalent_pairs": sum(n * (n - 1) // 2 for _, n, _ in buckets),
         "violation": violation.describe(spec) if violation else None,
         "passed": violation is None,
     }

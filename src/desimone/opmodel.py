@@ -34,6 +34,7 @@ class ModelCache:
         self.step = {}
         self.trace = {}
         self.partial = {}
+        self.words = {}  # (label, id(tail)) -> the word (label,) + tail, see trace._bounded
 
 
 _caches = weakref.WeakKeyDictionary()

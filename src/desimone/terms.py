@@ -11,9 +11,10 @@ recursion limit. ``fold`` is the one bottom-up walk: ``substitute``,
 ``graft``, ``print_term``, ``payload_key``, ``dist_sigma_star``,
 ``step_law`` and the context paths of ``analysis`` all go through it.
 
-One size recurrence counts the closed terms for the enumeration bound and
-lists them, so the bound counts exactly the terms the listing builds; an
-argument tuple is built only at the size where an operator first takes it.
+One size recurrence counts the closed terms for the enumeration bound,
+lists them and counts them by class; an argument tuple is built only at the
+size where an operator first takes it. ``closed_term_at`` rebuilds the term
+at any index of the listing from the counts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, count, islice
+from itertools import chain, count, islice
 from operator import mul
 
 
@@ -399,35 +400,60 @@ def print_term(t):
 
 # --- enumeration -----------------------------------------------------------
 
-def _sizes(signature, unit, join, first, apply):
+def _splits(k, j):
+    """Sizes of the first of k arguments of j nodes; the others keep one each."""
+    return range(j if k == 1 else 1, j - k + 2)
+
+
+def _sizes(signature, unit, join, first, apply, close=None, rows=None):
     """The results for sizes 1, 2, ... by the size recurrence: a term of size
     m + 1 is an operator of arity k over k arguments of m nodes in all. The
     algebra: ``unit`` is the empty tuple, ``join`` joins alternatives in
     order, ``first(terms, tuples)`` puts each of ``terms`` before each of
-    ``tuples`` and ``apply(op, tuples)`` applies an operator. The order is
-    operator declaration order, then the arguments from the first: each
-    position by size, then in its own size's order. A k-tuple of j nodes is
-    built only when first used: as the last k arguments, with a node in each
-    of the others, of an operator of the narrowest arity a >= k at m = j + a - k."""
+    ``tuples`` and ``apply(op, tuples)`` applies an operator; a given
+    ``close`` turns each size's result into the one yielded and built on.
+    The order is operator declaration order, then the arguments from the
+    first: each position by size, then in its own size's order. A k-tuple
+    of j nodes, ``rows[k][j]`` (filled into a given ``rows``), is built only
+    when first used: as the last k arguments, with a node in each of the
+    others, of an operator of the narrowest arity a >= k at m = j + a - k.
+    It runs over counts, tuples (the listing) and classes."""
     ops = signature.ops.items()
     arities = sorted(set(signature.ops.values()))
     empty = join(())
     sizes = [empty]  # sizes[n]: the result for size n
-    rows = defaultdict(dict, {0: {0: unit}})  # rows[k][j]: k-tuples of j nodes in all
+    rows = defaultdict(dict) if rows is None else rows
+    rows[0] = {0: unit}
     for m in count():  # the nodes below the root of size m + 1
         for k in range(1, max((a for a in arities if a <= m), default=0) + 1):
             j = m + k - arities[bisect_left(arities, k)]
-            # the first argument takes s nodes and leaves each later one at
-            # least one; a lone argument takes all j
-            splits = range(j if k == 1 else 1, j - k + 2)
-            rows[k][j] = join(first(sizes[s], rows[k - 1][j - s]) for s in splits)
-        sizes.append(join(apply(op, rows[k].get(m, empty)) for op, k in ops if k <= m))
+            rows[k][j] = join(first(sizes[s], rows[k - 1][j - s]) for s in _splits(k, j))
+        size = join(apply(op, rows[k].get(m, empty)) for op, k in ops if k <= m)
+        sizes.append(size if close is None else close(size))
         yield sizes[-1]
 
+
+_COUNTS = (1, sum, mul, lambda op, n: n)
 
 _TUPLES = (((),), lambda parts: tuple(chain.from_iterable(parts)),  # lists the terms
            lambda terms, tuples: ((c,) + rest for c in terms for rest in tuples),
            lambda op, tuples: map(partial(Node, op), tuples))
+
+
+def _merge(parts):
+    """``(key, (count, first))`` pairs in order, a key's counts added and its
+    first kept: the join over classes."""
+    merged = {}
+    for key, (n, first) in chain.from_iterable(parts):
+        merged[key] = (merged[key][0] + n, merged[key][1]) if key in merged else (n, first)
+    return merged
+
+
+_CLASSES = ({(): (1, ())}, _merge,
+            lambda terms, tuples: (((c,) + cs, (n * m, (t,) + ts))
+                                   for c, (n, t) in terms.items()
+                                   for cs, (m, ts) in tuples.items()),
+            lambda op, tuples: (((op, cs), v) for cs, v in tuples.items()))
 
 
 def closed_terms_of_size(signature, size):
@@ -440,31 +466,97 @@ def closed_terms_of_size(signature, size):
     return built[max(size, 0)]
 
 
-def closed_term_counts(signature, max_size):
+def closed_term_counts(signature, max_size, rows=None):
     """For n = 1..``max_size`` in turn, the number of closed terms of size
-    <= n: the size recurrence over counts, which builds no term."""
-    counts = _sizes(signature, 1, sum, mul, lambda op, n: n)
-    return accumulate(islice(counts, max(max_size, 0)))
+    n: the size recurrence over counts, which builds no term. A given
+    ``rows`` receives the argument tuple counts."""
+    return islice(_sizes(signature, *_COUNTS, rows=rows), max(max_size, 0))
 
 
-MAX_CLOSED_TERMS = 5_000_000  # about 1.7 GB at the 330 bytes a term costs congruence
+def closed_term_classes(signature, max_size, classify):
+    """For n = 1..``max_size`` in turn, ``{class: (count, first term)}`` of
+    the closed terms of size n, in order of first term, where a term's key
+    ``(op, child classes)`` decides its class: ``classify`` gets ``{key:
+    first term}`` of the keys new at the size and returns their classes in
+    order. The size recurrence over classes: it builds only those terms and
+    the first term of each class of each size."""
+    classes = {}  # key -> class
+
+    def close(keys):  # {key: (count, first arguments)}
+        fresh = {key: Node(key[0], ts) for key, (_, ts) in keys.items() if key not in classes}
+        if fresh:
+            classes.update(zip(fresh, classify(fresh)))
+        firsts = _merge([((classes[key], (n, key)) for key, (n, _) in keys.items())])
+        return {
+            c: (n, fresh[key] if key in fresh else Node(key[0], keys[key][1]))
+            for c, (n, key) in firsts.items()
+        }
+
+    return islice(_sizes(signature, *_CLASSES, close=close), max(max_size, 0))
+
+
+MAX_CLOSED_TERMS = 5_000_000  # about 0.7 GB at the 136 bytes a listed term holds
+
+
+def enumeration_counts(signature, max_size):
+    """``counts[n]``, the closed terms of each size n <= ``max_size``, and
+    the argument tuple ``rows`` that ``closed_term_at`` reads: the one
+    enumeration bound. A negative size, or more than ``MAX_CLOSED_TERMS``
+    terms in all, is refused with ``ValueError``; the count stops at the
+    first size that passes the bound."""
+    if max_size < 0:
+        raise ValueError("max_size must be >= 0")
+    counts, rows = [0], defaultdict(dict)
+    for n in closed_term_counts(signature, max_size, rows):
+        counts.append(n)
+        if sum(counts) > MAX_CLOSED_TERMS:
+            raise ValueError(
+                f"there are {sum(counts):,} closed terms of size <= {len(counts) - 1}, "
+                f"more than {MAX_CLOSED_TERMS:,}"
+            )
+    return counts, rows
+
+
+def closed_term_at(signature, counts, rows, index):
+    """The closed term at ``index`` of the listing that ``enumeration_counts``
+    counted, rebuilt from the counts on an explicit stack: its size, its
+    operator, then each argument's size and index from the first
+    (unranking; Nijenhuis and Wilf, *Combinatorial Algorithms*, 1978)."""
+    m = 0  # the nodes below the root
+    while index >= counts[m + 1]:
+        index, m = index - counts[m + 1], m + 1
+    ops = signature.ops.items()
+    done, todo = [], [(m, index)]  # (m, index) to rebuild, or (None, (op, arity))
+    while todo:
+        m, index = todo.pop()
+        if m is None:  # apply op to the last ``arity`` terms done
+            op, k = index
+            done[len(done) - k:] = [Node(op, done[len(done) - k:])]
+            continue
+        for op, k in ops:
+            if index < (n := rows[k].get(m, 0)):
+                break
+            index -= n
+        args = []
+        for left in range(k, 0, -1):  # the arguments not yet placed
+            for s in _splits(left, m):
+                if index < (n := counts[s] * rows[left - 1][m - s]):
+                    break
+                index -= n
+            arg, index = divmod(index, rows[left - 1][m - s])
+            args.append((s - 1, arg))
+            m -= s
+        todo += [(None, (op, k))] + args[::-1]
+    return done[0]
 
 
 def enumerate_closed_terms(signature, max_size):
     """Closed terms of size <= max_size, size-ascending, no duplicates.
 
     The one listing of the enumeration, ``closed_terms_of_size`` for each
-    size in turn, built as it is read. One of more than ``MAX_CLOSED_TERMS``
-    terms is refused with ``ValueError`` at the call, before any term is
-    built; the count stops at the first size that passes the bound.
+    size in turn, built as it is read, after the bound of
+    ``enumeration_counts``.
     """
-    if max_size < 0:
-        raise ValueError("max_size must be >= 0")
-    for size, total in enumerate(closed_term_counts(signature, max_size), start=1):
-        if total > MAX_CLOSED_TERMS:
-            raise ValueError(
-                f"there are {total:,} closed terms of size <= {size}, "
-                f"more than {MAX_CLOSED_TERMS:,}"
-            )
+    enumeration_counts(signature, max_size)
     sizes = range(1, max_size + 1)
     return chain.from_iterable(closed_terms_of_size(signature, s) for s in sizes)

@@ -49,7 +49,8 @@ def trace_bounded(spec, term, depth):
     Contains exactly the completed traces of length <= depth - 1.
     """
     _check_table_args("trace_bounded", term, "depth", depth)
-    return _bounded(spec, term, depth, model_cache(spec).trace, partial=False)
+    cache = model_cache(spec)
+    return _bounded(spec, term, depth, cache.trace, cache.words, partial=False)
 
 
 def partial_trace_bounded(spec, term, max_len):
@@ -60,16 +61,20 @@ def partial_trace_bounded(spec, term, max_len):
     which is why the congruence machinery fingerprints on both.
     """
     _check_table_args("partial_trace_bounded", term, "max_len", max_len)
-    return _bounded(spec, term, max_len, model_cache(spec).partial, partial=True)
+    cache = model_cache(spec)
+    return _bounded(spec, term, max_len, cache.partial, cache.words, partial=True)
 
 
-def _bounded(spec, term, n, memo, partial):
+def _bounded(spec, term, n, memo, words, partial):
     """The recursion behind both tables, memoized on ``(term, n)``.
 
     The empty word weighs the termination weight in a completed table (of
     depth ``n``) and one in a partial table (of words up to length ``n``);
     a word ``(a,) + w`` carries each ``a``-transition's weight times the
-    weight of ``w`` at its target, one bound lower.
+    weight of ``w`` at its target, one bound lower. A spec's tables share
+    each word: ``words`` maps ``(a, id(w))`` to ``(a,) + w``, which is sound
+    as every tail ``w`` is ``()`` or a word ``words`` keeps alive, so no id
+    is reused for another tuple.
     """
     sr = spec.semiring
     if n == 0:
@@ -81,8 +86,10 @@ def _bounded(spec, term, n, memo, partial):
     entries = [((), sr.one)] if partial else []
     for e, w in step(spec, term).items():
         if e is not STOP:
-            for word, mass in _bounded(spec, e.target, n - 1, memo, partial).items():
-                entries.append(((e.label,) + word, sr.mul(w, mass)))
+            for tail, mass in _bounded(spec, e.target, n - 1, memo, words, partial).items():
+                link = (e.label, id(tail))
+                word = words.get(link) or words.setdefault(link, (e.label,) + tail)
+                entries.append((word, sr.mul(w, mass)))
         elif not partial:
             entries.append(((), w))
     result = FormalSum(sr, entries)

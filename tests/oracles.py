@@ -7,20 +7,25 @@ than tautology. Oracles are slow and simple on purpose. The exceptions are
 quotient-first search, ``per_term_buckets`` and ``round_based_bisimulation``:
 they read the package's trace tables and walk, and differ from it only in
 the step they check (tabling every term, and re-reading every behaviour
-each refinement round). ``unguarded_search`` likewise runs the package's
-buckets, contexts and split check, and differs only in splitting every
-representative under every context. ``law_star`` extends the package's
-composite law to terms over behaviour-carrying leaves, so that hand
-compositions of ``bar_rho_step`` (``two_level_oracle``) can check it level
-by level.
+each refinement round). ``counted_buckets`` puts ``per_term_buckets`` in
+the package's bucket shape with one partition of the whole listing, and
+``listed_contexts`` draws each context host by ``rng.choice`` from the
+package's listing, where the package draws it by rank.
+``unguarded_search`` likewise runs the package's buckets, contexts and
+split check, and differs only in splitting every representative under
+every context. ``law_star`` extends the package's composite law to terms
+over behaviour-carrying leaves, so that hand compositions of
+``bar_rho_step`` (``two_level_oracle``) can check it level by level.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 
 from desimone import (
     BOOLEAN,
     HOLE,
+    Context,
     INF,
     STOP,
     FormalSum,
@@ -31,6 +36,7 @@ from desimone import (
     TransPremise,
     bar_rho_step,
     belem_map,
+    bisim_partition,
     enumerate_closed_terms,
     explore,
     fingerprint_buckets,
@@ -266,6 +272,22 @@ def per_term_buckets(spec, size_bound, depth):
     return list(buckets.items())
 
 
+def counted_buckets(spec, size_bound, depth):
+    """``per_term_buckets`` in the shape of ``fingerprint_buckets``:
+    ``[(fingerprint, count, representatives)]``, the representatives being
+    the first member of each block of one ``bisim_partition`` of the whole
+    listing."""
+    terms = list(enumerate_closed_terms(spec.signature, size_bound))
+    blocks = bisim_partition(spec, terms, depth)
+    out = []
+    for fp, members in per_term_buckets(spec, size_bound, depth):
+        firsts = {}
+        for m in members:
+            firsts.setdefault(blocks[m], m)
+        out.append((fp, len(members), list(firsts.values())))
+    return out
+
+
 # --- bisimulation by signature rounds ----------------------------------------
 
 def round_based_bisimulation(spec, terms, max_states=200000):
@@ -388,6 +410,63 @@ def plug(context_term, t):
         assert context_term.payload is HOLE
         return t
     return Node(context_term.op, [plug(c, t) for c in context_term.children])
+
+
+def _paths(t):
+    """The path to every node of ``t`` in pre-order, the root's ``()`` first."""
+    return [()] + [(i,) + p for i, c in enumerate(t.children) for p in _paths(c)]
+
+
+def _hole_at(t, path):
+    if not path:
+        return Leaf(HOLE)
+    children = list(t.children)
+    children[path[0]] = _hole_at(children[path[0]], path[1:])
+    return Node(t.op, children)
+
+
+def listed_contexts(spec, count, max_size, seed):
+    """``generate_contexts`` over the listing: the filler is the first listed
+    closed term, and each sampled host is ``rng.choice`` of every listed
+    term of size 2 .. ``max_size``. The depth-1 layer and the None slots
+    are as there; the slot bound is left out."""
+    if not count:
+        return []
+    sig = spec.signature
+    unbuilt = {
+        op for op in sig.names() if sig.arity(op) >= max_size and not spec.rules_for(op)
+    }
+    pool = list(enumerate_closed_terms(sig, max(max_size, 1)))
+    if not pool:
+        raise ValueError("signature has no closed terms to fill context slots")
+    contexts, seen = [], set()
+
+    def add(term, path):
+        if term not in seen:
+            seen.add(term)
+            contexts.append(Context(term, path))
+
+    for op in sig.names():
+        arity = sig.arity(op)
+        if op in unbuilt:
+            contexts.extend([None] * arity)
+            continue
+        for position in range(arity):
+            children = [pool[0]] * arity
+            children[position] = Leaf(HOLE)
+            add(Node(op, children), (position,))
+    rng = random.Random(seed)
+    hosts = [t for t in pool if t.size >= 2]
+    pairs = sum(t.size - 1 for t in hosts)
+    drawn = set()
+    attempts = 0
+    while len(contexts) < count and len(drawn) < pairs and attempts < 50 * count:
+        attempts += 1
+        host = rng.choice(hosts)
+        path = rng.choice(_paths(host)[1:])
+        drawn.add((host, path))
+        add(_hole_at(host, path), path)
+    return contexts[:count]
 
 
 def unguarded_search(spec, size_bound, depth, extra_contexts=100, seed=0):

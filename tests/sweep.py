@@ -10,7 +10,8 @@ digest over every line. Run it from the repo root against two checkouts
 keeps every byte prints identical lines.
 
 The commands are every command ``test_output_pins.py`` pins; ``congruence``
-at sizes 0-6 and depths 1, 3 and 4 (size 6 at depth 4 only), each with the
+at sizes 0-6 and depths 1, 3 and 4 (size 6 at depth 4 only), and on the
+bundled specs also at sizes 7 and 8 and depths 3 and 4, each with the
 default contexts, ``--contexts 0`` and ``--contexts 7 --seed 3``, plus
 ``validate --json`` and ``naturality --carrier 1``, on the bundled specs, on
 30 seed-0 ``random_valid_spec`` specs (10 plain, 10 normalised, 10 copying)
@@ -49,6 +50,7 @@ from test_output_pins import _terms, commands
 
 CHECKOUT = str(Path(desimone.__file__).resolve().parents[2])
 SIZES = [(size, depth) for depth in (1, 3, 4) for size in range(6 + (depth == 4))]
+LARGE = [(size, depth) for depth in (3, 4) for size in (7, 8)]  # bundled specs only
 CONTEXTS = ([], ["--contexts", "0"], ["--contexts", "7", "--seed", "3"])
 WIDE = ("leaky_w10", "prob_par_p10000")  # also swept at sizes 7 and 8
 LIMIT_S = 60  # per command
@@ -78,7 +80,7 @@ def _commands(specs):
     out = [[argv[0], f"{argv[1]}.spec", *argv[2:]] for argv in commands()]
     for name, text in specs.items():
         path = f"{name}.spec"
-        sizes = SIZES + [(7, 3), (8, 3)] * (name in WIDE)
+        sizes = SIZES + LARGE * (name in SPEC_NAMES) + [(7, 3), (8, 3)] * (name in WIDE)
         for size, depth in sizes:
             for contexts in CONTEXTS:
                 out.append(

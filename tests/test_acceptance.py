@@ -40,6 +40,7 @@ from desimone import (
     fs_total,
     fs_unit,
     generate_contexts,
+    load_spec,
     naturality_check,
     parse_term,
     print_term,
@@ -50,6 +51,7 @@ from desimone import (
 )
 from oracles import (
     as_set,
+    counted_buckets,
     fs_leq,
     law_star,
     set_flatten,
@@ -175,7 +177,8 @@ def test_06_trace_equivalence_is_a_congruence_on_the_parallel_specs(
     for name in ("de_simone_par", "prob_par"):
         spec = request.getfixturevalue(name)
         buckets = fingerprint_buckets(spec, size_bound=7, depth=6)
-        pairs = sum(len(ms) * (len(ms) - 1) // 2 for _, ms, _ in buckets)
+        assert buckets == counted_buckets(load_spec(name), 7, 6)
+        pairs = sum(n * (n - 1) // 2 for _, n, _ in buckets)
         assert pairs >= 20
         # the search tries the depth-1 layer and then 200 sampled contexts
         arity = sum(spec.signature.arity(op) for op in spec.signature.names())

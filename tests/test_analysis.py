@@ -3,6 +3,7 @@ bisimulation quotient behind it."""
 
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -34,16 +35,20 @@ from desimone import (
     parse_term,
     partial_trace_bounded,
     print_term,
+    spec_path,
     spec_text,
     step,
     step_law,
     trace_bounded,
     trace_direct,
 )
-from desimone.analysis import _hole_guard, bisim_blocks
+from desimone.analysis import _hole_guard, _quotient
+from desimone.cli import main
 from oracles import (
     bounded_signatures,
     coarsest_bisimulation,
+    counted_buckets,
+    listed_contexts,
     observably_equiv_bounded,
     per_term_buckets,
     plug,
@@ -188,6 +193,42 @@ def test_sampling_stops_once_no_context_can_be_new(prob_par):
         assert generate_contexts(prob_par, count, 3, 0) == every[:count]
 
 
+def _contexts_or_refusal(make, spec, count, size, seed):
+    try:
+        return make(spec, count, size, seed)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _context_specs():
+    """``{name: text}``: the bundled specs and 30 seed-0 random ones, 10 of
+    each family."""
+    specs = {name: spec_text(name) for name in SPEC_NAMES}
+    for family, options in (
+        ("plain", {}),
+        ("normalised", {"normalised": True}),
+        ("copying", {"copying": True}),
+    ):
+        rng = random.Random(0)
+        for i in range(10):
+            specs[f"{family}{i}"] = random_valid_spec(rng, **options)
+    return specs
+
+
+CONTEXT_SPECS = _context_specs()
+
+
+@pytest.mark.parametrize("name", CONTEXT_SPECS)
+def test_contexts_drawn_by_rank_are_the_contexts_drawn_from_the_listing(name):
+    spec = parse_spec(CONTEXT_SPECS[name])
+    count = sum(spec.signature.arity(op) for op in spec.signature.names()) + 100
+    for size in range(7):
+        for seed in (0, 1, 5):
+            assert _contexts_or_refusal(
+                generate_contexts, spec, count, size, seed
+            ) == _contexts_or_refusal(listed_contexts, spec, count, size, seed)
+
+
 def test_context_count_must_be_positive(prob_par):
     with pytest.raises(ValueError, match="^context count must be >= 0$"):
         generate_contexts(prob_par, -1, 3, 0)
@@ -256,18 +297,20 @@ def test_context_apply_matches_the_plug_oracle(prob_par, copy_nonaffine):
 
 def test_buckets_partition_the_enumeration(prob_par):
     buckets = fingerprint_buckets(prob_par, 4, 3)
-    members = [m for _, ms, _ in buckets for m in ms]
-    assert sorted(map(print_term, members)) == sorted(
-        print_term(x) for x in enumerate_closed_terms(prob_par.signature, 4)
-    )
-    for _, ms, _ in buckets:
+    terms = list(enumerate_closed_terms(prob_par.signature, 4))
+    expected = per_term_buckets(load_spec("prob_par"), 4, 3)
+    assert sum(n for _, n, _ in buckets) == len(terms)
+    assert buckets == counted_buckets(load_spec("prob_par"), 4, 3)
+    for (_, _, reps), (_, ms) in zip(buckets, expected):
+        assert reps[0] == ms[0] and set(reps) <= set(ms)
         for a in ms:
-            for b in ms:
+            for b in reps:
                 assert observably_equiv_bounded(prob_par, a, b, 3)
-    reps = [ms[0] for _, ms, _ in buckets]
-    assert [print_term(m) for m in buckets[0][1][:2]] == ["nil", "par(nil, nil)"]
-    for i, a in enumerate(reps):
-        for b in reps[i + 1:]:
+    assert [print_term(m) for m in expected[0][1][:2]] == ["nil", "par(nil, nil)"]
+    assert [print_term(r) for r in buckets[0][2]] == ["nil"]
+    firsts = [reps[0] for _, _, reps in buckets]
+    for i, a in enumerate(firsts):
+        for b in firsts[i + 1:]:
             assert not observably_equiv_bounded(prob_par, a, b, 3)
 
 
@@ -286,44 +329,49 @@ ORACLE_SIZES = [
 @pytest.mark.parametrize("name, size, depth", ORACLE_SIZES)
 def test_buckets_match_fingerprinting_every_term(name, size, depth):
     spec = load_spec(name)  # fresh: no table is shared with the oracle
-    expected = per_term_buckets(load_spec(name), size, depth)
-    buckets = fingerprint_buckets(spec, size, depth)
-    assert [(fp, ms) for fp, ms, _ in buckets] == expected
-    terms = list(enumerate_closed_terms(spec.signature, size))
+    assert fingerprint_buckets(spec, size, depth) == counted_buckets(
+        load_spec(name), size, depth
+    )
+
+
+def _listed_quotient(spec, terms, size, depth):
+    """``_quotient`` read off one partition of the whole listing."""
     blocks = bisim_partition(spec, terms, depth)
-    for _, ms, reps in buckets:
-        firsts = {}
-        for m in ms:
-            firsts.setdefault(blocks[m], m)
-        assert reps == list(firsts.values())
+    quotient = [{} for _ in range(size)]
+    for u in terms:
+        n, first = quotient[u.size - 1].get(blocks[u], (0, u))
+        quotient[u.size - 1][blocks[u]] = n + 1, first
+    return quotient
 
 
 def _quotients(spec, size, depth):
-    """The enumeration's block ids, renumbered in order of first member, from
-    the key-built quotient and from one partition of the whole enumeration;
+    """Per size, ``(block, count, first member)`` of each block among the
+    terms of that size, blocks renumbered in order of first member, from the
+    key-counted quotient and from one partition of the whole enumeration;
     or the refusal of each. Equal lists mean the same blocks, each with the
-    same first member."""
+    same count and first member at every size."""
     terms = list(enumerate_closed_terms(spec.signature, size))
     outcomes = []
     for quotient in (
-        lambda: bisim_blocks(spec, size, depth),
-        lambda: bisim_partition(spec, terms, depth),
+        lambda: _quotient(spec, size, depth),
+        lambda: _listed_quotient(spec, terms, size, depth),
     ):
         try:
-            blocks = quotient()
+            of_sizes = quotient()
         except RuleTargetError as exc:
             outcomes.append(str(exc))
             continue
         ids = {}
-        outcomes.append([ids.setdefault(blocks[u], len(ids)) for u in terms])
+        outcomes.append([
+            [(ids.setdefault(b, len(ids)), n, first) for b, (n, first) in blocks.items()]
+            for blocks in of_sizes
+        ])
     return outcomes
 
 
 @pytest.mark.parametrize("name, size, depth", ORACLE_SIZES)
 def test_key_built_blocks_match_one_partition_of_the_enumeration(name, size, depth):
     spec = load_spec(name)
-    terms = list(enumerate_closed_terms(spec.signature, size))
-    assert list(bisim_blocks(spec, size, 1)) == terms
     for d in range(1, depth + 1):
         by_keys, whole = _quotients(spec, size, d)
         assert by_keys == whole
@@ -594,11 +642,12 @@ def test_search_reuses_given_buckets(prob_par, monkeypatch, quotient_calls):
 def test_search_quotients_the_first_term_of_each_key(prob_par, quotient_calls):
     assert counterexample_search(prob_par, 4, 3) is None
     calls = [roots for roots, depth in quotient_calls if depth == 3]
-    blocks = bisim_blocks(prob_par, 4, 3)
+    terms = list(enumerate_closed_terms(prob_par.signature, 4))
+    blocks = bisim_partition(load_spec("prob_par"), terms, 3)
     key_firsts, block_firsts = {}, {}
-    for u, b in blocks.items():
+    for u in terms:
         key_firsts.setdefault((u.op, tuple(blocks[c] for c in u.children)), u)
-        block_firsts.setdefault(b, u)
+        block_firsts.setdefault(blocks[u], u)
     earlier = set()
     for roots in calls:
         assert len(set(roots)) == len(roots) <= len(key_firsts)
@@ -606,7 +655,7 @@ def test_search_quotients_the_first_term_of_each_key(prob_par, quotient_calls):
         assert set(roots) & earlier <= set(block_firsts.values())
         earlier |= set(roots)
     assert earlier == set(key_firsts.values())
-    assert len(key_firsts) < len(blocks)
+    assert len(key_firsts) < len(terms)
 
 
 # computed before the search skipped hole-blind contexts: none of these
@@ -839,6 +888,32 @@ def test_copy_buckets_step_one_term_per_key():
     # 1,937 behaviours under every hash seed tried, for 44,361 terms;
     # quotienting every term memoized 45,711
     assert len(model_cache(spec).step) <= 2_500
+
+
+def test_congruence_lists_no_term_and_counts_the_rest(monkeypatch, capsys):
+    import desimone.terms as terms_module
+
+    def listed(*args):
+        raise AssertionError("a size of closed terms was listed")
+
+    monkeypatch.setattr(terms_module, "closed_terms_of_size", listed)
+    argv = ["congruence", spec_path("copy_nonaffine"), "--size", "7", "--depth", "4"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "pair:     pre_a(plus(pre_b(nil), pre_c(nil)))" in out
+    assert "context:  f([])" in out
+    # a first term per key and block, and the tables of the blocks: 6.6 MB
+    # under every hash seed tried, where listing the 290,136 terms peaked
+    # at 87 MB
+    spec = load_spec("copy_nonaffine")
+    tracemalloc.start()
+    try:
+        buckets = fingerprint_buckets(spec, 8, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(n for _, n, _ in buckets) == 290_136
+    assert peak < 20_000_000
 
 
 def test_search_finds_the_copying_violation(copy_nonaffine, copy_violation):

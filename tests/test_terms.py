@@ -5,7 +5,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 
@@ -40,7 +40,9 @@ from desimone import (
 )
 from desimone.terms import (
     MAX_CLOSED_TERMS,
+    closed_term_at,
     closed_term_counts,
+    enumeration_counts,
     parse_tokens,
     tokenize,
 )
@@ -350,12 +352,9 @@ def test_enumeration_counts_match_direct_recursion(de_simone_par, prob_par):
 @pytest.mark.parametrize("name", SPEC_NAMES)
 def test_the_size_recurrence_counts_each_bundled_enumeration(name):
     signature = load_spec(name).signature
-    expected = [
-        sum(count_closed_terms(signature, n) for n in range(1, bound + 1))
-        for bound in range(1, 12)
-    ]
+    expected = [count_closed_terms(signature, n) for n in range(1, 12)]
     assert list(closed_term_counts(signature, 11)) == expected
-    assert expected[4] == len(list(enumerate_closed_terms(signature, 5)))
+    assert sum(expected[:5]) == len(list(enumerate_closed_terms(signature, 5)))
 
 
 def test_the_size_recurrence_counts_wide_and_narrow_signatures():
@@ -368,14 +367,34 @@ def test_the_size_recurrence_counts_wide_and_narrow_signatures():
         [("k", 0), ("q", 4), ("f", 1), ("g", 2)],  # arity 3 missing
     ):
         signature = Signature(ops)
-        expected = [
-            sum(count_closed_terms(signature, n) for n in range(1, bound + 1))
-            for bound in range(1, 9)
-        ]
+        expected = [count_closed_terms(signature, n) for n in range(1, 9)]
         assert list(closed_term_counts(signature, 8)) == expected
     # a constant and a unary operator: one term per size, up to a large size
-    *_, last = closed_term_counts(Signature([("k", 0), ("f", 1)]), 2000)
-    assert last == 2000
+    counts = list(closed_term_counts(Signature([("k", 0), ("f", 1)]), 2000))
+    assert counts == [1] * 2000
+
+
+def test_the_term_at_each_index_is_the_listed_one():
+    for ops, size in (
+        (load_spec("copy_nonaffine").signature.ops.items(), 6),
+        (load_spec("leaky").signature.ops.items(), 3),
+        ([("a", 0), ("t", 3), ("b", 0), ("u", 1)], 8),
+        ([("k", 0), ("q", 4), ("f", 1), ("g", 2)], 8),  # arity 3 missing
+        ([("k", 0), ("w", 6)], 8),
+        ([("f", 1)], 4),
+    ):
+        signature = Signature(ops)
+        counts, rows = enumeration_counts(signature, size)
+        listed = list(enumerate_closed_terms(signature, size))
+        sizes = range(1, size + 1)
+        assert counts == [0] + [len(closed_terms_of_size(signature, n)) for n in sizes]
+        ranked = [closed_term_at(signature, counts, rows, i) for i in range(len(listed))]
+        assert ranked == listed
+    # the term's depth costs no recursion
+    signature = Signature([("k", 0), ("f", 1)])
+    counts, rows = enumeration_counts(signature, 5000)
+    term = closed_term_at(signature, counts, rows, 4999)
+    assert term.size == 5000 and print_term(term).count("f(") == 4999
 
 
 def test_no_argument_tuple_is_built_before_an_operator_can_use_it():
@@ -402,7 +421,9 @@ def test_an_enumeration_past_the_bound_is_refused_before_a_term_is_built():
     # copy_nonaffine has 1,933,985 closed terms of size <= 9 and 13,092,190
     # of size <= 10; a fresh signature holds no term yet
     signature = Signature(load_spec("copy_nonaffine").signature.ops.items())
-    assert list(closed_term_counts(signature, 10))[-2:] == [1_933_985, 13_092_190]
+    assert list(accumulate(closed_term_counts(signature, 10)))[-2:] == [
+        1_933_985, 13_092_190
+    ]
     assert 1_933_985 <= MAX_CLOSED_TERMS < 13_092_190
     enumerate_closed_terms(signature, 9)  # lazy: checks the count, builds nothing
     with pytest.raises(ValueError) as exc:

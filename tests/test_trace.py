@@ -19,6 +19,7 @@ from desimone import (
     explore,
     fs_empty,
     fs_total,
+    load_spec,
     parse_spec,
     parse_term,
     partial_trace_bounded,
@@ -126,6 +127,16 @@ def test_fixpoint_iteration_equals_path_summation(name, request):
             assert trace_bounded(spec, term, depth) == trace_direct(
                 spec, term, depth - 1
             )
+
+
+def test_the_tables_of_a_spec_share_one_object_per_word():
+    spec = load_spec("de_simone_par")  # fresh: every table is built here
+    words = {}
+    for term in enumerate_closed_terms(spec.signature, 5):
+        for table in (trace_bounded(spec, term, 5), partial_trace_bounded(spec, term, 4)):
+            for word in table.payloads():
+                assert words.setdefault(word, word) is word, word
+    assert len(words) > 10
 
 
 # --- the path-sum oracle on its own ------------------------------------------
