@@ -46,6 +46,7 @@ from .terms import (
 from .trace import (
     partial_trace_bounded,
     trace_bounded,
+    trace_bounded_once,
     trace_direct,
     word_to_str,
 )
@@ -205,13 +206,14 @@ def _split_violation(spec, members, context, depth, depth1_clean):
     """First pair of members whose composites' tables differ under context.
 
     The first member is the base; later members' tables are built only up to
-    the first one that differs from it.
+    the first one that differs from it. No later check asks for a composite
+    again, so each leaves the memos once it is tabled.
     """
     base = context.apply(members[0])
-    table = trace_bounded(spec, base, depth)
+    table = trace_bounded_once(spec, base, depth)
     for t in members[1:]:
         composite = context.apply(t)
-        diff = _first_table_difference(table, trace_bounded(spec, composite, depth))
+        diff = _first_table_difference(table, trace_bounded_once(spec, composite, depth))
         if diff is not None:
             word, wl, wr = diff
             a, b = (trace_direct(spec, c, depth - 1) for c in (base, composite))

@@ -66,7 +66,7 @@ class FormalSum:
         return iter(self._entries)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FormalSum)
             and self.semiring is other.semiring
             and self._entries == other._entries

@@ -28,13 +28,24 @@ from .terms import Node, Var, enumerate_closed_terms, print_term
 
 
 class ModelCache:
-    """Per-spec memo tables; rebuilt automatically, safe to discard."""
+    """Per-spec memo tables; rebuilt automatically, safe to discard.
+
+    ``step`` maps a closed term to its behaviour. ``trace`` and ``partial``
+    map ``(term, n)`` to its completed and partial trace table;
+    ``trace.trace_bounded_once`` leaves out a term no later call asks about.
+    ``words`` maps ``(label, id(tail))`` to the word ``(label,) + tail``,
+    and ``tables`` maps each table to its one shared object and each
+    signature of ``trace._bounded`` to the table it determines. Both key
+    on the ``id`` of an object that they hold themselves, so that object
+    stays alive and its ``id`` names no other object.
+    """
 
     def __init__(self):
         self.step = {}
         self.trace = {}
         self.partial = {}
-        self.words = {}  # (label, id(tail)) -> the word (label,) + tail, see trace._bounded
+        self.words = {}
+        self.tables = {}
 
 
 _caches = weakref.WeakKeyDictionary()

@@ -49,8 +49,21 @@ def trace_bounded(spec, term, depth):
     Contains exactly the completed traces of length <= depth - 1.
     """
     _check_table_args("trace_bounded", term, "depth", depth)
+    return _bounded(spec, term, depth, model_cache(spec), partial=False)
+
+
+def trace_bounded_once(spec, term, depth):
+    """``trace_bounded`` of a term that no later call asks about again.
+
+    The term's own memo entries, its table at ``depth`` and its behaviour,
+    are dropped once the table is built, so the term can be freed; the
+    table stays shared, and the states the term steps into stay memoized.
+    """
+    table = trace_bounded(spec, term, depth)
     cache = model_cache(spec)
-    return _bounded(spec, term, depth, cache.trace, cache.words, partial=False)
+    cache.trace.pop((term, depth), None)
+    cache.step.pop(term, None)
+    return table
 
 
 def partial_trace_bounded(spec, term, max_len):
@@ -61,40 +74,60 @@ def partial_trace_bounded(spec, term, max_len):
     which is why the congruence machinery fingerprints on both.
     """
     _check_table_args("partial_trace_bounded", term, "max_len", max_len)
-    cache = model_cache(spec)
-    return _bounded(spec, term, max_len, cache.partial, cache.words, partial=True)
+    return _bounded(spec, term, max_len, model_cache(spec), partial=True)
 
 
-def _bounded(spec, term, n, memo, words, partial):
+def _bounded(spec, term, n, cache, partial):
     """The recursion behind both tables, memoized on ``(term, n)``.
 
     The empty word weighs the termination weight in a completed table (of
     depth ``n``) and one in a partial table (of words up to length ``n``);
     a word ``(a,) + w`` carries each ``a``-transition's weight times the
-    weight of ``w`` at its target, one bound lower. A spec's tables share
-    each word: ``words`` maps ``(a, id(w))`` to ``(a,) + w``, which is sound
-    as every tail ``w`` is ``()`` or a word ``words`` keeps alive, so no id
-    is reused for another tuple.
+    weight of ``w`` at its target, one bound lower. So past ``n = 0`` a
+    table is determined by its signature: the partial flag, the stop
+    weight, and each transition's label, weight and target table. Equal
+    tables are one object (Filliatre and Conchon, Type-safe modular
+    hash-consing, 2006), so a target table is named by its ``id``, and a
+    signature seen before gives its table without building a word. Tables
+    share their words too: ``words`` maps ``(a, id(w))`` to ``(a,) + w``.
+    Each ``n = 0`` table is one object per partial flag, signed
+    ``(partial,)``. ``cache`` holds every table and word so named, so no
+    ``id`` is reused for another object.
     """
     sr = spec.semiring
+    tables = cache.tables
     if n == 0:
-        return FormalSum(sr, [((), sr.one)] if partial else ())
+        table = tables.get((partial,))
+        if table is None:
+            table = FormalSum(sr, [((), sr.one)] if partial else ())
+            table = tables[(partial,)] = tables.setdefault(table, table)
+        return table
+    memo = cache.partial if partial else cache.trace
     key = (term, n)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    entries = [((), sr.one)] if partial else []
-    for e, w in step(spec, term).items():
-        if e is not STOP:
-            for tail, mass in _bounded(spec, e.target, n - 1, memo, words, partial).items():
-                link = (e.label, id(tail))
-                word = words.get(link) or words.setdefault(link, (e.label,) + tail)
+    behaviour = step(spec, term)
+    stop = behaviour.weight(STOP)
+    moves = [
+        (e.label, w, _bounded(spec, e.target, n - 1, cache, partial))
+        for e, w in behaviour.items()
+        if e is not STOP
+    ]
+    signature = (partial, stop, *((a, w, id(tail)) for a, w, tail in moves))
+    table = tables.get(signature)
+    if table is None:
+        words = cache.words
+        entries = [((), sr.one if partial else stop)]
+        for a, w, tail in moves:
+            for word, mass in tail.items():
+                link = (a, id(word))
+                word = words.get(link) or words.setdefault(link, (a,) + word)
                 entries.append((word, sr.mul(w, mass)))
-        elif not partial:
-            entries.append(((), w))
-    result = FormalSum(sr, entries)
-    memo[key] = result
-    return result
+        table = FormalSum(sr, entries)
+        table = tables[signature] = tables.setdefault(table, table)
+    memo[key] = table
+    return table
 
 
 def trace_direct(spec, term, max_len):

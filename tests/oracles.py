@@ -224,6 +224,25 @@ def boolean_partial_words(spec, term, max_len):
     return frozenset(words)
 
 
+# --- partial words by path summation ----------------------------------------
+
+def partial_trace_direct(spec, term, max_len):
+    """Word weights summed over every transition path of length <= max_len,
+    whether or not the path ends in termination; the empty path weighs one."""
+    sr = spec.semiring
+    entries = []
+
+    def walk(t, word, weight):
+        entries.append((word, weight))
+        if len(word) < max_len:
+            for e, w in step(spec, t).items():
+                if e is not STOP:
+                    walk(e.target, word + (e.label,), sr.mul(weight, w))
+
+    walk(term, (), sr.one)
+    return FormalSum(sr, entries)
+
+
 # --- the trace functional, one application --------------------------------
 
 def trace_functional(spec, table, term):

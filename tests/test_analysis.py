@@ -863,23 +863,56 @@ def test_the_depth_one_contexts_of_an_operator_without_rules_past_the_size_are_n
     assert None not in generate_contexts(spec, 30, 6, 0)
 
 
-def test_prob_search_tables_only_what_its_guards_let_through():
+def _counting_composites(monkeypatch):
+    """A list that gets one entry for each composite a check builds."""
+    built = []
+    apply = Context.apply
+
+    def counted(context, t):
+        built.append(t)
+        return apply(context, t)
+
+    monkeypatch.setattr(Context, "apply", counted)
+    return built
+
+
+def test_prob_search_tables_only_what_its_guards_let_through(monkeypatch):
     spec = load_spec("prob_par")  # fresh, so the memo counts this search
     buckets = fingerprint_buckets(spec, 7, 5)
     before = len(model_cache(spec).trace)
+    built = _counting_composites(monkeypatch)
     assert counterexample_search(spec, 7, 5, buckets=buckets) is None
-    # 2,885 tables under every hash seed tried; splitting every
-    # representative under every context that is not hole-blind added 9,024
-    assert len(model_cache(spec).trace) - before <= 3_500
+    # 672 composites and 2,213 tables below them under every hash seed
+    # tried; with every guard 0 the search builds 3,328 and memoizes 6,781
+    assert len(built) <= 700
+    assert len(model_cache(spec).trace) - before <= 2_300
 
 
-def test_copy_search_steps_only_what_its_tables_observe():
+def test_copy_search_steps_only_what_its_tables_observe(monkeypatch):
     spec = load_spec("copy_nonaffine")  # fresh, so the memo counts this search
+    built = _counting_composites(monkeypatch)
     assert counterexample_search(spec, 6, 4) is None
-    # 11,619 behaviours under every hash seed tried; quotienting every term
-    # memoized 17,416, and stepping every argument of every state and
-    # probing no context for blindness 69,381
-    assert len(model_cache(spec).step) <= 12_000
+    # 4,230 composites and 3,024 behaviours below them under every hash
+    # seed tried; with every guard 0 the search builds 13,734 and memoizes
+    # 10,519
+    assert len(built) <= 4_300
+    assert len(model_cache(spec).step) <= 3_100
+
+
+def test_the_split_loop_holds_no_composite_after_its_check():
+    # the memos keep the states below each composite, and the tables are
+    # shared: 3.8 MB stays held after the search under every hash seed
+    # tried, where keeping every composite held 9.5 MB
+    spec = load_spec("copy_nonaffine")
+    tracemalloc.start()
+    try:
+        buckets = fingerprint_buckets(spec, 7, 4)
+        violation = counterexample_search(spec, 7, 4, buckets=buckets)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert violation.context.show() == "f([])"
+    assert held < 5_000_000
 
 
 def test_copy_buckets_step_one_term_per_key():

@@ -15,24 +15,30 @@ from desimone import (
     Leaf,
     RATIONAL,
     ast_estimate,
+    counterexample_search,
     enumerate_closed_terms,
     explore,
     fs_empty,
     fs_total,
     load_spec,
+    model_cache,
     parse_spec,
     parse_term,
     partial_trace_bounded,
+    step,
     trace_bounded,
     trace_direct,
     word_to_str,
 )
+from desimone.trace import trace_bounded_once
 from oracles import (
     boolean_partial_words,
     chain_completed_mass,
     fs_leq,
+    partial_trace_direct,
     trace_functional,
 )
+from test_analysis import CONTEXT_SPECS
 
 F = Fraction
 
@@ -137,6 +143,47 @@ def test_the_tables_of_a_spec_share_one_object_per_word():
             for word in table.payloads():
                 assert words.setdefault(word, word) is word, word
     assert len(words) > 10
+
+
+@pytest.mark.parametrize("name", CONTEXT_SPECS)
+def test_shared_tables_are_the_tables_of_the_functional(name):
+    # the bundled specs and 30 seed-0 random ones; a search first, so that
+    # its composites have left the memos before the later tables are signed
+    spec = parse_spec(CONTEXT_SPECS[name])  # fresh: every table is built here
+    counterexample_search(spec, 4, 3)
+    terms = list(enumerate_closed_terms(spec.signature, 4))
+    for term in terms:
+        for n in range(5):
+            trace_bounded(spec, term, n)
+            partial_trace_bounded(spec, term, n)
+    cache = model_cache(spec)
+    shared = {}
+    for memo, oracle, below in (
+        (cache.trace, trace_direct, 1),
+        (cache.partial, partial_trace_direct, 0),
+    ):
+        assert memo
+        for (term, n), table in memo.items():
+            assert table == oracle(spec, term, n - below), (term, n)
+            assert shared.setdefault(table, table) is table, (term, n)
+    for bounded, empty in (
+        (trace_bounded, fs_empty(spec.semiring)),
+        (partial_trace_bounded, FormalSum(spec.semiring, [((), spec.semiring.one)])),
+    ):
+        tables = [bounded(spec, term, 0) for term in terms + terms]
+        assert all(table is tables[0] for table in tables)
+        assert tables[0] == empty
+
+
+def test_a_table_built_once_leaves_the_memos_but_what_it_steps_into_stays(prob_par):
+    term = t(prob_par, "par(pre_a(pre_b(nil)), pre_b(nil))")
+    table = trace_bounded_once(prob_par, term, 4)
+    cache = model_cache(prob_par)
+    assert (term, 4) not in cache.trace and term not in cache.step
+    for e in step(prob_par, term):
+        assert e.target in cache.step and (e.target, 3) in cache.trace
+    assert table is trace_bounded(prob_par, term, 4)
+    assert table == trace_direct(prob_par, term, 3)
 
 
 # --- the path-sum oracle on its own ------------------------------------------
