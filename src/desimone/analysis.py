@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 
 from .formalsum import STOP, payload_key
-from .opmodel import explore
+from .opmodel import explore, step
 from .terms import (
     HOLE,
     Leaf,
@@ -382,14 +382,17 @@ def counterexample_search(
 
 
 def _hole_guard(spec, context, depth):
-    """The largest ``g <= depth`` whose table of the unplugged context never
-    steps the hole: ``step`` steps only premised arguments and refuses a
-    leaf with ``TypeError``. Within ``g - 1`` steps, a plugged term is only
-    substituted for the hole, and changes no move."""
-    for g in range(depth, 0, -1):
+    """The fewest steps, at most ``depth``, from the unplugged context to a
+    state that ``step`` refuses: it steps only premised arguments and
+    refuses a leaf, here the hole, with ``TypeError``. Within that many
+    steps a plugged term is only substituted for the hole, and changes no
+    move. ``level`` holds the states that ``d`` steps reach."""
+    level = [context.term]
+    for d in range(depth):
         try:
-            trace_bounded(spec, context.term, g)
+            level = dict.fromkeys(
+                e.target for t in level for e in step(spec, t) if e is not STOP
+            )
         except TypeError:
-            continue
-        return g
-    return 0
+            return d
+    return depth

@@ -14,8 +14,8 @@ violation, witness, inequivalence, bad term), 2 usage, file or spec-parse
 error, a fired rule whose target names an unbound variable, a library
 refusal (a ``ValueError``: a bound out of range, a declared arity too wide
 to enumerate, or more than ``MAX_CLOSED_TERMS`` closed terms up to
-``--size``), or an input too deep for Python's recursion limit. ``main``
-maps each refusal to one line on stderr.
+``--size``), an input too deep for Python's recursion limit, or one that
+runs out of memory. ``main`` maps each refusal to one line on stderr.
 A reader that closes stdout early ends the command quietly with exit 1.
 Two inputs meet the depth refusal: a table depth past the limit (tables
 recurse once per depth), and premised nesting past it under ``step`` (it
@@ -542,6 +542,9 @@ def main(argv=None):
             "(maximum recursion depth exceeded)",
             file=sys.stderr,
         )
+        return 2
+    except MemoryError:
+        print("desimone: out of memory for this command", file=sys.stderr)
         return 2
     except ValueError as exc:  # a library refusal: a bound or a range
         print(f"desimone: {exc}", file=sys.stderr)

@@ -6,9 +6,11 @@ each premise independently picks a matching entry of its argument's
 (recursively stepped) behaviour, and a combination contributes the rule
 weight times the premise weights. An argument that no rule of its
 operator premises is never stepped: it only moves into targets. ``step``
-memoizes, per spec in ``model_cache``. Its oracle is ``law.step_law``, which
-reaches the same behaviour through the composite law and shares none of this
-reading of the rules, so this module imports nothing from ``law``.
+memoizes, per spec in ``model_cache``, and reads each operator's rules once,
+into a ``_plan`` that builds targets without variables or substitution. Its
+oracle is ``law.step_law``, which reaches the same behaviour through the
+composite law and shares none of this reading of the rules, so this module
+imports nothing from ``law``.
 
 ``explore`` is the one breadth-first walk over the states reachable from a
 set of roots: ``check_probabilistic``, bisimulation and the termination
@@ -20,18 +22,20 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .formalsum import STOP, FormalSum, Step, fs_total, is_affine
-from .rulespec import TermPremise
-from .terms import Node, Var, enumerate_closed_terms, print_term
+from .rulespec import RuleTargetError, TermPremise
+from .terms import Node, Var, enumerate_closed_terms, fold, print_term
 
 
 class ModelCache:
     """Per-spec memo tables; rebuilt automatically, safe to discard.
 
-    ``step`` maps a closed term to its behaviour. ``trace`` and ``partial``
-    map ``(term, n)`` to its completed and partial trace table;
+    ``step`` maps a closed term to its behaviour, ``plans`` an operator to
+    its ``_plan``, made on its first step, and ``trace`` and ``partial`` map
+    ``(term, n)`` to its completed and partial trace table;
     ``trace.trace_bounded_once`` leaves out a term no later call asks about.
     ``words`` maps ``(label, id(tail))`` to the word ``(label,) + tail``,
     and ``tables`` maps each table to its one shared object and each
@@ -46,6 +50,7 @@ class ModelCache:
         self.partial = {}
         self.words = {}
         self.tables = {}
+        self.plans = {}
 
 
 _caches = weakref.WeakKeyDictionary()
@@ -83,62 +88,96 @@ def step(spec, term):
     a desimone termination premise always holds. ``step_law`` observes each
     argument once and fires neither kind of rule, so the two disagree there.
     """
-    return _step(spec, term, model_cache(spec).step)
+    cache = model_cache(spec)
+    hit = cache.step.get(term)
+    return hit if hit is not None else _step(spec, term, cache)
 
 
-def _step(spec, term, memo):
-    hit = memo.get(term)
-    if hit is not None:
-        return hit
+def _plan(spec, op):
+    """``op``'s rules, each read once: ``(weight, label, premises, code)``.
+
+    A premise is ``(argument index, label)``, the label None for
+    termination. ``code``, None for ``-> *``, builds the target in
+    post-order over the arguments and then one successor per premise: an
+    int pushes that term, ``(op, k)`` pops ``k`` into a node, and an unbound
+    variable makes its ``RuleTargetError``, raised only when the rule fires.
+    """
+    plan = []
+    for rule in spec.rules_for(op):
+        premises = tuple(
+            (p.index - 1, None if isinstance(p, TermPremise) else p.label)
+            for p in rule.premises
+        )
+        premised = {i for i, _ in premises}
+        slots = {Var("x", j + 1): j for j in range(rule.arity) if j not in premised}
+        for k, (i, on) in enumerate(premises):  # a source premised twice: the last
+            if on is not None:
+                slots[Var("y", i + 1)] = rule.arity + k
+        code = None if rule.target is None else []
+        if code is not None:
+            fold(
+                rule.target,
+                lambda v: code.append(slots.get(v, partial(RuleTargetError, rule, v.name))),
+                lambda n, _: code.append((n.op, len(n.children))),
+            )
+        plan.append((rule.weight, rule.label, premises, code))
+    return plan
+
+
+def _step(spec, term, cache):
+    """``step`` of a term that ``cache.step`` does not hold yet."""
     if not isinstance(term, Node):
         raise TypeError(f"step needs a closed term, got {term!r}")
     children = term.children
     spec.signature.check_arity(term.op, len(children))
+    plan = cache.plans.get(term.op)
+    if plan is None:
+        plan = cache.plans[term.op] = _plan(spec, term.op)
     sr = spec.semiring
     behaviours = [None] * len(children)  # stepped on first premise only
+    entries = [(STOP, sr.one)] if spec.dialect == "desimone" else []
 
-    entries = []
-    if spec.dialect == "desimone":
-        entries.append((STOP, sr.one))
-
-    for rule in spec.rules_for(term.op):
+    for weight, label, premises, code in plan:
         # each premise independently picks a matching entry of its argument:
-        # a termination its stop weight, a transition a step, binding y_i
-        combos = [((), rule.weight)]
-        for p in rule.premises:
-            i = p.index - 1
-            if behaviours[i] is None:
-                behaviours[i] = _step(spec, children[i], memo)
-            if isinstance(p, TermPremise):
-                stop = behaviours[i].weight(STOP)
-                moves = [] if sr.is_zero(stop) else [((), stop)]
+        # a termination its stop weight, a transition a successor
+        combos = [((), weight)]
+        for i, on in premises:
+            b = behaviours[i]
+            if b is None:
+                b = cache.step.get(children[i])
+                if b is None:
+                    b = _step(spec, children[i], cache)
+                behaviours[i] = b
+            if on is None:
+                stop = b.weight(STOP)
+                moves = [] if sr.is_zero(stop) else [((None,), stop)]
             else:
-                y = Var("y", p.index)
-                moves = [
-                    (((y, e.target),), w)
-                    for e, w in behaviours[i].items()
-                    if e is not STOP and e.label == p.label
-                ]
+                moves = [((e.target,), w) for e, w in b.items()
+                         if e is not STOP and e.label == on]
             combos = [
                 (bound + more, sr.mul(acc, w))
                 for bound, acc in combos
                 for more, w in moves
             ]
 
-        premised = {p.index for p in rule.premises}
-        for bound, weight in combos:
-            if sr.is_zero(weight):
+        for bound, w in combos:
+            if sr.is_zero(w):
                 continue
-            if rule.target is None:
-                entries.append((STOP, weight))
+            if code is None:
+                entries.append((STOP, w))
                 continue
-            subst = dict(bound)
-            for j, child in enumerate(children, start=1):
-                if j not in premised:
-                    subst[Var("x", j)] = child
-            entries.append((Step(rule.label, rule.instantiate(subst)), weight))
+            terms, built = children + bound, []
+            for op in code:
+                if type(op) is int:
+                    built.append(terms[op])
+                elif type(op) is tuple:
+                    k = len(built) - op[1]
+                    built[k:] = [Node(op[0], built[k:])]
+                else:
+                    raise op()
+            entries.append((Step(label, built[0]), w))
 
-    result = memo[term] = FormalSum(sr, entries)
+    result = cache.step[term] = FormalSum(sr, entries)
     return result
 
 

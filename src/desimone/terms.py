@@ -9,7 +9,8 @@ Walkers that visit every node (``fold``, ``leaves``, ``Node.__eq__``) keep
 their work on an explicit stack, so term depth is not bounded by the
 recursion limit. ``fold`` is the one bottom-up walk: ``substitute``,
 ``graft``, ``print_term``, ``payload_key``, ``dist_sigma_star``,
-``step_law`` and the context paths of ``analysis`` all go through it.
+``step_law``, the engine's rule plans and the context paths of ``analysis``
+all go through it.
 
 One size recurrence counts the closed terms for the enumeration bound,
 lists them and counts them by class; an argument tuple is built only at the

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .formalsum import STOP, FormalSum, Step
-from .opmodel import explore, model_cache, step
+from .opmodel import _step, explore, model_cache, step
 from .terms import Node
 
 
@@ -107,7 +107,9 @@ def _bounded(spec, term, n, cache, partial):
     hit = memo.get(key)
     if hit is not None:
         return hit
-    behaviour = step(spec, term)
+    behaviour = cache.step.get(term)
+    if behaviour is None:
+        behaviour = _step(spec, term, cache)
     stop = behaviour.weight(STOP)
     moves = [
         (e.label, w, _bounded(spec, e.target, n - 1, cache, partial))

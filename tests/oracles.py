@@ -680,3 +680,16 @@ def _random_target(rng, ops, free, depth):
         return name
     children = [_random_target(rng, ops, free, depth - 1) for _ in range(arity)]
     return f"{name}({', '.join(children)})"
+
+
+def hole_guard_by_tables(spec, context, depth):
+    """``analysis._hole_guard`` by its first definition: the largest ``g <=
+    depth`` whose completed table of the unplugged context steps no hole,
+    found by tabling at ``g = depth, depth - 1, ...``."""
+    for g in range(depth, 0, -1):
+        try:
+            trace_bounded(spec, context.term, g)
+        except TypeError:
+            continue
+        return g
+    return 0

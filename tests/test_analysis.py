@@ -48,6 +48,7 @@ from oracles import (
     bounded_signatures,
     coarsest_bisimulation,
     counted_buckets,
+    hole_guard_by_tables,
     listed_contexts,
     observably_equiv_bounded,
     per_term_buckets,
@@ -724,6 +725,20 @@ def test_fillers_bisimilar_below_a_contexts_guard_get_one_table(name, size, dept
             assert tables.setdefault(blocks[u], table) == table, c.show()
         thinned += len(tables) < len({full[u] for u in fillers})
     assert thinned > 0
+
+
+@pytest.mark.parametrize("name", CONTEXT_SPECS)
+def test_the_guard_walk_agrees_with_tabling_at_each_depth(name):
+    # the breadth-first walk against the first definition, which tables
+    # the unplugged context at depth, depth - 1, ... on a spec of its own
+    spec, tabled = parse_spec(CONTEXT_SPECS[name]), parse_spec(CONTEXT_SPECS[name])
+    arity = sum(spec.signature.arity(op) for op in spec.signature.names())
+    contexts = [c for c in generate_contexts(spec, arity + 100, 5, 0) if c is not None]
+    for depth in (0, 1, 3, 5):
+        for c in contexts:
+            assert _hole_guard(spec, c, depth) == hole_guard_by_tables(
+                tabled, c, depth
+            ), (depth, c.show())
 
 
 def _described(spec, violation):

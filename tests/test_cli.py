@@ -666,6 +666,18 @@ def test_tables_deeper_than_the_recursion_limit_are_refused(run, tmp_path, argv)
     )
 
 
+def test_running_out_of_memory_is_a_one_line_refusal(run, monkeypatch):
+    import desimone.cli as cli_module
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "fingerprint_buckets", exhausted)
+    code, out, err = run("congruence", path("copy_nonaffine"), "--size", "5", "--json")
+    assert (code, out) == (2, "")
+    assert err == "desimone: out of memory for this command\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

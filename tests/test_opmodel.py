@@ -1,6 +1,7 @@
 """The operational model: one-step behaviour of closed terms, the law
 pipeline as its oracle, distribution checks, and reachability."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from desimone import (
     Node,
     RATIONAL,
     RuleTargetError,
+    SPEC_NAMES,
     STOP,
     Step,
     check_probabilistic,
@@ -25,11 +27,14 @@ from desimone import (
     parse_spec,
     parse_term,
     print_term,
+    spec_path,
     step,
     step_law,
     validate_format,
 )
+from desimone.cli import main
 from oracles import reachable
+from test_analysis import CONTEXT_SPECS
 
 F = Fraction
 
@@ -241,6 +246,86 @@ def test_a_fired_rule_with_an_unbound_target_variable_is_refused(dialect, rule, 
             stepper(spec, t(spec, "p(q)"))
         assert (refused.value.line, refused.value.var) == (7, var)
         stepper(spec, t(spec, "q"))  # a term that never fires the rule answers
+
+
+def test_the_first_unbound_variable_in_post_order_is_named():
+    # x2 is past p's arity and y1 is bound by no transition premise, so
+    # both readings name whichever of the two the target reaches first
+    head = "dialect weighted\nsemiring rational\nlabels a\nop q : 0\nop p : 1\nop g : 2\n"
+    for target, var in (("g(x2, y1)", "x2"), ("g(g(y1, q), x2)", "y1")):
+        spec = parse_spec(f"{head}rule q -[1]-> *\nrule p(x1) -a[1]-> {target} when x1 -> *\n")
+        for stepper in (step, step_law):
+            with pytest.raises(RuleTargetError) as refused:
+                stepper(spec, t(spec, "p(q)"))
+            assert (refused.value.line, refused.value.var) == (8, var)
+
+
+def test_a_source_premised_twice_binds_its_successor_at_the_later_premise():
+    # outside the format (distinct-premise-sources): each premise picks its
+    # own successor, and y1 names the one of the later premise in canonical
+    # order, here the b-step
+    spec = parse_spec(
+        "dialect desimone\nsemiring boolean\nlabels a, b\n"
+        "op nil : 0\nop s : 1\nop u : 1\nop c : 0\nop p : 1\n"
+        "rule c -a-> s(nil)\nrule c -b-> u(nil)\n"
+        "rule p(x1) -a-> y1 when x1 -b-> y1, x1 -a-> y1\n"
+    )
+    assert [p.label for p in spec.rules[-1].premises] == ["a", "b"]
+    assert step(spec, t(spec, "p(c)")) == FormalSum(
+        BOOLEAN, [(STOP, True), (Step("a", t(spec, "u(nil)")), True)]
+    )
+
+
+def _outcome(stepper, spec, term):
+    try:
+        return stepper(spec, term)
+    except Exception as exc:  # a refusal, compared by type and text
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in CONTEXT_SPECS if name not in SPEC_NAMES]
+)
+def test_step_equals_step_law_on_random_specs(name):
+    spec = parse_spec(CONTEXT_SPECS[name])
+    for term in enumerate_closed_terms(spec.signature, 3):
+        assert _outcome(step, spec, term) == _outcome(step_law, spec, term), term
+
+
+def test_each_stepped_operator_reads_its_rules_once():
+    spec = load_spec("copy_nonaffine")  # fresh, so it has no plans yet
+    cache = model_cache(spec)
+    assert validate_format(spec) and cache.plans == {}  # validate steps nothing
+    step(spec, t(spec, "pre_a(nil)"))  # pre_a premises nothing: nil is not stepped
+    assert list(cache.plans) == ["pre_a"]
+    plan = cache.plans["pre_a"]
+    step(spec, t(spec, "plus(pre_a(nil), pre_c(nil))"))
+    assert sorted(cache.plans) == ["plus", "pre_a", "pre_c"]
+    assert cache.plans["pre_a"] is plan
+    assert set(cache.plans) == {term.op for term in cache.step}
+
+
+def test_congruence_steps_without_substituting(monkeypatch, capsys):
+    # the engine builds targets from its plans; only the law pipeline,
+    # the oracle, instantiates rules
+    import desimone.rulespec as rulespec_module
+    import desimone.terms as terms_module
+
+    def refuse(*args):
+        raise AssertionError("substituted")
+
+    monkeypatch.setattr(rulespec_module.Rule, "instantiate", refuse)
+    monkeypatch.setattr(rulespec_module, "substitute", refuse)
+    monkeypatch.setattr(terms_module, "substitute", refuse)
+    code = main([
+        "congruence", str(spec_path("copy_nonaffine")), "--size", "7", "--depth", "4",
+        "--json",
+    ])
+    out = capsys.readouterr().out.encode()
+    assert code == 1
+    assert hashlib.sha256(out).hexdigest() == (
+        "e3edcc34a04a083dc85a27e32463fb7018b83fcaeb480ed0835f805cfa5ac8bf"
+    )
 
 
 STOP_CONCLUSION_SPEC = (
