@@ -171,12 +171,15 @@ def _node_paths(t):
 
 
 def _replace_at(t, path, replacement):
-    if not path:
-        return replacement
-    i, rest = path[0], path[1:]
-    children = list(t.children)
-    children[i] = _replace_at(children[i], rest, replacement)
-    return Node(t.op, children)
+    spine = []  # the nodes from the root down to the one above the hole
+    for i in path:
+        spine.append(t)
+        t = t.children[i]
+    for node, i in zip(reversed(spine), reversed(path)):
+        children = list(node.children)
+        children[i] = replacement
+        replacement = Node(node.op, children)
+    return replacement
 
 
 @dataclass

@@ -14,8 +14,10 @@ all go through it.
 
 One size recurrence counts the closed terms for the enumeration bound,
 lists them and counts them by class; an argument tuple is built only at the
-size where an operator first takes it. ``closed_term_at`` rebuilds the term
-at any index of the listing from the counts.
+size where an operator first takes it. A listing holds nothing once it is
+read: its sizes live in its own iterator, not in the signature.
+``closed_term_at`` rebuilds the term at any index of the listing from the
+counts.
 """
 
 from __future__ import annotations
@@ -139,8 +141,6 @@ class Signature:
             if arity < 0:
                 raise ValueError(f"negative arity for {name!r}")
             self._ops[name] = arity
-        self._closed = [()]  # closed terms by size, see closed_terms_of_size
-        self._growing = _sizes(self, *_TUPLES)  # builds the next size when read
 
     @property
     def ops(self):
@@ -418,7 +418,8 @@ def _sizes(signature, unit, join, first, apply, close=None, rows=None):
     of j nodes, ``rows[k][j]`` (filled into a given ``rows``), is built only
     when first used: as the last k arguments, with a node in each of the
     others, of an operator of the narrowest arity a >= k at m = j + a - k.
-    It runs over counts, tuples (the listing) and classes."""
+    It runs over counts, tuples (the listing) and classes. The sizes built
+    live in the generator, so a listing holds nothing once it is read."""
     ops = signature.ops.items()
     arities = sorted(set(signature.ops.values()))
     empty = join(())
@@ -457,23 +458,6 @@ _CLASSES = ({(): (1, ())}, _merge,
             lambda op, tuples: (((op, cs), v) for cs, v in tuples.items()))
 
 
-def closed_terms_of_size(signature, size):
-    """All closed terms with exactly `size` Node constructors, in order: the
-    size recurrence over tuples, so operators of equal arity share argument
-    tuples. The signature keeps the built sizes and the running recurrence,
-    so a later call continues where the last one stopped."""
-    built = signature._closed
-    built.extend(islice(signature._growing, max(size + 1 - len(built), 0)))
-    return built[max(size, 0)]
-
-
-def closed_term_counts(signature, max_size, rows=None):
-    """For n = 1..``max_size`` in turn, the number of closed terms of size
-    n: the size recurrence over counts, which builds no term. A given
-    ``rows`` receives the argument tuple counts."""
-    return islice(_sizes(signature, *_COUNTS, rows=rows), max(max_size, 0))
-
-
 def closed_term_classes(signature, max_size, classify):
     """For n = 1..``max_size`` in turn, ``{class: (count, first term)}`` of
     the closed terms of size n, in order of first term, where a term's key
@@ -508,7 +492,7 @@ def enumeration_counts(signature, max_size):
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
     counts, rows = [0], defaultdict(dict)
-    for n in closed_term_counts(signature, max_size, rows):
+    for n in islice(_sizes(signature, *_COUNTS, rows=rows), max_size):
         counts.append(n)
         if sum(counts) > MAX_CLOSED_TERMS:
             raise ValueError(
@@ -554,10 +538,9 @@ def closed_term_at(signature, counts, rows, index):
 def enumerate_closed_terms(signature, max_size):
     """Closed terms of size <= max_size, size-ascending, no duplicates.
 
-    The one listing of the enumeration, ``closed_terms_of_size`` for each
-    size in turn, built as it is read, after the bound of
-    ``enumeration_counts``.
+    The one listing of the enumeration: the size recurrence over tuples,
+    after the bound of ``enumeration_counts``, each size built as it is read
+    and nothing kept once the iterator is dropped.
     """
     enumeration_counts(signature, max_size)
-    sizes = range(1, max_size + 1)
-    return chain.from_iterable(closed_terms_of_size(signature, s) for s in sizes)
+    return chain.from_iterable(islice(_sizes(signature, *_TUPLES), max_size))

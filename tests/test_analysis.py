@@ -258,6 +258,16 @@ def test_context_apply(prob_par):
     assert context.show() == "par([], nil)"
 
 
+def test_a_deep_context_is_applied_without_recursion(prob_par):
+    term = Leaf(HOLE)
+    for _ in range(10_000):
+        term = Node("pre_a", [term])
+    context = Context(term, (0,) * 10_000)
+    plugged = context.apply(t(prob_par, "nil"))
+    assert plugged.size == 10_001
+    assert print_term(plugged) == "pre_a(" * 10_000 + "nil" + ")" * 10_000
+
+
 def test_applying_a_context_with_a_stray_leaf_fails(prob_par):
     with pytest.raises(ValueError):
         bad = Context(Node("pre_a", [Leaf(Var("x", 1))]), (0,))
@@ -944,7 +954,9 @@ def test_congruence_lists_no_term_and_counts_the_rest(monkeypatch, capsys):
     def listed(*args):
         raise AssertionError("a size of closed terms was listed")
 
-    monkeypatch.setattr(terms_module, "closed_terms_of_size", listed)
+    # every listing runs the size recurrence over _TUPLES' algebra
+    unit, join, first, _ = terms_module._TUPLES
+    monkeypatch.setattr(terms_module, "_TUPLES", (unit, join, first, listed))
     argv = ["congruence", spec_path("copy_nonaffine"), "--size", "7", "--depth", "4"]
     assert main(argv) == 1
     out = capsys.readouterr().out

@@ -130,7 +130,6 @@ RECURSIVE = {
     "opmodel._step",  # premised nesting (ROADMAP item 5)
     "trace._bounded",  # the table depth
     "trace.trace_direct.walk",  # the word length
-    "analysis._replace_at",  # a context path
     "formalsum.payload_key",  # words and sums
 }
 
