@@ -7,190 +7,73 @@ semantics, and runs the analyses the format is there to guarantee: the
 affineness naturality square, probabilistic mass preservation, almost-sure
 termination estimation, and empirical congruence of bounded trace
 equivalence.
+
+The namespace is lazy (PEP 562): ``from desimone import step`` imports
+``desimone.opmodel``, the module that owns ``step``, on first use, so a
+program loads only the layers it reads.
 """
 
-from .analysis import (
-    Context,
-    CongruenceViolation,
-    bisim_partition,
-    counterexample_search,
-    fingerprint_buckets,
-    first_difference,
-    generate_contexts,
-)
-from .corpus import (
-    LEAKY_DEFAULT_CUTOFF,
-    SPEC_NAMES,
-    leaky_spec_text,
-    load_spec,
-    spec_path,
-    spec_text,
-)
-from .formalsum import (
-    STOP,
-    FormalSum,
-    Obs,
-    Pure,
-    Step,
-    belem_map,
-    dist_b,
-    dist_b0,
-    dist_sigma,
-    dist_sigma_star,
-    fs_empty,
-    fs_flatten,
-    fs_map,
-    fs_pair_join,
-    fs_total,
-    fs_unit,
-    is_affine,
-    payload_key,
-)
-from .law import (
-    NaturalityResult,
-    NaturalityWitness,
-    bar_rho_step,
-    leg_args_first,
-    leg_law_first,
-    naturality_check,
-    rho_apply,
-    step_law,
-)
-from .opmodel import (
-    ProbReport,
-    Walk,
-    check_probabilistic,
-    explore,
-    model_cache,
-    step,
-)
-from .rulespec import (
-    Rule,
-    RuleSpec,
-    RuleTargetError,
-    SpecParseError,
-    TermPremise,
-    TransPremise,
-    Violation,
-    expand_forall,
-    format_errors,
-    parse_spec,
-    validate_format,
-)
-from .semiring import BOOLEAN, INF, RATIONAL, SEMIRINGS, Semiring
-from .terms import (
-    HOLE,
-    Leaf,
-    Node,
-    Signature,
-    TermSyntaxError,
-    UnboundVariableError,
-    Var,
-    enumerate_closed_terms,
-    fold,
-    graft,
-    is_affine_term,
-    leaves,
-    parse_term,
-    print_term,
-    substitute,
-    term_vars,
-)
-from .trace import (
-    AST_TOLERANCE,
-    AstReport,
-    ast_estimate,
-    partial_trace_bounded,
-    trace_bounded,
-    trace_direct,
-    word_to_str,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AST_TOLERANCE",
-    "AstReport",
-    "BOOLEAN",
-    "Context",
-    "CongruenceViolation",
-    "FormalSum",
-    "HOLE",
-    "INF",
-    "LEAKY_DEFAULT_CUTOFF",
-    "Leaf",
-    "NaturalityResult",
-    "NaturalityWitness",
-    "Node",
-    "Obs",
-    "ProbReport",
-    "Pure",
-    "RATIONAL",
-    "Rule",
-    "RuleSpec",
-    "RuleTargetError",
-    "SEMIRINGS",
-    "SPEC_NAMES",
-    "STOP",
-    "Semiring",
-    "Signature",
-    "SpecParseError",
-    "Step",
-    "TermPremise",
-    "TermSyntaxError",
-    "TransPremise",
-    "UnboundVariableError",
-    "Var",
-    "Violation",
-    "Walk",
-    "ast_estimate",
-    "bar_rho_step",
-    "belem_map",
-    "bisim_partition",
-    "check_probabilistic",
-    "counterexample_search",
-    "dist_b",
-    "dist_b0",
-    "dist_sigma",
-    "dist_sigma_star",
-    "enumerate_closed_terms",
-    "expand_forall",
-    "explore",
-    "fingerprint_buckets",
-    "first_difference",
-    "fold",
-    "format_errors",
-    "fs_empty",
-    "fs_flatten",
-    "fs_map",
-    "fs_pair_join",
-    "fs_total",
-    "fs_unit",
-    "generate_contexts",
-    "graft",
-    "is_affine",
-    "is_affine_term",
-    "leaky_spec_text",
-    "leaves",
-    "leg_args_first",
-    "leg_law_first",
-    "load_spec",
-    "model_cache",
-    "naturality_check",
-    "parse_spec",
-    "parse_term",
-    "partial_trace_bounded",
-    "payload_key",
-    "print_term",
-    "rho_apply",
-    "spec_path",
-    "spec_text",
-    "step",
-    "step_law",
-    "substitute",
-    "term_vars",
-    "trace_bounded",
-    "trace_direct",
-    "validate_format",
-    "word_to_str",
-]
+# each module's public names, re-exported here
+_EXPORTS = {
+    "analysis": (
+        "Context", "CongruenceViolation", "bisim_partition",
+        "counterexample_search", "fingerprint_buckets",
+        "first_difference", "generate_contexts",
+    ),
+    "corpus": (
+        "LEAKY_DEFAULT_CUTOFF", "SPEC_NAMES", "leaky_spec_text",
+        "load_spec", "spec_path", "spec_text",
+    ),
+    "formalsum": (
+        "STOP", "FormalSum", "Obs", "Pure", "Step", "belem_map",
+        "dist_b", "dist_b0", "dist_sigma", "dist_sigma_star",
+        "fs_empty", "fs_flatten", "fs_map", "fs_pair_join", "fs_total",
+        "fs_unit", "is_affine", "payload_key",
+    ),
+    "law": (
+        "NaturalityResult", "NaturalityWitness", "bar_rho_step",
+        "leg_args_first", "leg_law_first", "naturality_check",
+        "rho_apply", "step_law",
+    ),
+    "opmodel": (
+        "ProbReport", "Walk", "check_probabilistic", "explore",
+        "model_cache", "step",
+    ),
+    "rulespec": (
+        "Rule", "RuleSpec", "RuleTargetError", "SpecParseError",
+        "TermPremise", "TransPremise", "Violation", "expand_forall",
+        "format_errors", "parse_spec", "validate_format",
+    ),
+    "semiring": ("BOOLEAN", "INF", "RATIONAL", "SEMIRINGS", "Semiring"),
+    "terms": (
+        "HOLE", "Leaf", "Node", "Signature", "TermSyntaxError",
+        "UnboundVariableError", "Var", "enumerate_closed_terms", "fold",
+        "graft", "is_affine_term", "leaves", "parse_term", "print_term",
+        "substitute", "term_vars",
+    ),
+    "trace": (
+        "AST_TOLERANCE", "AstReport", "ast_estimate",
+        "partial_trace_bounded", "trace_bounded", "trace_direct",
+        "word_to_str",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name):
+    """Import the module that owns ``name`` and keep the value here."""
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -7,7 +7,10 @@ and sets the exit code. The JSON has sorted keys and deterministic entry
 order, byte-identical across runs for fixed inputs and seeds. The human
 output is rendered from the payload and the flags alone: weights as exact
 strings ("1/4", "inf"), and with ``--float`` each followed by its decimal
-approximation, ``null`` in JSON when it has none.
+approximation, ``null`` in JSON when it has none. Only ``rulespec`` and
+``terms`` load with this module; each command, or the helper that needs
+one, imports the other layers in its own body, so a command loads only
+what it runs.
 
 Exit codes: 0 success / property holds, 1 semantic failure (format
 violation, witness, inequivalence, bad term), 2 usage, file or spec-parse
@@ -33,13 +36,8 @@ import os
 import sys
 from dataclasses import asdict
 
-from .analysis import counterexample_search, fingerprint_buckets, first_difference
-from .formalsum import STOP, Pure, fs_empty, fs_total
-from .law import naturality_check, step_law
-from .opmodel import step
 from .rulespec import RuleTargetError, SpecParseError, parse_spec, validate_format
 from .terms import TermSyntaxError, parse_term, print_term
-from .trace import ast_estimate, trace_bounded, trace_direct, word_to_str
 
 
 class CliError(Exception):
@@ -96,6 +94,8 @@ def _shown(entry, key):
 
 
 def _behaviour_entries(spec, behaviour, with_float=False):
+    from .formalsum import STOP
+
     entries = []
     for e, w in behaviour.sorted_items():
         if e is STOP:
@@ -115,6 +115,8 @@ def _print_behaviour(entries, indent):
 
 
 def _table_entries(spec, table, with_float):
+    from .trace import word_to_str
+
     return [
         _weighed(spec, {"word": word_to_str(word, spec.labels)}, "weight", w, with_float)
         for word, w in table.sorted_items()
@@ -178,6 +180,9 @@ def show_validate(payload, args):
 
 
 def cmd_step(spec, args):
+    from .law import step_law
+    from .opmodel import step
+
     term = _load_term(spec, args.term)
     if args.oracle:
         canonical = step_law(spec, term)
@@ -205,6 +210,9 @@ def show_step(payload, args):
 
 
 def cmd_traces(spec, args):
+    from .formalsum import fs_empty, fs_total
+    from .trace import trace_bounded, trace_direct
+
     term = _load_term(spec, args.term)
     _at_least(args, "depth", 0)
     table = trace_bounded(spec, term, args.depth)
@@ -238,6 +246,9 @@ def show_traces(payload, args):
 
 
 def cmd_equiv(spec, args):
+    from .analysis import first_difference
+    from .trace import word_to_str
+
     left = _load_term(spec, args.left)
     right = _load_term(spec, args.right)
     _at_least(args, "depth", 0)
@@ -281,6 +292,8 @@ def _sum_str(entries):
 
 
 def _arg_json(spec, arg):
+    from .formalsum import STOP, Pure
+
     if isinstance(arg, Pure):
         return {"kind": "pure", "sum": _sum_entries(spec, arg.value)}
     if arg.elem is STOP:
@@ -301,6 +314,8 @@ def _arg_str(arg):
 
 
 def cmd_naturality(spec, args):
+    from .law import naturality_check
+
     result = naturality_check(
         spec, carrier_size=args.carrier, include_nonaffine=args.include_nonaffine
     )
@@ -346,6 +361,8 @@ def show_naturality(payload, args):
 
 
 def cmd_congruence(spec, args):
+    from .analysis import counterexample_search, fingerprint_buckets
+
     _at_least(args, "depth", 1)
     _at_least(args, "size", 0)
     _at_least(args, "contexts", 0)
@@ -387,6 +404,8 @@ def show_congruence(payload, args):
 
 
 def cmd_ast(spec, args):
+    from .trace import ast_estimate
+
     if spec.semiring.name != "rational":
         raise CliError("ast needs a weighted spec over the rational semiring", 2)
     term = _load_term(spec, args.term)

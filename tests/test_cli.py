@@ -495,7 +495,6 @@ def test_congruence_without_closed_terms_json(run, tmp_path):
 
 def test_congruence_computes_its_buckets_once(run, monkeypatch, quotient_calls):
     import desimone.analysis as analysis_module
-    import desimone.cli as cli_module
 
     calls, bucket_reps = [], []
     buckets = analysis_module.fingerprint_buckets
@@ -507,7 +506,6 @@ def test_congruence_computes_its_buckets_once(run, monkeypatch, quotient_calls):
         return found
 
     monkeypatch.setattr(analysis_module, "fingerprint_buckets", counting)
-    monkeypatch.setattr(cli_module, "fingerprint_buckets", counting)
     code, _, _ = run(
         "congruence", path("copy_nonaffine"), "--size", "5", "--depth", "3",
         "--contexts", "10",
@@ -667,12 +665,12 @@ def test_tables_deeper_than_the_recursion_limit_are_refused(run, tmp_path, argv)
 
 
 def test_running_out_of_memory_is_a_one_line_refusal(run, monkeypatch):
-    import desimone.cli as cli_module
+    import desimone.analysis as analysis_module
 
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli_module, "fingerprint_buckets", exhausted)
+    monkeypatch.setattr(analysis_module, "fingerprint_buckets", exhausted)
     code, out, err = run("congruence", path("copy_nonaffine"), "--size", "5", "--json")
     assert (code, out) == (2, "")
     assert err == "desimone: out of memory for this command\n"

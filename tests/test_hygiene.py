@@ -1,9 +1,10 @@
 """Source hygiene: no uncalled functions, no unread module-level names, no
-unread imports, a package ``__all__`` that lists exactly what the package
-imports, recursion only in the functions an allowlist names, and no module
-below the command line that imports the law pipeline.
+unread imports, a package ``__all__`` that lists exactly the names of the
+package's export map, recursion only in the functions an allowlist names,
+and no module below the command line that imports the law pipeline.
 
-The checks read syntax trees with ``ast``; nothing is imported or run. A
+The checks read syntax trees with ``ast``; nothing is run, and only the
+``__all__`` check imports the package namespace, which loads no layer. A
 package function counts as called only when the package, the demos or the
 benchmark harness name it: a function only tests name belongs with the
 test oracles. A function naming itself inside its own body (recursion) and
@@ -107,21 +108,25 @@ def test_no_module_imports_a_name_it_never_reads():
     assert unread == []
 
 
-def test_all_lists_exactly_what_the_package_imports():
+def _exports():
+    """The package ``__init__``'s literal map from each module to its names."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    imported = set()
-    exported = None
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
-            imported |= {alias.asname or alias.name for alias in node.names}
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__"
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "_EXPORTS"
             for target in node.targets
         ):
-            exported = ast.literal_eval(node.value)
-    assert exported is not None
-    assert len(exported) == len(set(exported))
-    assert set(exported) == imported
+            return ast.literal_eval(node.value)
+    raise AssertionError("no _EXPORTS map in the package __init__")
+
+
+def test_all_lists_exactly_what_the_package_imports():
+    import desimone
+
+    exports = _exports()
+    names = [name for listed in exports.values() for name in listed]
+    assert len(names) == len(set(names))
+    assert desimone.__all__ == names
 
 
 # Every package function that calls itself, each with what bounds its depth.
@@ -174,4 +179,6 @@ def test_only_the_command_line_imports_the_law_pipeline():
                 name.split(".")[:2] == ["desimone", "law"] for name in _imported(node)
             ):
                 importers.add(path.stem)
+    if "law" in _exports():  # the namespace imports each module it maps on use
+        importers.add("__init__")
     assert importers == LAW_IMPORTERS
