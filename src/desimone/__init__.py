@@ -44,15 +44,15 @@ _EXPORTS = {
         "model_cache", "step",
     ),
     "rulespec": (
-        "Rule", "RuleSpec", "RuleTargetError", "SpecParseError",
-        "TermPremise", "TransPremise", "Violation", "expand_forall",
-        "format_errors", "parse_spec", "validate_format",
+        "Premise", "Rule", "RuleSpec", "RuleTargetError", "SpecParseError",
+        "Violation", "expand_forall", "format_errors", "parse_spec",
+        "validate_format",
     ),
     "semiring": ("BOOLEAN", "INF", "RATIONAL", "SEMIRINGS", "Semiring"),
     "terms": (
         "HOLE", "Leaf", "Node", "Signature", "TermSyntaxError",
         "UnboundVariableError", "Var", "enumerate_closed_terms", "fold",
-        "graft", "is_affine_term", "leaves", "parse_term", "print_term",
+        "graft", "leaves", "parse_term", "print_term",
         "substitute", "term_vars",
     ),
     "trace": (

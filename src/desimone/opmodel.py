@@ -26,7 +26,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .formalsum import STOP, FormalSum, Step, fs_total, is_affine
-from .rulespec import RuleTargetError, TermPremise
+from .rulespec import RuleTargetError
 from .terms import Node, Var, enumerate_closed_terms, fold, print_term
 
 
@@ -96,18 +96,16 @@ def step(spec, term):
 def _plan(spec, op):
     """``op``'s rules, each read once: ``(weight, label, premises, code)``.
 
-    A premise is ``(argument index, label)``, the label None for
-    termination. ``code``, None for ``-> *``, builds the target in
-    post-order over the arguments and then one successor per premise: an
-    int pushes that term, ``(op, k)`` pops ``k`` into a node, and an unbound
-    variable makes its ``RuleTargetError``, raised only when the rule fires.
+    A premise is read as is, as ``(argument index, label)``: the index
+    from 0, the label None for termination. ``code``, None for ``-> *``,
+    builds the target in post-order over the arguments and then one
+    successor per premise: an int pushes that term, ``(op, k)`` pops ``k``
+    into a node, and an unbound variable makes its ``RuleTargetError``,
+    raised only when the rule fires.
     """
     plan = []
     for rule in spec.rules_for(op):
-        premises = tuple(
-            (p.index - 1, None if isinstance(p, TermPremise) else p.label)
-            for p in rule.premises
-        )
+        premises = tuple((p.index - 1, p.label) for p in rule.premises)
         premised = {i for i, _ in premises}
         slots = {Var("x", j + 1): j for j in range(rule.arity) if j not in premised}
         for k, (i, on) in enumerate(premises):  # a source premised twice: the last

@@ -15,8 +15,9 @@ weighted dialect only). A conclusion is ``-LBL->`` / ``-LBL[W]->`` with a term
 target, or ``-[W]-> *`` (termination). ``@name`` metavariables range over the
 declared labels and must be bound by the ``forall`` clause.
 
-One ``Rule`` type runs from parser to engine: ``expand_forall`` grounds a
-parsed rule over its ``forall`` metavariables, and equal ground rules merge.
+One ``Rule`` type with one ``Premise`` type runs from parser to engine; in
+both, a label of None marks termination. ``expand_forall`` grounds a parsed
+rule over its ``forall`` metavariables, and equal ground rules merge.
 
 Parsing enforces structural sanity (declared names, arities, head shape).
 The tokenizer, the term parser and the rule parser raise ``TermSyntaxError``
@@ -39,7 +40,6 @@ from .terms import (
     TermSyntaxError,
     UnboundVariableError,
     Var,
-    is_affine_term,
     parse_tokens,
     print_term,
     show_token,
@@ -76,24 +76,16 @@ class RuleTargetError(Exception):
 
 
 @dataclass(frozen=True)
-class TransPremise:
-    """x_index --label--> y_index (successor index equals source index)."""
+class Premise:
+    """``x_index -label-> y_index``, or ``x_index -> *`` when label is None."""
 
     index: int
-    label: str
+    label: object  # str, or None for termination
 
     def show(self):
+        if self.label is None:
+            return f"x{self.index} -> *"
         return f"x{self.index} -{self.label}-> y{self.index}"
-
-
-@dataclass(frozen=True)
-class TermPremise:
-    """x_index --> * : the argument terminates."""
-
-    index: int
-
-    def show(self):
-        return f"x{self.index} -> *"
 
 
 @dataclass(frozen=True)
@@ -112,10 +104,10 @@ class Rule:
     forall: tuple = ()
 
     def trans_premises(self):
-        return [p for p in self.premises if isinstance(p, TransPremise)]
+        return [p for p in self.premises if p.label is not None]
 
     def term_premises(self):
-        return [p for p in self.premises if isinstance(p, TermPremise)]
+        return [p for p in self.premises if p.label is None]
 
     def instantiate(self, subst):
         """The target under ``subst``; unbound variables raise ``RuleTargetError``."""
@@ -128,15 +120,12 @@ class Rule:
         head = self.op
         if self.arity:
             head += "(" + ", ".join(f"x{i}" for i in range(1, self.arity + 1)) + ")"
-        w = ""
+        label = self.label or ""
         if semiring is not None:
-            w = f"[{semiring.show(self.weight)}]"
-        if self.target is None:
-            arrow = f"-{w}->" if w else "->"
-            concl = f"{head} {arrow} *"
-        else:
-            label = self.label if self.label is not None else ""
-            concl = f"{head} -{label}{w}-> {print_term(self.target)}"
+            label += f"[{semiring.show(self.weight)}]"
+        arrow = f"-{label}->" if label else "->"
+        target = "*" if self.target is None else print_term(self.target)
+        concl = f"{head} {arrow} {target}"
         if self.premises:
             concl += " when " + ", ".join(p.show() for p in self.premises)
         return concl
@@ -258,14 +247,14 @@ class _RuleParser:
             raise TermSyntaxError("premises carry no weight", tok[2])
         if tok[1][0] is None:
             self.take("star", "'*'")
-            return TermPremise(source.index)
+            return Premise(source.index, None)
         label = self.declared(tok)
         if self.var("y").index != source.index:
             raise TermSyntaxError(
                 f"premise successor must be y{source.index} to match x{source.index}",
                 self.col(),
             )
-        return TransPremise(source.index, label)
+        return Premise(source.index, label)
 
     def parse(self):
         _, op, op_col = self.take("ident", "an operator")
@@ -312,7 +301,7 @@ class _RuleParser:
                 f"trailing input {show_token(self.toks[self.pos])}", self.col()
             )
 
-        named = [label] + [p.label for p in premises if isinstance(p, TransPremise)]
+        named = [label] + [p.label for p in premises]
         used = {m for m in named if m is not None and m.startswith("@")}
         unbound = min(used.difference(forall), default=None)
         if unbound:
@@ -331,23 +320,13 @@ def expand_forall(rule, labels):
     out = []
     for combo in itertools.product(labels, repeat=len(rule.forall)):
         asg = dict(zip(rule.forall, combo))
-        premises = _canonical_premises(
-            TransPremise(p.index, asg.get(p.label, p.label))
-            if isinstance(p, TransPremise) else p
-            for p in rule.premises
+        premises = sorted(
+            (Premise(p.index, asg.get(p.label, p.label)) for p in rule.premises),
+            key=lambda p: (p.index, p.label is None, p.label or ""),
         )
         label = asg.get(rule.label, rule.label)
-        out.append(replace(rule, premises=premises, label=label, forall=()))
+        out.append(replace(rule, premises=tuple(premises), label=label, forall=()))
     return out
-
-
-def _canonical_premises(premises):
-    def key(p):
-        if isinstance(p, TransPremise):
-            return (p.index, 0, p.label)
-        return (p.index, 1, "")
-
-    return tuple(sorted(premises, key=key))
 
 
 def _merge_rules(rules, semiring):
@@ -479,11 +458,9 @@ def validate_format(spec):
 
     for rule in spec.rules:
         premise_indices = [p.index for p in rule.premises]
-        if len(set(premise_indices)) != len(premise_indices):
-            dup = sorted(
-                i for i in set(premise_indices) if premise_indices.count(i) > 1
-            )
-            flag(rule, "distinct-premise-sources", f"x{dup[0]} premised twice")
+        repeated = _repeats(premise_indices)
+        if repeated:
+            flag(rule, "distinct-premise-sources", f"x{min(repeated)} premised twice")
         for p in rule.premises:
             if not 1 <= p.index <= rule.arity:
                 flag(rule, "premise-source-range", f"x{p.index} out of range")
@@ -499,20 +476,17 @@ def validate_format(spec):
                 f"label {rule.label!r} on a termination conclusion",
             )
         if rule.target is not None:
-            if not is_affine_term(rule.target):
-                seen, dup = set(), None
-                for v in term_vars(rule.target):
-                    if v in seen:
-                        dup = v
-                        break
-                    seen.add(v)
+            occurrences = term_vars(rule.target)
+            repeated = _repeats(occurrences)
+            if repeated:
                 flag(
                     rule,
                     "affine-target",
-                    f"variable {dup.name} occurs twice in {print_term(rule.target)}",
+                    f"variable {repeated[0].name} occurs twice in "
+                    f"{print_term(rule.target)}",
                 )
             trans_indices = {p.index for p in rule.trans_premises()}
-            for v in dict.fromkeys(term_vars(rule.target)):
+            for v in dict.fromkeys(occurrences):
                 if v.kind == "y":
                     if v.index not in trans_indices:
                         flag(
@@ -532,6 +506,12 @@ def validate_format(spec):
         if rule.weight is INF:
             flag(rule, "weight-inf", "infinite rule weight", severity="warning")
     return out
+
+
+def _repeats(items):
+    """The items that occur earlier in ``items``, in order."""
+    seen = set()
+    return [x for x in items if x in seen or seen.add(x)]
 
 
 def format_errors(spec):

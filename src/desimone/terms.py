@@ -210,12 +210,6 @@ def term_vars(t):
     return [p for p in leaves(t) if isinstance(p, Var)]
 
 
-def is_affine_term(t):
-    """True iff no variable occurs twice (non-variable leaves are ignored)."""
-    occurrences = term_vars(t)
-    return len(set(occurrences)) == len(occurrences)
-
-
 class UnboundVariableError(KeyError):
     pass
 

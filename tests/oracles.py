@@ -32,8 +32,6 @@ from desimone import (
     Leaf,
     Node,
     Step,
-    TermPremise,
-    TransPremise,
     bar_rho_step,
     belem_map,
     bisim_partition,
@@ -175,8 +173,8 @@ def recheck_conditions(dialect, rule):
         found.add("distinct-premise-sources")
     if any(not 1 <= i <= rule.arity for i in indices):
         found.add("premise-source-range")
-    trans = {p.index for p in rule.premises if isinstance(p, TransPremise)}
-    terms = {p.index for p in rule.premises if isinstance(p, TermPremise)}
+    trans = {p.index for p in rule.premises if p.label is not None}
+    terms = {p.index for p in rule.premises if p.label is None}
     if dialect == "desimone" and terms:
         found.add("dialect-term-premise")
     if rule.target is None:

@@ -13,11 +13,11 @@ import pytest
 from desimone import (
     Leaf,
     Node,
+    Premise,
     Rule,
     RuleTargetError,
     SPEC_NAMES,
     SpecParseError,
-    TransPremise,
     Var,
     ast_estimate,
     enumerate_closed_terms,
@@ -202,7 +202,7 @@ def test_expand_forall_on_a_ground_schema_is_identity():
 
 def test_expand_forall_direct_call():
     rule = Rule(
-        op="par", arity=2, premises=(TransPremise(1, "@l"),), label="@l",
+        op="par", arity=2, premises=(Premise(1, "@l"),), label="@l",
         weight=F(1, 2),
         target=Node("par", [Leaf(Var("y", 1)), Leaf(Var("x", 2))]),
         forall=("@l",), line=3,
@@ -210,6 +210,16 @@ def test_expand_forall_direct_call():
     rules = expand_forall(rule, ("a", "b"))
     assert [(r.label, r.premises[0].label) for r in rules] == [("a", "a"), ("b", "b")]
     assert all(r.line == 3 and r.weight == F(1, 2) for r in rules)
+    # ground premises sort by source, a transition before a termination
+    stop = Rule(
+        op="par", arity=2, label=None, weight=F(1), target=None,
+        premises=(Premise(2, None), Premise(2, "@l"), Premise(1, "@l")),
+        forall=("@l",), line=4,
+    )
+    assert [r.premises for r in expand_forall(stop, ("a", "b"))] == [
+        (Premise(1, "a"), Premise(2, "a"), Premise(2, None)),
+        (Premise(1, "b"), Premise(2, "b"), Premise(2, None)),
+    ]
 
 
 # --- duplicate rules ---------------------------------------------------------
@@ -241,6 +251,7 @@ VALIDATION_CORPUS = [
     ("ds closed target", DS + "op c : 0\nop f : 1\nrule f(x1) -b-> c when x1 -a-> y1\n", False),
     ("ds term premise", DS + "op c : 0\nop f : 1\nrule f(x1) -a-> c when x1 -> *\n", True),
     ("ds termination", DS + "op c : 0\nrule c -> *\n", True),
+    ("ds labelled termination", DS + "op c : 0\nrule c -a-> *\n", True),
     ("ds duplicate premise", DS + "op f : 2\nop c : 0\n"
      "rule f(x1, x2) -a-> c when x1 -a-> y1, x1 -b-> y1\n", True),
     ("ds premise range", DS + "op f : 1\nop c : 0\n"
@@ -293,6 +304,13 @@ def test_validator_agrees_with_independent_recheck(text, dirty):
         for condition in recheck_conditions(spec.dialect, rule):
             expected.add((rule.line, condition))
     assert reported == expected
+    # each violation's rule text parses back to the ground rule it names
+    head = "".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith("rule")
+    )
+    for v in violations:
+        shown = parse_spec(head + "rule " + v.rule + "\n").rules
+        assert list(shown) == [r for r in spec.rules if r.line == v.line]
 
 
 def test_corpus_is_large_enough():

@@ -27,7 +27,6 @@ from desimone import (
     fs_total,
     fs_unit,
     graft,
-    is_affine_term,
     leaves,
     load_spec,
     parse_spec,
@@ -289,13 +288,6 @@ def test_substitute_composes(sig):
 def test_term_vars_lists_occurrences():
     t = Node("f", [Leaf(Var("y", 1)), Leaf(Var("y", 1)), Leaf(Var("x", 2))])
     assert term_vars(t) == [Var("y", 1), Var("y", 1), Var("x", 2)]
-
-
-def test_is_affine_term():
-    assert is_affine_term(Node("f", [Leaf(Var("y", 1)), Leaf(Var("x", 2))]))
-    assert not is_affine_term(Node("f", [Leaf(Var("y", 1)), Leaf(Var("y", 1))]))
-    assert is_affine_term(Leaf(Var("x", 1)))
-    assert is_affine_term(Node("nil", []))
 
 
 def test_affine_substitution_is_multilinear():
