@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 
 from .formalsum import STOP, payload_key
-from .opmodel import explore, step
+from .opmodel import explore
 from .terms import (
     HOLE,
     Leaf,
@@ -312,9 +312,8 @@ def fingerprint_buckets(spec, size_bound, depth):
     equal only on the completed table can still split under a context that
     interleaves termination). Both are functions of a term's ``depth``-step
     bisimulation class, so the quotient comes first and each block is
-    fingerprinted once, after the bound of ``enumeration_counts``.
+    fingerprinted once, after ``closed_term_classes`` applies the bound.
     """
-    enumeration_counts(spec.signature, size_bound)
     blocks = {}  # block -> [count, first member], in order of first member
     for size in _quotient(spec, size_bound, depth):
         for block, (n, first) in size.items():
@@ -389,13 +388,11 @@ def _hole_guard(spec, context, depth):
     state that ``step`` refuses: it steps only premised arguments and
     refuses a leaf, here the hole, with ``TypeError``. Within that many
     steps a plugged term is only substituted for the hole, and changes no
-    move. ``level`` holds the states that ``d`` steps reach."""
-    level = [context.term]
+    move. ``explore`` to horizon ``d`` steps every state within ``d`` steps,
+    so the first ``d`` at which it raises is that distance."""
     for d in range(depth):
         try:
-            level = dict.fromkeys(
-                e.target for t in level for e in step(spec, t) if e is not STOP
-            )
+            explore(spec, [context.term], d, 0)
         except TypeError:
             return d
     return depth

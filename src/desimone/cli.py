@@ -7,10 +7,10 @@ and sets the exit code. The JSON has sorted keys and deterministic entry
 order, byte-identical across runs for fixed inputs and seeds. The human
 output is rendered from the payload and the flags alone: weights as exact
 strings ("1/4", "inf"), and with ``--float`` each followed by its decimal
-approximation, ``null`` in JSON when it has none. Only ``rulespec`` and
-``terms`` load with this module; each command, or the helper that needs
-one, imports the other layers in its own body, so a command loads only
-what it runs.
+approximation, ``null`` in JSON when it has none. Only ``rulespec``,
+``semiring`` and ``terms`` load with this module; each command, or the
+helper that needs one, imports the other layers in its own body, so a
+command loads only what it runs.
 
 Exit codes: 0 success / property holds, 1 semantic failure (format
 violation, witness, inequivalence, bad term), 2 usage, file or spec-parse

@@ -12,10 +12,11 @@ oracle is ``law.step_law``, which reaches the same behaviour through the
 composite law and shares none of this reading of the rules, so this module
 imports nothing from ``law``.
 
-``explore`` is the one breadth-first walk over the states reachable from a
-set of roots: ``check_probabilistic``, bisimulation and the termination
-analysis all read its walk order and the behaviour it stepped for each
-state. Distances stay inside the walk, which needs them for its horizon.
+``explore`` is the one breadth-first walk over the states reachable from a set
+of roots: ``check_probabilistic``, bisimulation and the termination analysis
+read its walk order and the behaviour it stepped for each state, and the
+congruence check's hole guard how far it gets before ``step`` refuses a state.
+Distances stay inside the walk, which needs them for its horizon.
 """
 
 from __future__ import annotations
@@ -33,15 +34,15 @@ from .terms import Node, Var, enumerate_closed_terms, fold, print_term
 class ModelCache:
     """Per-spec memo tables; rebuilt automatically, safe to discard.
 
-    ``step`` maps a closed term to its behaviour, ``plans`` an operator to
-    its ``_plan``, made on its first step, and ``trace`` and ``partial`` map
-    ``(term, n)`` to its completed and partial trace table;
-    ``trace.trace_bounded_once`` leaves out a term no later call asks about.
-    ``words`` maps ``(label, id(tail))`` to the word ``(label,) + tail``,
-    and ``tables`` maps each table to its one shared object and each
-    signature of ``trace._bounded`` to the table it determines. Both key
-    on the ``id`` of an object that they hold themselves, so that object
-    stays alive and its ``id`` names no other object.
+    ``step`` maps a closed term to its behaviour, ``canon`` each step target
+    to its one object, ``plans`` an operator to its ``_plan``, made on its
+    first step, and ``trace`` and ``partial`` map ``(term, n)`` to its
+    completed and partial trace table; ``trace.trace_bounded_once`` leaves out
+    a term no later call asks about. ``words`` maps ``(label, id(tail))`` to
+    the word ``(label,) + tail``, and ``tables`` maps each table to its one
+    shared object and each signature of ``trace._bounded`` to the table it
+    determines. Both key on the ``id`` of an object that they hold themselves,
+    so that object stays alive and its ``id`` names no other object.
     """
 
     def __init__(self):
@@ -51,6 +52,7 @@ class ModelCache:
         self.words = {}
         self.tables = {}
         self.plans = {}
+        self.canon = {}
 
 
 _caches = weakref.WeakKeyDictionary()
@@ -173,7 +175,7 @@ def _step(spec, term, cache):
                     built[k:] = [Node(op[0], built[k:])]
                 else:
                     raise op()
-            entries.append((Step(label, built[0]), w))
+            entries.append((Step(label, cache.canon.setdefault(built[0], built[0])), w))
 
     result = cache.step[term] = FormalSum(sr, entries)
     return result

@@ -457,8 +457,9 @@ def closed_term_classes(signature, max_size, classify):
     the closed terms of size n, in order of first term, where a term's key
     ``(op, child classes)`` decides its class: ``classify`` gets ``{key:
     first term}`` of the keys new at the size and returns their classes in
-    order. The size recurrence over classes: it builds only those terms and
-    the first term of each class of each size."""
+    order. The size recurrence over classes, after the enumeration bound:
+    it builds only those terms and the first term of each class of each size."""
+    enumeration_counts(signature, max_size)
     classes = {}  # key -> class
 
     def close(keys):  # {key: (count, first arguments)}
@@ -471,7 +472,7 @@ def closed_term_classes(signature, max_size, classify):
             for c, (n, key) in firsts.items()
         }
 
-    return islice(_sizes(signature, *_CLASSES, close=close), max(max_size, 0))
+    return islice(_sizes(signature, *_CLASSES, close=close), max_size)
 
 
 MAX_CLOSED_TERMS = 5_000_000  # about 0.7 GB at the 136 bytes a listed term holds

@@ -17,7 +17,7 @@ Open questions
 --------------
 The bundled thirty-cell leaky chain terminates with exact mass
 2147483647/3221225472, one 3221225472-th short of 2/3: cell n stops with
-weight 1/(2**n + 2), and the per-cell contributions 1/3, 1/6, 1/24, ...
+weight 1/(2**n + 2), and the per-cell contributions 1/3, 1/6, 1/12, 1/24, ...
 decay fast enough for the sum to settle well below 1. Truncating that sum
 after two cells gives exactly 1/2 (1/3 plus 2/3 of 1/4), a figure easy to
 mistake for the limit when the chain is summarized coarsely; the remaining

@@ -1,7 +1,8 @@
 """Source hygiene: no uncalled functions, no unread module-level names, no
 unread imports, a package ``__all__`` that lists exactly the names of the
-package's export map, recursion only in the functions an allowlist names,
-and no module below the command line that imports the law pipeline.
+package's export map, recursion and calls of the engine's ``step`` only in
+the functions two allowlists name, and no module below the command line
+that imports the law pipeline.
 
 The checks read syntax trees with ``ast``; nothing is run, and only the
 ``__all__`` check imports the package namespace, which loads no layer. A
@@ -156,6 +157,33 @@ def test_only_the_allowed_functions_recurse():
                     found.add(scope)
             todo.extend((child, scope) for child in ast.iter_child_nodes(node))
     assert found == RECURSIVE
+
+
+# Every package function that calls the engine's ``step`` by name. A walk
+# over reachable states goes through ``opmodel.explore`` instead.
+STEPPERS = {
+    "opmodel.explore",  # the one walk
+    "trace.trace_direct.walk",  # the path-sum oracle
+    "cli.cmd_step",  # the command that prints one step
+}
+
+
+def test_only_the_explorer_and_the_allowed_functions_step():
+    found = set()
+    for path, tree in _trees(PACKAGE):
+        todo = [(tree, path.stem)]  # node, dotted name of the scope it is in
+        while todo:
+            node, scope = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = f"{scope}.{node.name}"
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "step"
+            ):
+                found.add(scope)  # the innermost function that calls it
+            todo.extend((child, scope) for child in ast.iter_child_nodes(node))
+    assert found == STEPPERS
 
 
 # The law pipeline is the oracle for the engine: only the command line and

@@ -2,6 +2,7 @@
 pipeline as its oracle, distribution checks, and reachability."""
 
 import hashlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -532,6 +533,40 @@ def test_explore_expands_the_horizon_then_stops_past_the_cap(chain):
 def test_explore_without_roots_is_closed(chain):
     walk = explore(chain, [], 3, 0)
     assert (walk.order, walk.behaviours, walk.closed) == ([], {}, True)
+
+
+# the seventh seed-0 normalised ``random_valid_spec``: f1^n(k0) steps into
+# each f1^m(k0) with m <= n + 2 but n, so a walk meets each state again and
+# again
+FAN_IN = (
+    "dialect weighted\nsemiring rational\nlabels a, b\nop k0 : 0\nop f1 : 1\n"
+    "rule k0 -a[1/2]-> f1(k0)\nrule k0 -b[1/2]-> f1(f1(k0))\n"
+    "rule f1(x1) -@l[1/2]-> k0 when x1 -@l-> y1 forall @l\n"
+    "rule f1(x1) -[1/2]-> * when x1 -> *\n"
+    "rule f1(x1) -@l[1/2]-> f1(y1) when x1 -@l-> y1 forall @l\n"
+    "rule f1(x1) -[1/2]-> * when x1 -> *\n"
+)
+
+
+def test_equal_step_targets_are_one_object():
+    spec = parse_spec(FAN_IN)
+    walk = explore(spec, [t(spec, "k0")], 1, 60)
+    first = {}
+    for behaviour in walk.behaviours.values():
+        for e in behaviour:
+            if e is not STOP:
+                assert first.setdefault(e.target, e.target) is e.target
+
+
+def test_a_walk_that_meets_its_states_again_is_not_cubic():
+    # a target equal to a known state but sharing no subterm with it made
+    # every lookup walk the whole term: about 22 s for 400 states on a
+    # 2-core Xeon
+    spec = parse_spec(FAN_IN)
+    start = time.perf_counter()
+    walk = explore(spec, [t(spec, "k0")], 1, 400)
+    assert time.perf_counter() - start < 10
+    assert len(walk.order) == 401 and not walk.closed
 
 
 def test_a_half_step_mass_is_described_as_not_probabilistic():

@@ -40,6 +40,7 @@ import desimone.terms as terms_module
 from desimone.terms import (
     MAX_CLOSED_TERMS,
     closed_term_at,
+    closed_term_classes,
     enumeration_counts,
     parse_tokens,
     tokenize,
@@ -435,6 +436,16 @@ def test_an_enumeration_past_the_bound_is_refused_before_a_term_is_built(monkeyp
     with pytest.raises(ValueError, match="13,092,190 closed terms of size <= 10,"):
         enumerate_closed_terms(signature, 10**6)
 
+    def classify(fresh):
+        raise AssertionError("a class was asked for")
+
+    # the count by class applies the same bound, at the call
+    with pytest.raises(ValueError) as exc:
+        closed_term_classes(signature, 10, classify)
+    assert str(exc.value) == (
+        "there are 13,092,190 closed terms of size <= 10, more than 5,000,000"
+    )
+
 
 def test_a_listing_holds_no_term_once_it_is_read():
     # the 44,361 closed terms of copy_nonaffine up to size 7 take 5.3 MB,
@@ -526,6 +537,8 @@ def test_signature_rejects_a_negative_arity():
 def test_enumeration_refuses_a_negative_size():
     with pytest.raises(ValueError, match="^max_size must be >= 0$"):
         enumerate_closed_terms(Signature([("nil", 0)]), -1)
+    with pytest.raises(ValueError, match="^max_size must be >= 0$"):
+        closed_term_classes(Signature([("nil", 0)]), -1, list)
 
 
 def test_terms_are_immutable():
