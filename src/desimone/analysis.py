@@ -12,11 +12,11 @@ per key, an operator and a tuple of child blocks, and only the first term
 of each new key is built and stepped, no deeper than the tables look. That
 gives one trace fingerprint per block, and buckets of equal fingerprints,
 each with its term count and its block representatives, which are split
-by contexts: the complete depth-1 layer, then seeded random one-hole
-terms, each carrying the path to its hole, all made by one
+by contexts: the depth-1 layer, then seeded random one-hole terms marked
+``sampled``, each carrying the path to its hole, all made by one
 ``generate_contexts`` call, which draws each host by its index in the
-enumeration and rebuilds it from the counts, and leaves None the depth-1
-contexts of rule-less operators too wide for a sampled context. By the
+enumeration and rebuilds it from the counts, and builds no depth-1
+context of a rule-less operator too wide for a sampled context. By the
 same argument, a context that first steps its hole ``g`` steps in splits
 only one representative per block of bisimilarity up to ``depth - g``.
 Buckets go in enumeration order, so the first reported violation is
@@ -29,7 +29,7 @@ search answers before it builds a context.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .formalsum import STOP, payload_key
 from .opmodel import explore
@@ -54,10 +54,12 @@ from .trace import (
 
 @dataclass(frozen=True)
 class Context:
-    """A term with one hole leaf, at ``path`` (child positions from the root)."""
+    """A term with one hole leaf, at ``path`` (child positions from the root),
+    and whether it was sampled beyond the depth-1 layer (not compared)."""
 
     term: object
     path: tuple
+    sampled: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         leaf = self.term
@@ -100,26 +102,24 @@ def _first_table_difference(a, b):
 MAX_CONTEXT_SLOTS = 120_000_000
 
 
-def generate_contexts(spec, count, max_size, seed):
-    """Depth-1 contexts first (every operator, every hole position, remaining
-    slots filled with the least closed term), then distinct seeded random
-    one-hole contexts up to the size bound. Every caller gets None for each
-    depth-1 context of an operator with no rules and an arity of at least
-    ``max_size``: none steps its hole or can equal a sampled context, so the
-    draws and every other index are as with it built. More than
-    ``MAX_CONTEXT_SLOTS`` built argument slots are refused (``ValueError``).
-    No term is listed: a host is drawn by its index among the closed terms
-    of sizes 2 .. ``max_size``, by the draw ``rng.choice`` of their listing
-    takes, and rebuilt by ``closed_term_at``, as is the filler, index 0."""
-    if count < 0:
+def generate_contexts(spec, extra, max_size, seed):
+    """The depth-1 layer (every operator, every hole position, remaining
+    slots filled with the least closed term), then up to ``extra`` distinct
+    seeded random one-hole contexts up to the size bound, marked
+    ``sampled``. An operator with no rules and an arity of at least
+    ``max_size`` gets no depth-1 context: none would step its hole or could
+    equal a sampled context. The draw budget, ``50 * (Σ arity + extra)``,
+    still counts those contexts, so every draw is as with them built. More
+    than ``MAX_CONTEXT_SLOTS`` built argument slots are refused
+    (``ValueError``). No term is listed: a host is drawn by its index among
+    the closed terms of sizes 2 .. ``max_size``, by the draw ``rng.choice``
+    of their listing takes, and rebuilt by ``closed_term_at``, as is the
+    filler, index 0."""
+    if extra < 0:
         raise ValueError("context count must be >= 0")
-    if not count:
-        return []
     sig = spec.signature
-    unbuilt = {
-        op for op in sig.names() if sig.arity(op) >= max_size and not spec.rules_for(op)
-    }
-    slots = sum(sig.arity(op) ** 2 for op in sig.names() if op not in unbuilt)
+    built = [op for op in sig.names() if sig.arity(op) < max_size or spec.rules_for(op)]
+    slots = sum(sig.arity(op) ** 2 for op in built)
     if slots > MAX_CONTEXT_SLOTS:
         raise ValueError(
             f"the depth-1 context layer needs {slots:,} argument slots, "
@@ -133,35 +133,34 @@ def generate_contexts(spec, count, max_size, seed):
     contexts = []
     seen = set()
 
-    def add(term, path):
+    def add(term, path, sampled):
         if term not in seen:
             seen.add(term)
-            contexts.append(Context(term, path))
+            contexts.append(Context(term, path, sampled))
 
     hole = Leaf(HOLE)
-    for op in sig.names():
+    for op in built:
         arity = sig.arity(op)
-        if op in unbuilt:
-            contexts.extend([None] * arity)
-            continue
         for position in range(arity):
             children = [filler] * arity
             children[position] = hole
-            add(Node(op, children), (position,))
+            add(Node(op, children), (position,), False)
 
     rng = random.Random(seed)
     hosts = sum(counts[2:])  # after the counts[1] terms of size 1
     # once every (host, non-root path) pair is drawn, no context can be new
     pairs = sum(n * (size - 1) for size, n in enumerate(counts))
+    wanted = len(contexts) + extra
+    budget = 50 * (sum(sig.arity(op) for op in sig.names()) + extra)
     drawn = set()
     attempts = 0
-    while len(contexts) < count and len(drawn) < pairs and attempts < 50 * count:
+    while len(contexts) < wanted and len(drawn) < pairs and attempts < budget:
         attempts += 1
         host = closed_term_at(sig, counts, rows, counts[1] + rng.randrange(hosts))
         path = rng.choice([p for p in _node_paths(host) if p])
         drawn.add((host, path))
-        add(_replace_at(host, path, hole), path)
-    return contexts[:count]
+        add(_replace_at(host, path, hole), path, True)
+    return contexts
 
 
 def _node_paths(t):
@@ -191,7 +190,6 @@ class CongruenceViolation:
     left_weight: object
     right_weight: object
     verified: bool
-    deep_context: bool  # split found beyond the depth-1 layer only
 
     def describe(self, spec):
         return {
@@ -201,11 +199,11 @@ class CongruenceViolation:
             "left_weight": spec.semiring.show(self.left_weight),
             "right_weight": spec.semiring.show(self.right_weight),
             "verified": self.verified,
-            "deep_context": self.deep_context,
+            "deep_context": self.context.sampled,
         }
 
 
-def _split_violation(spec, members, context, depth, depth1_clean):
+def _split_violation(spec, members, context, depth):
     """First pair of members whose composites' tables differ under context.
 
     The first member is the base; later members' tables are built only up to
@@ -228,7 +226,6 @@ def _split_violation(spec, members, context, depth, depth1_clean):
                 left_weight=wl,
                 right_weight=wr,
                 verified=(a.weight(word), b.weight(word)) == (wl, wr),
-                deep_context=depth1_clean,
             )
     return None
 
@@ -357,19 +354,14 @@ def counterexample_search(
         buckets = fingerprint_buckets(spec, size_bound, depth)
     if all(len(reps) < 2 for _, _, reps in buckets):
         return None
-    sig = spec.signature
-    depth1_arity = sum(sig.arity(op) for op in sig.names())
-    contexts = generate_contexts(spec, depth1_arity + extra_contexts, size_bound, seed)
-    # original positions are kept: they tell the depth-1 layer apart
-    guarded = [
-        (i, c, _hole_guard(spec, c, depth)) for i, c in enumerate(contexts) if c is not None
-    ]
+    contexts = generate_contexts(spec, extra_contexts, size_bound, seed)
+    guarded = [(c, _hole_guard(spec, c, depth)) for c in contexts]
     for _, _, reps in buckets:
         if len(reps) < 2:
             continue
         # guard -> the first representative of each (depth - guard)-block
         kept = {0: reps, depth: reps[:1]}
-        for i, context, g in guarded:
+        for context, g in guarded:
             if g not in kept:
                 blocks = bisim_partition(spec, reps, depth - g)
                 firsts = {}
@@ -377,7 +369,7 @@ def counterexample_search(
                     firsts.setdefault(blocks[r], r)
                 kept[g] = list(firsts.values())
             if len(kept[g]) > 1:
-                v = _split_violation(spec, kept[g], context, depth, i >= depth1_arity)
+                v = _split_violation(spec, kept[g], context, depth)
                 if v is not None:
                     return v
     return None

@@ -156,10 +156,13 @@ class NaturalityWitness:
 
 @dataclass
 class NaturalityResult:
-    passed: bool
     checked: int
     carrier: tuple
     witness: NaturalityWitness | None = None
+
+    @property
+    def passed(self):
+        return self.witness is None
 
 
 def leg_law_first(spec, op, args):
@@ -233,9 +236,8 @@ def naturality_check(spec, carrier_size=2, include_nonaffine=False):
             right = leg_args_first(spec, op, args)
             if left != right:
                 return NaturalityResult(
-                    passed=False,
                     checked=checked,
                     carrier=carrier,
                     witness=NaturalityWitness(op, args, left, right),
                 )
-    return NaturalityResult(passed=True, checked=checked, carrier=carrier)
+    return NaturalityResult(checked=checked, carrier=carrier)

@@ -225,11 +225,14 @@ def explore(spec, roots, horizon, max_states):
 
 @dataclass
 class ProbReport:
-    passed: bool
     bound: int
     checked: int
     violator: object = None
     mass: object = None
+
+    @property
+    def passed(self):
+        return self.violator is None
 
     def describe(self, semiring):
         if self.passed:
@@ -249,10 +252,9 @@ def check_probabilistic(spec, size_bound):
     for checked, (t, behaviour) in enumerate(walk.behaviours.items(), start=1):
         if not is_affine(behaviour):
             return ProbReport(
-                passed=False,
                 bound=size_bound,
                 checked=checked,
                 violator=t,
                 mass=fs_total(behaviour),
             )
-    return ProbReport(passed=True, bound=size_bound, checked=len(walk.behaviours))
+    return ProbReport(bound=size_bound, checked=len(walk.behaviours))

@@ -167,9 +167,12 @@ AST_TOLERANCE = Fraction(1, 10**6)
 class AstReport:
     verdict: str  # "ast-consistent" | "non-ast" | "inconclusive"
     masses: list  # [(depth, weight)]
-    exact: bool = False
     limit: object = None  # exact limit mass when computable
     detail: str = ""
+
+    @property
+    def exact(self):
+        return self.limit is not None
 
 
 def _push(sr, behaviour, r, reach):
@@ -280,7 +283,7 @@ def ast_estimate(spec, term, max_depth, max_states=10000):
                     "closed acyclic state space; limit mass is exactly "
                     f"{sr.show(limit)} > 1, so it is not a termination probability"
                 )
-            return AstReport(verdict, masses, exact=True, limit=limit, detail=detail)
+            return AstReport(verdict, masses, limit=limit, detail=detail)
         stop_somewhere = any(
             not sr.is_zero(b.weight(STOP)) for b in walk.behaviours.values()
         )
@@ -288,7 +291,6 @@ def ast_estimate(spec, term, max_depth, max_states=10000):
             return AstReport(
                 "non-ast",
                 masses,
-                exact=True,
                 limit=sr.zero,
                 detail="no reachable state has positive termination weight",
             )

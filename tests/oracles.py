@@ -442,68 +442,61 @@ def _hole_at(t, path):
     return Node(t.op, children)
 
 
-def listed_contexts(spec, count, max_size, seed):
+def listed_contexts(spec, extra, max_size, seed):
     """``generate_contexts`` over the listing: the filler is the first listed
     closed term, and each sampled host is ``rng.choice`` of every listed
-    term of size 2 .. ``max_size``. The depth-1 layer and the None slots
-    are as there; the slot bound is left out."""
-    if not count:
-        return []
+    term of size 2 .. ``max_size``. The depth-1 layer, the ``sampled``
+    marks and the draw budget are as there; the slot bound is left out."""
+    if extra < 0:
+        raise ValueError("context count must be >= 0")
     sig = spec.signature
-    unbuilt = {
-        op for op in sig.names() if sig.arity(op) >= max_size and not spec.rules_for(op)
-    }
     pool = list(enumerate_closed_terms(sig, max(max_size, 1)))
     if not pool:
         raise ValueError("signature has no closed terms to fill context slots")
     contexts, seen = [], set()
 
-    def add(term, path):
+    def add(term, path, sampled):
         if term not in seen:
             seen.add(term)
-            contexts.append(Context(term, path))
+            contexts.append(Context(term, path, sampled))
 
     for op in sig.names():
         arity = sig.arity(op)
-        if op in unbuilt:
-            contexts.extend([None] * arity)
+        if arity >= max_size and not spec.rules_for(op):
             continue
         for position in range(arity):
             children = [pool[0]] * arity
             children[position] = Leaf(HOLE)
-            add(Node(op, children), (position,))
+            add(Node(op, children), (position,), False)
     rng = random.Random(seed)
     hosts = [t for t in pool if t.size >= 2]
     pairs = sum(t.size - 1 for t in hosts)
+    wanted = len(contexts) + extra
+    budget = 50 * (sum(sig.arity(op) for op in sig.names()) + extra)
     drawn = set()
     attempts = 0
-    while len(contexts) < count and len(drawn) < pairs and attempts < 50 * count:
+    while len(contexts) < wanted and len(drawn) < pairs and attempts < budget:
         attempts += 1
         host = rng.choice(hosts)
         path = rng.choice(_paths(host)[1:])
         drawn.add((host, path))
-        add(_hole_at(host, path), path)
-    return contexts[:count]
+        add(_hole_at(host, path), path, True)
+    return contexts
 
 
 def unguarded_search(spec, size_bound, depth, extra_contexts=100, seed=0):
     """``counterexample_search`` with no context guard: each bucket's
     representatives are all split, in bucket order, by every built context,
-    hole-blind ones included, depth-1 layer first. A context left None
-    never steps its hole, so it could split no pair."""
+    hole-blind ones included, depth-1 layer first."""
     buckets = fingerprint_buckets(spec, size_bound, depth)
     if all(len(reps) < 2 for _, _, reps in buckets):
         return None
-    depth1_arity = sum(spec.signature.arity(op) for op in spec.signature.names())
-    count = depth1_arity + extra_contexts
-    contexts = generate_contexts(spec, count, size_bound, seed)
+    contexts = generate_contexts(spec, extra_contexts, size_bound, seed)
     for _, _, reps in buckets:
         if len(reps) < 2:
             continue
-        for i, context in enumerate(contexts):
-            if context is None:
-                continue
-            v = _split_violation(spec, reps, context, depth, i >= depth1_arity)
+        for context in contexts:
+            v = _split_violation(spec, reps, context, depth)
             if v is not None:
                 return v
     return None

@@ -181,8 +181,7 @@ def test_06_trace_equivalence_is_a_congruence_on_the_parallel_specs(
         pairs = sum(n * (n - 1) // 2 for _, n, _ in buckets)
         assert pairs >= 20
         # the search tries the depth-1 layer and then 200 sampled contexts
-        arity = sum(spec.signature.arity(op) for op in spec.signature.names())
-        contexts = generate_contexts(spec, count=arity + 200, max_size=7, seed=0)
+        contexts = generate_contexts(spec, extra=200, max_size=7, seed=0)
         assert len(contexts) >= 200
         found = counterexample_search(
             spec, 7, 6, extra_contexts=200, seed=0, buckets=buckets

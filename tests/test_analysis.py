@@ -151,9 +151,28 @@ def test_first_difference_is_none_for_equal_tables(prob_par, depth_artifact_pair
 # --- context generation ------------------------------------------------------
 
 def test_depth_one_layer_comes_first_in_operator_order(prob_par):
-    shows = [c.show() for c in generate_contexts(prob_par, 6, 3, 0)]
-    assert shows[:4] == ["pre_a([])", "pre_b([])", "par([], nil)", "par(nil, [])"]
+    layer = ["pre_a([])", "pre_b([])", "par([], nil)", "par(nil, [])"]
+    assert [c.show() for c in generate_contexts(prob_par, 0, 3, 0)] == layer
+    shows = [c.show() for c in generate_contexts(prob_par, 2, 3, 0)]
+    assert shows[:4] == layer
     assert len(shows) == 6
+
+
+@pytest.mark.parametrize("name", ["prob_par", "copy_nonaffine", "de_simone_par"])
+def test_layer_contexts_are_unsampled_and_drawn_ones_sampled(name):
+    spec = load_spec(name)
+    layer = generate_contexts(spec, 0, 5, 0)
+    contexts = generate_contexts(spec, 30, 5, 0)
+    assert contexts[: len(layer)] == layer and len(contexts) == len(layer) + 30
+    assert [c.sampled for c in contexts] == [False] * len(layer) + [True] * 30
+    assert all(len(c.path) == 1 for c in layer)
+
+
+def test_a_context_built_by_hand_is_unsampled_and_the_mark_is_not_compared():
+    hand = Context(Node("f", [Leaf(HOLE)]), (0,))
+    drawn = Context(Node("f", [Leaf(HOLE)]), (0,), sampled=True)
+    assert not hand.sampled and drawn.sampled
+    assert hand == drawn and hash(hand) == hash(drawn)
 
 
 def test_every_context_has_exactly_one_hole(prob_par, copy_nonaffine):
@@ -163,8 +182,8 @@ def test_every_context_has_exactly_one_hole(prob_par, copy_nonaffine):
 
 
 def test_context_generation_is_deterministic(prob_par):
-    first = [c.show() for c in generate_contexts(prob_par, 12, 4, 7)]
-    again = [c.show() for c in generate_contexts(prob_par, 12, 4, 7)]
+    first = [c.show() for c in generate_contexts(prob_par, 8, 4, 7)]
+    again = [c.show() for c in generate_contexts(prob_par, 8, 4, 7)]
     assert first == again and len(first) == 12
     assert len(set(first)) == 12
 
@@ -182,23 +201,24 @@ def test_sampling_stops_once_no_context_can_be_new(prob_par):
     # size-3 hosts allow a handful of contexts: drawing on until 50 x 100,000
     # attempts are spent takes about 50 s
     start = time.perf_counter()
-    every = generate_contexts(prob_par, 100_000, 3, 0)
+    every = generate_contexts(prob_par, 100_000 - 4, 3, 0)
     assert time.perf_counter() - start < 5
     hosts = [u for u in enumerate_closed_terms(prob_par.signature, 3) if u.size >= 2]
     drawable = {c for host in hosts for c in _one_hole_contexts(host)}
-    depth1 = {c.term for c in generate_contexts(prob_par, 4, 3, 0)}
+    depth1 = {c.term for c in generate_contexts(prob_par, 0, 3, 0)}
     assert {c.term for c in every} == depth1 | drawable
     assert len(every) == len(depth1 | drawable) == 8
-    # a smaller count draws the same contexts in the same order
-    for count in range(1, len(every) + 1):
-        assert generate_contexts(prob_par, count, 3, 0) == every[:count]
+    # fewer extra contexts draw the same contexts in the same order
+    for extra in range(len(every) - 4 + 1):
+        assert generate_contexts(prob_par, extra, 3, 0) == every[: 4 + extra]
 
 
-def _contexts_or_refusal(make, spec, count, size, seed):
+def _contexts_or_refusal(make, spec, extra, size, seed):
     try:
-        return make(spec, count, size, seed)
+        contexts = make(spec, extra, size, seed)
     except ValueError as exc:
         return str(exc)
+    return [(c, c.sampled) for c in contexts]
 
 
 def _context_specs():
@@ -222,18 +242,17 @@ CONTEXT_SPECS = _context_specs()
 @pytest.mark.parametrize("name", CONTEXT_SPECS)
 def test_contexts_drawn_by_rank_are_the_contexts_drawn_from_the_listing(name):
     spec = parse_spec(CONTEXT_SPECS[name])
-    count = sum(spec.signature.arity(op) for op in spec.signature.names()) + 100
     for size in range(7):
         for seed in (0, 1, 5):
             assert _contexts_or_refusal(
-                generate_contexts, spec, count, size, seed
-            ) == _contexts_or_refusal(listed_contexts, spec, count, size, seed)
+                generate_contexts, spec, 100, size, seed
+            ) == _contexts_or_refusal(listed_contexts, spec, 100, size, seed)
 
 
 def test_context_count_must_be_positive(prob_par):
     with pytest.raises(ValueError, match="^context count must be >= 0$"):
         generate_contexts(prob_par, -1, 3, 0)
-    assert generate_contexts(prob_par, 0, 3, 0) == []
+    assert len(generate_contexts(prob_par, 0, 3, 0)) == 4
 
 
 def test_contexts_need_a_closed_term_to_fill_their_slots():
@@ -700,8 +719,7 @@ def test_hole_blind_contexts_give_one_table_for_every_filler(
     name, size, depth, request
 ):
     spec = request.getfixturevalue(name)
-    arity = sum(spec.signature.arity(op) for op in spec.signature.names())
-    contexts = generate_contexts(spec, arity + 100, size, 0)
+    contexts = generate_contexts(spec, 100, size, 0)
     blind = [c for c in contexts if _hole_guard(spec, c, depth) == depth]
     assert 0 < len(blind) < len(contexts)
     fillers = list(enumerate_closed_terms(spec.signature, 4))
@@ -716,8 +734,7 @@ def test_hole_blind_contexts_give_one_table_for_every_filler(
 )
 def test_fillers_bisimilar_below_a_contexts_guard_get_one_table(name, size, depth):
     spec = load_spec(name)
-    arity = sum(spec.signature.arity(op) for op in spec.signature.names())
-    contexts = generate_contexts(spec, arity + 30, size, 0)
+    contexts = generate_contexts(spec, 30, size, 0)
     fillers = list(enumerate_closed_terms(spec.signature, size))
     full = bisim_partition(spec, fillers, depth)
     thinned = 0
@@ -742,8 +759,7 @@ def test_the_guard_walk_agrees_with_tabling_at_each_depth(name):
     # the breadth-first walk against the first definition, which tables
     # the unplugged context at depth, depth - 1, ... on a spec of its own
     spec, tabled = parse_spec(CONTEXT_SPECS[name]), parse_spec(CONTEXT_SPECS[name])
-    arity = sum(spec.signature.arity(op) for op in spec.signature.names())
-    contexts = [c for c in generate_contexts(spec, arity + 100, 5, 0) if c is not None]
+    contexts = generate_contexts(spec, 100, 5, 0)
     for depth in (0, 1, 3, 5):
         for c in contexts:
             assert _hole_guard(spec, c, depth) == hole_guard_by_tables(
@@ -827,19 +843,16 @@ def test_no_context_is_built_for_an_operator_without_rules_past_the_size(depth):
     # built, and every other context keeps its place and its flag
     guarded, unguarded = parse_spec(IDLE_OPERATORS), parse_spec(IDLE_OPERATORS)
     found = counterexample_search(guarded, 5, depth)
-    assert found.deep_context and found.verified
+    assert found.context.sampled and found.verified
     assert found.describe(guarded) == unguarded_search(unguarded, 5, depth).describe(
         unguarded
     )
     assert all(t.op != "r" for t in model_cache(guarded).step)
 
 
-def _depth1_slots(spec, op):
-    """The indices of ``op``'s depth-1 contexts: operators in order, one
-    context per argument position."""
-    names = spec.signature.names()
-    first = sum(spec.signature.arity(o) for o in names[: names.index(op)])
-    return list(range(first, first + spec.signature.arity(op)))
+def _layer_contexts(contexts, op):
+    """``(op, path)`` of each depth-1 context of ``op`` among ``contexts``."""
+    return [(c.term.op, c.path) for c in contexts if not c.sampled and c.term.op == op]
 
 
 @pytest.mark.parametrize("name, size, depth", [("idle", 5, 3), ("prob_par", 5, 4)])
@@ -858,8 +871,11 @@ def test_a_search_makes_its_contexts_in_one_call(monkeypatch, name, size, depth)
     monkeypatch.setattr(analysis_module, "generate_contexts", counting)
     counterexample_search(spec, size, depth)
     assert len(made) == 1
-    unbuilt = [i for i, c in enumerate(made[0]) if c is None]
-    assert unbuilt == (_depth1_slots(spec, "r") if name == "idle" else [])
+    assert None not in made[0]
+    sig = spec.signature
+    assert {c.term.op for c in made[0] if not c.sampled} == {
+        op for op in sig.names() if op != "r" and sig.arity(op)
+    }
 
 
 @pytest.mark.parametrize("op, size", [("plus", 2), ("s", 5)])
@@ -868,24 +884,24 @@ def test_contexts_a_check_could_use_cannot_be_left_unbuilt(op, size):
     # a sampled context could hold s and be deduplicated against its own
     spec = parse_spec(IDLE_OPERATORS)
     contexts = generate_contexts(spec, 30, size, 0)
-    assert [(contexts[i].term.op, contexts[i].path) for i in _depth1_slots(spec, op)] == [
+    assert _layer_contexts(contexts, op) == [
         (op, (k,)) for k in range(spec.signature.arity(op))
     ]
 
 
-def test_the_depth_one_contexts_of_an_operator_without_rules_past_the_size_are_none():
-    # r has no rules and no closed term of size <= 5: each of its slots is
-    # None, and the other contexts are those of the spec without r
+def test_an_operator_without_rules_past_the_size_gets_no_depth_one_context():
+    # r has no rules and no closed term of size <= 5: none of its depth-1
+    # contexts is built, and the contexts are those of the spec without r
     spec = parse_spec(IDLE_OPERATORS)
     without_r = parse_spec(IDLE_OPERATORS.replace("op r : 5\n", ""))
-    for count in (8, 15, 30, 60):
-        contexts = generate_contexts(spec, count, 5, 0)
-        assert [i for i, c in enumerate(contexts) if c is None] == _depth1_slots(spec, "r")
-        assert [c for c in contexts if c is not None] == generate_contexts(
-            without_r, count - 5, 5, 0
-        )
+    for extra in (0, 3, 10, 25, 55):
+        contexts = generate_contexts(spec, extra, 5, 0)
+        assert None not in contexts and _layer_contexts(contexts, "r") == []
+        assert [(c, c.sampled) for c in contexts] == [
+            (c, c.sampled) for c in generate_contexts(without_r, extra, 5, 0)
+        ]
     # at size 6, r(k0, k0, k0, k0, k0) is a closed term, and r's are built
-    assert None not in generate_contexts(spec, 30, 6, 0)
+    assert len(_layer_contexts(generate_contexts(spec, 25, 6, 0), "r")) == 5
 
 
 def _counting_composites(monkeypatch):
@@ -986,7 +1002,7 @@ def test_search_finds_the_copying_violation(copy_nonaffine, copy_violation):
         BOOLEAN.one,
         BOOLEAN.zero,
     )
-    assert violation.verified and not violation.deep_context
+    assert violation.verified and not violation.context.sampled
     described = violation.describe(copy_nonaffine)
     assert described["context"] == "f([])"
     assert described["word"] == "abc"
