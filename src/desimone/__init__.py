@@ -50,10 +50,9 @@ _EXPORTS = {
     ),
     "semiring": ("BOOLEAN", "INF", "RATIONAL", "SEMIRINGS", "Semiring"),
     "terms": (
-        "HOLE", "Leaf", "Node", "Signature", "TermSyntaxError",
-        "UnboundVariableError", "Var", "enumerate_closed_terms", "fold",
-        "graft", "leaves", "parse_term", "print_term",
-        "substitute", "term_vars",
+        "HOLE", "Leaf", "Node", "Signature", "TermSyntaxError", "Var",
+        "enumerate_closed_terms", "fold", "graft", "leaves", "parse_term",
+        "print_term", "term_vars",
     ),
     "trace": (
         "AST_TOLERANCE", "AstReport", "ast_estimate",

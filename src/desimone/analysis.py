@@ -311,6 +311,8 @@ def fingerprint_buckets(spec, size_bound, depth):
     bisimulation class, so the quotient comes first and each block is
     fingerprinted once, after ``closed_term_classes`` applies the bound.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     blocks = {}  # block -> [count, first member], in order of first member
     for size in _quotient(spec, size_bound, depth):
         for block, (n, first) in size.items():
@@ -348,6 +350,8 @@ def counterexample_search(
     unchanged. At ``g == depth`` one representative is left, and the check
     is skipped.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if extra_contexts < 0:
         raise ValueError("extra_contexts must be >= 0")
     if buckets is None:

@@ -1,9 +1,9 @@
 """From rule specifications to distributive laws, and the affineness check.
 
-``rho_apply`` evaluates the plain law on one operator applied to tagged
-arguments (pure / one observed transition / observed termination), with one
-rule loop for both dialects: the desimone dialect only adds the stop every
-state observes, and answers an observed termination with the stop alone.
+``rho_apply`` applies the plain law to one operator over tagged arguments
+(pure, observed step, observed stop): a rule fires when its premise tuple
+equals the observation. The desimone dialect only adds the stop every
+state observes, and answers an observed stop with the stop alone.
 ``bar_rho_step`` is the composite law on behaviour-carrying arguments,
 assembled literally from unit, pairing, argument distribution, rule
 application and flattening, in that order; ``step_law`` folds it over a
@@ -35,73 +35,73 @@ from .formalsum import (
     fs_unit,
     payload_key,
 )
-from .terms import Leaf, Var, fold, graft
+from .rulespec import Premise, RuleTargetError
+from .terms import Leaf, Var, _rebuild, fold, graft
 
 
 def _decompose(args):
-    """Split argument positions into observed steps and observed stops, and
-    bind the target variables: ``x_i`` to a pure argument's value, ``y_i``
-    to an observed step's successor."""
-    steps = {}
-    stops = set()
+    """``(observed, subst)``: ``Premise(i, label)`` per observed step and
+    ``Premise(i, None)`` per observed stop, in argument order (a ground
+    rule's premise order), and ``x_i`` bound to a pure argument's value,
+    ``y_i`` to an observed step's successor."""
+    observed = []
     subst = {}
     for i, arg in enumerate(args, start=1):
         if isinstance(arg, Pure):
             subst[Var("x", i)] = Leaf(arg.value)
         elif isinstance(arg, Obs):
             if arg.elem is STOP:
-                stops.add(i)
+                observed.append(Premise(i, None))
             elif isinstance(arg.elem, Step):
-                steps[i] = arg.elem
+                observed.append(Premise(i, arg.elem.label))
                 subst[Var("y", i)] = Leaf(arg.elem.target)
             else:
                 raise TypeError(f"bad observation {arg.elem!r}")
         else:
             raise TypeError(f"argument {i} is not a B0 element: {arg!r}")
-    return steps, stops, subst
-
-
-def _rule_matches(rule, steps, stops):
-    """Premise indices and labels must match the decomposition exactly."""
-    trans = rule.trans_premises()
-    if len(trans) != len(steps):
-        return False
-    for p in trans:
-        step = steps.get(p.index)
-        if step is None or step.label != p.label:
-            return False
-    term_indices = {p.index for p in rule.term_premises()}
-    return term_indices == stops
+    return tuple(observed), subst
 
 
 def rho_apply(spec, op, args):
     """Evaluate the law on one operator over tagged arguments.
 
-    Returns a formal sum of Step(label, target-term) / STOP where target
-    terms carry the argument payloads in their leaves. A stop-observed
-    argument binds no variable, so a target naming it raises
-    ``RuleTargetError``.
+    A rule fires when its premise tuple equals what the arguments show. The
+    result sums Step(label, target) / STOP, the targets carrying argument
+    payloads in their leaves. A stop-observed argument binds no variable,
+    so a target naming it raises ``RuleTargetError``.
     """
     args = tuple(args)
     spec.signature.check_arity(op, len(args))
     sr = spec.semiring
-    steps, stops, subst = _decompose(args)
+    observed, subst = _decompose(args)
     entries = []
     if spec.dialect == "desimone":
         # every state observes termination: an observed one collapses the
         # result to the stop unit, and a `-> *` conclusion adds a stop
         # weight that boolean addition absorbs
-        if stops:
+        if any(p.label is None for p in observed):
             return fs_unit(sr, STOP)
         entries.append((STOP, sr.one))
     for rule in spec.rules_for(op):
-        if not _rule_matches(rule, steps, stops):
+        if rule.premises != observed:
             continue
         if rule.target is None:
             entries.append((STOP, rule.weight))
         else:
-            entries.append((Step(rule.label, rule.instantiate(subst)), rule.weight))
+            entries.append((Step(rule.label, _target(rule, subst)), rule.weight))
     return FormalSum(sr, entries)
+
+
+def _target(rule, subst):
+    """``rule``'s target with each variable bound by ``subst``; the first
+    unbound one in post-order raises ``RuleTargetError``."""
+
+    def leaf(v):
+        if v in subst:
+            return subst[v]
+        raise RuleTargetError(rule, v.name)
+
+    return fold(rule.target, leaf, _rebuild)
 
 
 def bar_rho_step(spec, op, pairs):

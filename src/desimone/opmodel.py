@@ -244,7 +244,8 @@ class ProbReport:
 
 
 def check_probabilistic(spec, size_bound):
-    """Every enumerated and reachable term must have step mass exactly one."""
+    """Step mass exactly one at each closed term of size <= ``size_bound``
+    and at each state within ``size_bound`` steps of one: a horizon."""
     if spec.semiring.name != "rational":
         raise ValueError("check_probabilistic is not applicable to the boolean dialect")
     roots = enumerate_closed_terms(spec.signature, size_bound)

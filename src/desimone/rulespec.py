@@ -38,12 +38,10 @@ from .semiring import INF, SEMIRINGS
 from .terms import (
     Signature,
     TermSyntaxError,
-    UnboundVariableError,
     Var,
     parse_tokens,
     print_term,
     show_token,
-    substitute,
     term_vars,
     tokenize,
     var_named,
@@ -102,19 +100,6 @@ class Rule:
     target: object  # Term, or None for termination conclusions
     line: int = field(default=0, compare=False)
     forall: tuple = ()
-
-    def trans_premises(self):
-        return [p for p in self.premises if p.label is not None]
-
-    def term_premises(self):
-        return [p for p in self.premises if p.label is None]
-
-    def instantiate(self, subst):
-        """The target under ``subst``; unbound variables raise ``RuleTargetError``."""
-        try:
-            return substitute(self.target, subst)
-        except UnboundVariableError as exc:
-            raise RuleTargetError(self, exc.args[0]) from None
 
     def show(self, semiring=None):
         head = self.op
@@ -465,8 +450,9 @@ def validate_format(spec):
             if not 1 <= p.index <= rule.arity:
                 flag(rule, "premise-source-range", f"x{p.index} out of range")
         if spec.dialect == "desimone":
-            for p in rule.term_premises():
-                flag(rule, "dialect-term-premise", p.show())
+            for p in rule.premises:
+                if p.label is None:
+                    flag(rule, "dialect-term-premise", p.show())
             if rule.target is None and rule.label is None:
                 flag(rule, "dialect-termination", "conclusion '-> *'")
         if rule.target is None and rule.label is not None:
@@ -485,7 +471,7 @@ def validate_format(spec):
                     f"variable {repeated[0].name} occurs twice in "
                     f"{print_term(rule.target)}",
                 )
-            trans_indices = {p.index for p in rule.trans_premises()}
+            trans_indices = {p.index for p in rule.premises if p.label is not None}
             for v in dict.fromkeys(occurrences):
                 if v.kind == "y":
                     if v.index not in trans_indices:

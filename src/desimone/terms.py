@@ -7,10 +7,10 @@ context's ``HOLE``. Closed terms are all-``Node`` trees over a signature.
 
 Walkers that visit every node (``fold``, ``leaves``, ``Node.__eq__``) keep
 their work on an explicit stack, so term depth is not bounded by the
-recursion limit. ``fold`` is the one bottom-up walk: ``substitute``,
-``graft``, ``print_term``, ``payload_key``, ``dist_sigma_star``,
-``step_law``, the engine's rule plans and the context paths of ``analysis``
-all go through it.
+recursion limit. ``fold`` is the one bottom-up walk: ``graft``,
+``print_term``, ``payload_key``, ``dist_sigma_star``, ``step_law`` and the
+law's rule targets, the engine's rule plans and the context paths of
+``analysis`` all go through it.
 
 One size recurrence counts the closed terms for the enumeration bound,
 lists them and counts them by class; an argument tuple is built only at the
@@ -210,26 +210,8 @@ def term_vars(t):
     return [p for p in leaves(t) if isinstance(p, Var)]
 
 
-class UnboundVariableError(KeyError):
-    pass
-
-
 def _rebuild(n, children):
     return Node(n.op, children)
-
-
-def substitute(t, subst):
-    """Replace each Leaf(Var) by subst[var] (a term). Missing binding raises."""
-
-    def leaf(payload):
-        if isinstance(payload, Var):
-            try:
-                return subst[payload]
-            except KeyError:
-                raise UnboundVariableError(payload.name) from None
-        return Leaf(payload)
-
-    return fold(t, leaf, _rebuild)
 
 
 def _graft_leaf(payload):

@@ -519,6 +519,27 @@ def chain_completed_mass(stop_weights, go_weights, length):
     return total
 
 
+# --- specs that break the format -------------------------------------------
+#
+# Rules ``validate`` rejects, on which the law and the engine can disagree:
+# a termination premise in the desimone dialect, and sources premised twice.
+
+BROKEN_DESIMONE = (
+    "dialect desimone\nsemiring boolean\nlabels a, b\n"
+    "op c : 0\nop e : 0\nop g : 1\nop h : 1\n"
+    "rule c -> *\nrule c -a-> *\nrule e -a-> c\n"
+    "rule g(x1) -b-> c when x1 -> *\n"
+    "rule h(x1) -a-> y1 when x1 -a-> y1, x1 -b-> y1\n"
+)
+BROKEN_WEIGHTED = (
+    "dialect weighted\nsemiring rational\nlabels a\n"
+    "op nil : 0\nop f : 1\nop k : 1\n"
+    "rule nil -[1/2]-> *\nrule nil -a[1/2]-> nil\n"
+    "rule f(x1) -[1/3]-> * when x1 -> *, x1 -> *\n"
+    "rule k(x1) -a[1/3]-> k(y1) when x1 -a-> y1, x1 -a-> y1\n"
+)
+
+
 # --- random format-valid specs ----------------------------------------------
 
 SPEC_WEIGHTS = ("1/4", "1/3", "1/2", "1")

@@ -19,13 +19,17 @@ and on four specs with idle or wide operators (the tests' idle-operator and
 constants-only specs, ``leaky`` plus a rule-less ``op w : 10`` and
 ``prob_par`` plus ``op p : 10000``, the last two also at sizes 7 and 8);
 ``traces --oracle`` on the weighted specs and ``ast`` only on the weighted
-bundled ones (on some random ones its closure walk takes minutes); and two
-refusals. Every spec is written to one temporary directory, which is the
-working directory while the commands run, so argv names no path; a path
-that reaches the output anyway is replaced by ``<tmp>`` or ``<checkout>``.
-A command that runs past ``LIMIT_S`` seconds, or a process that reaches
-``LIMIT_BYTES`` of address space, is recorded as raising. Needs only what
-the test suite needs; this module is not collected by pytest.
+bundled ones (on some random ones its closure walk takes minutes); two
+refusals; and, last, ``step --oracle`` with and without ``--json`` on each
+closed term up to size 3 of the two specs whose rules break the format
+(``oracles.BROKEN_DESIMONE`` and ``BROKEN_WEIGHTED``), where the law and
+the engine can disagree. Every spec is written to one temporary directory,
+which is the working directory while the commands run, so argv names no
+path; a path that reaches the output anyway is replaced by ``<tmp>`` or
+``<checkout>``. A command that runs past ``LIMIT_S`` seconds, or a process
+that reaches ``LIMIT_BYTES`` of address space, is recorded as raising.
+Needs only what the test suite needs; this module is not collected by
+pytest.
 """
 
 import contextlib
@@ -40,9 +44,11 @@ import tempfile
 from pathlib import Path
 
 import desimone
-from desimone import SPEC_NAMES, parse_spec, spec_text
+from desimone import (
+    SPEC_NAMES, enumerate_closed_terms, parse_spec, print_term, spec_text,
+)
 from desimone.cli import main
-from oracles import random_valid_spec
+from oracles import BROKEN_DESIMONE, BROKEN_WEIGHTED, random_valid_spec
 from test_analysis import IDLE_OPERATORS
 from test_cli import BRANCHING_CONSTANTS
 from test_error_pins import WIDE_RULE
@@ -53,6 +59,7 @@ SIZES = [(size, depth) for depth in (1, 3, 4) for size in range(6 + (depth == 4)
 LARGE = [(size, depth) for depth in (3, 4) for size in (7, 8)]  # bundled specs only
 CONTEXTS = ([], ["--contexts", "0"], ["--contexts", "7", "--seed", "3"])
 WIDE = ("leaky_w10", "prob_par_p10000")  # also swept at sizes 7 and 8
+BROKEN = {"broken_desimone": BROKEN_DESIMONE, "broken_weighted": BROKEN_WEIGHTED}
 LIMIT_S = 60  # per command
 LIMIT_BYTES = 2 << 30
 
@@ -97,6 +104,11 @@ def _commands(specs):
                 out.append(["traces", path, term, "--depth", "3", "--oracle"])
     out.append(["congruence", "copy_nonaffine.spec", "--size", "10"])
     out.append(["congruence", "wide_rule.spec", "--size", "4", "--depth", "3"])
+    for name, text in BROKEN.items():
+        for term in enumerate_closed_terms(parse_spec(text).signature, 3):
+            for json_flag in ([], ["--json"]):
+                argv = ["step", f"{name}.spec", print_term(term), "--oracle"]
+                out.append(argv + json_flag)
     return out
 
 
@@ -128,7 +140,7 @@ def sweep():
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         specs = _specs()
-        for name, text in specs.items():
+        for name, text in {**specs, **BROKEN}.items():
             Path(tmp, f"{name}.spec").write_text(text, encoding="utf-8")
         Path(tmp, "wide_rule.spec").write_text(
             spec_text("prob_par") + WIDE_RULE, encoding="utf-8"

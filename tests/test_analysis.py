@@ -645,6 +645,17 @@ def test_search_refuses_a_negative_context_count(copy_nonaffine):
         counterexample_search(copy_nonaffine, size_bound=3, depth=2, extra_contexts=-4)
 
 
+def test_congruence_entry_points_refuse_a_depth_below_one(prob_par):
+    buckets = fingerprint_buckets(prob_par, 3, 1)
+    for refused in (
+        lambda: fingerprint_buckets(prob_par, 3, 0),
+        lambda: counterexample_search(prob_par, 3, 0),
+        lambda: counterexample_search(prob_par, 3, 0, buckets=buckets),
+    ):
+        with pytest.raises(ValueError, match="^depth must be >= 1$"):
+            refused()
+
+
 def test_search_reuses_given_buckets(prob_par, monkeypatch, quotient_calls):
     import desimone.analysis as analysis_module
 

@@ -32,7 +32,13 @@ from desimone import (
     step_law,
 )
 from desimone.law import _decompose
-from oracles import law_star, map_leaves, two_level_oracle
+from oracles import (
+    BROKEN_DESIMONE,
+    BROKEN_WEIGHTED,
+    law_star,
+    map_leaves,
+    two_level_oracle,
+)
 
 F = Fraction
 
@@ -140,27 +146,48 @@ def test_rho_is_natural_for_renamings(pair_affine, prob_par):
                 assert direct == mapped
 
 
+# premise shapes of one rule of f(x1, x2), each with its premise tuple
+PREMISE_SHAPES = {
+    "": (),
+    "x1 -a-> y1": ((1, "a"),),
+    "x1 -> *": ((1, None),),
+    "x1 -a-> y1, x1 -> *": ((1, "a"), (1, None)),
+    "x1 -> *, x1 -> *": ((1, None), (1, None)),
+    "x1 -a-> y1, x1 -a-> y1": ((1, "a"), (1, "a")),
+    "x1 -a-> y1, x2 -> *": ((1, "a"), (2, None)),
+}
+
+
+def test_a_rule_fires_when_its_premises_equal_the_observation():
+    pool = [Pure("u"), Obs(Step("a", "v")), Obs(Step("b", "v")), Obs(STOP)]
+    fired = set()
+    for shape, premises in PREMISE_SHAPES.items():
+        when = f" when {shape}" if shape else ""
+        spec = parse_spec(
+            "dialect weighted\nsemiring rational\nlabels a, b\nop f : 2\n"
+            f"rule f(x1, x2) -[1]-> *{when}\n"
+        )
+        for args in product(pool, repeat=2):
+            observed = tuple(
+                (i, None if arg.elem is STOP else arg.elem.label)
+                for i, arg in enumerate(args, start=1)
+                if isinstance(arg, Obs)
+            )
+            out = rho_apply(spec, "f", args)
+            if premises == observed:
+                fired.add(shape)
+                assert out == fs_unit(RATIONAL, STOP), (shape, args)
+            else:
+                assert out == fs_empty(RATIONAL), (shape, args)
+    assert fired == {"", "x1 -a-> y1", "x1 -> *", "x1 -a-> y1, x2 -> *"}
+
+
 # --- rules that break the format ---------------------------------------------
 #
-# ``validate`` rejects every rule below; the law still reads them, and these
-# pins keep that reading. ``step`` disagrees on the premised ones (see its
+# ``validate`` rejects every rule of ``BROKEN_DESIMONE`` and
+# ``BROKEN_WEIGHTED`` (``oracles``); the law still reads them, and these pins
+# keep that reading. ``step`` disagrees on the premised ones (see its
 # docstring).
-
-BROKEN_DESIMONE = (
-    "dialect desimone\nsemiring boolean\nlabels a, b\n"
-    "op c : 0\nop e : 0\nop g : 1\nop h : 1\n"
-    "rule c -> *\nrule c -a-> *\nrule e -a-> c\n"
-    "rule g(x1) -b-> c when x1 -> *\n"
-    "rule h(x1) -a-> y1 when x1 -a-> y1, x1 -b-> y1\n"
-)
-BROKEN_WEIGHTED = (
-    "dialect weighted\nsemiring rational\nlabels a\n"
-    "op nil : 0\nop f : 1\nop k : 1\n"
-    "rule nil -[1/2]-> *\nrule nil -a[1/2]-> nil\n"
-    "rule f(x1) -[1/3]-> * when x1 -> *, x1 -> *\n"
-    "rule k(x1) -a[1/3]-> k(y1) when x1 -a-> y1, x1 -a-> y1\n"
-)
-
 
 def test_law_on_desimone_rules_that_break_the_format():
     spec = parse_spec(BROKEN_DESIMONE)
@@ -186,18 +213,16 @@ def test_law_on_weighted_rules_that_break_the_format():
     nil = Node("nil")
     half = FormalSum(RATIONAL, [(STOP, F(1, 2)), (Step("a", nil), F(1, 2))])
     assert rho_apply(spec, "nil", ()) == half
-    # a doubled termination premise matches one observed stop, once
-    assert rho_apply(spec, "f", (Obs(STOP),)) == FormalSum(RATIONAL, [(STOP, F(1, 3))])
+    # one argument is observed once, so a source premised twice, by two
+    # termination or two transition premises, never fires
     for arg in (Pure("u"), Obs(Step("a", "v")), Obs(STOP)):
-        if arg != Obs(STOP):
-            assert rho_apply(spec, "f", (arg,)) == fs_empty(RATIONAL), arg
-        # a doubled transition premise never matches one observed step
+        assert rho_apply(spec, "f", (arg,)) == fs_empty(RATIONAL), arg
         assert rho_apply(spec, "k", (arg,)) == fs_empty(RATIONAL), arg
     expected = {
         "nil": half,
-        "f(nil)": FormalSum(RATIONAL, [(STOP, F(1, 6))]),
+        "f(nil)": fs_empty(RATIONAL),
         "k(nil)": fs_empty(RATIONAL),
-        "f(f(nil))": FormalSum(RATIONAL, [(STOP, F(1, 18))]),
+        "f(f(nil))": fs_empty(RATIONAL),
         "f(k(nil))": fs_empty(RATIONAL),
         "k(f(nil))": fs_empty(RATIONAL),
         "k(k(nil))": fs_empty(RATIONAL),

@@ -307,16 +307,13 @@ def test_each_stepped_operator_reads_its_rules_once():
 
 def test_congruence_steps_without_substituting(monkeypatch, capsys):
     # the engine builds targets from its plans; only the law pipeline,
-    # the oracle, instantiates rules
-    import desimone.rulespec as rulespec_module
-    import desimone.terms as terms_module
+    # the oracle, binds a rule target's variables
+    import desimone.law as law_module
 
     def refuse(*args):
         raise AssertionError("substituted")
 
-    monkeypatch.setattr(rulespec_module.Rule, "instantiate", refuse)
-    monkeypatch.setattr(rulespec_module, "substitute", refuse)
-    monkeypatch.setattr(terms_module, "substitute", refuse)
+    monkeypatch.setattr(law_module, "_target", refuse)
     code = main([
         "congruence", str(spec_path("copy_nonaffine")), "--size", "7", "--depth", "4",
         "--json",
@@ -410,6 +407,26 @@ def test_truncated_chain_leaks_at_the_cutoff(leaky):
     assert not report.passed
     assert report.violator == t(leaky, "c30")
     assert report.mass == F(1, 2**30 + 2)
+
+
+# r(nil) leaks, three steps from nil: bound 1 walks only nil and p(nil),
+# bound 2 enumerates r(nil)
+LEAK_AT_THREE = (
+    "dialect weighted\nsemiring rational\nlabels a\n"
+    "op nil : 0\nop p : 1\nop q : 1\nop r : 1\n"
+    "rule nil -a[1]-> p(nil)\nrule p(x1) -a[1]-> q(x1)\n"
+    "rule q(x1) -a[1]-> r(x1)\nrule r(x1) -a[1/2]-> r(x1)\n"
+)
+
+
+def test_check_probabilistic_checks_a_horizon_not_every_reachable_state():
+    spec = parse_spec(LEAK_AT_THREE)
+    assert check_probabilistic(spec, 1).describe(spec.semiring) == (
+        "probabilistic: all 2 terms have step mass 1"
+    )
+    assert check_probabilistic(spec, 2).describe(spec.semiring) == (
+        "not probabilistic: r(nil) has step mass 1/2"
+    )
 
 
 # successors outgrow the enumeration bound, so the walk reaches past the

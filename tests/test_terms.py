@@ -1,6 +1,5 @@
 """Signatures, term trees, substitution, and closed-term enumeration."""
 
-import random
 import time
 import tracemalloc
 from collections import Counter
@@ -11,7 +10,6 @@ import pytest
 
 from desimone import (
     FormalSum,
-    HOLE,
     Leaf,
     Node,
     RATIONAL,
@@ -19,7 +17,6 @@ from desimone import (
     Signature,
     SpecParseError,
     TermSyntaxError,
-    UnboundVariableError,
     Var,
     dist_sigma_star,
     enumerate_closed_terms,
@@ -33,7 +30,6 @@ from desimone import (
     parse_term,
     print_term,
     spec_text,
-    substitute,
     term_vars,
 )
 import desimone.terms as terms_module
@@ -192,11 +188,10 @@ def test_walkers_do_not_recurse_on_term_depth(sig):
     assert leaves(map_leaves(open_term, lambda v: v.index + 6)) == [7]
 
 
-def test_substitution_grafting_and_distribution_do_not_recurse_on_term_depth(sig):
+def test_grafting_and_distribution_do_not_recurse_on_term_depth(sig):
     open_term = parse_open(sig, _deep_text(DEPTH).replace("nil", "x1"))
     nil = Node("nil")
     closed = parse_term(sig, _deep_text(DEPTH))
-    assert substitute(open_term, {Var("x", 1): nil}) == closed
     assert graft(map_leaves(open_term, lambda v: nil)) == closed
     halves = FormalSum(RATIONAL, [("u", F(1, 2)), ("v", F(1, 2))])
     assert dist_sigma_star(RATIONAL, map_leaves(open_term, lambda v: halves)) == (
@@ -245,46 +240,6 @@ def test_x0_names_no_variable(sig):
 
 
 # --- substitution ------------------------------------------------------------
-
-def test_substitute_examples():
-    x2, y1 = Var("x", 2), Var("y", 1)
-    t = Node("f", [Leaf(y1), Leaf(x2)])
-    out = substitute(t, {y1: Node("v", []), x2: Node("u", [])})
-    assert out == Node("f", [Node("v", []), Node("u", [])])
-    assert substitute(Leaf(Var("x", 1)), {Var("x", 1): Node("c", [])}) == Node("c", [])
-
-
-def test_substitute_replaces_every_occurrence():
-    y1 = Var("y", 1)
-    t = Node("f", [Leaf(y1), Leaf(y1)])
-    v = Node("v", [])
-    assert substitute(t, {y1: v}) == Node("f", [v, v])
-
-
-def test_substitute_unbound_variable():
-    with pytest.raises(UnboundVariableError):
-        substitute(Leaf(Var("x", 1)), {Var("x", 2): Node("c", [])})
-
-
-def test_substitute_composes(sig):
-    rng = random.Random(7)
-    vars_ = [Var("x", 1), Var("x", 2), Var("y", 1)]
-    closed = list(enumerate_closed_terms(sig, 3))
-
-    def random_term(depth):
-        if depth == 0 or rng.random() < 0.3:
-            return Leaf(rng.choice(vars_))
-        op = rng.choice(["pre_a", "pre_b", "par"])
-        k = sig.arity(op)
-        return Node(op, [random_term(depth - 1) for _ in range(k)])
-
-    for _ in range(50):
-        t = random_term(3)
-        sigma = {v: random_term(2) for v in vars_}
-        tau = {v: rng.choice(closed) for v in vars_}
-        composed = {v: substitute(img, tau) for v, img in sigma.items()}
-        assert substitute(substitute(t, sigma), tau) == substitute(t, composed)
-
 
 def test_term_vars_lists_occurrences():
     t = Node("f", [Leaf(Var("y", 1)), Leaf(Var("y", 1)), Leaf(Var("x", 2))])
@@ -559,13 +514,6 @@ def test_node_and_signature_reprs():
         "Node('f', [Leaf(x1), Node('nil', [])])"
     )
     assert repr(Signature([("nil", 0), ("f", 2)])) == "Signature(nil/0, f/2)"
-
-
-def test_substitute_keeps_a_leaf_that_is_no_variable():
-    term = Node("f", [Leaf(HOLE), Leaf(Var("x", 1))])
-    assert substitute(term, {Var("x", 1): Node("nil")}) == Node(
-        "f", [Leaf(HOLE), Node("nil")]
-    )
 
 
 def test_graft_refuses_a_leaf_that_holds_no_term():
