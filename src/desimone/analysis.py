@@ -29,7 +29,6 @@ search answers before it builds a context.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .formalsum import STOP, payload_key
 from .opmodel import explore
@@ -37,6 +36,7 @@ from .terms import (
     HOLE,
     Leaf,
     Node,
+    Record,
     closed_term_at,
     closed_term_classes,
     enumeration_counts,
@@ -52,14 +52,12 @@ from .trace import (
 )
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Record, frozen=True, uncompared=("sampled",)):
     """A term with one hole leaf, at ``path`` (child positions from the root),
-    and whether it was sampled beyond the depth-1 layer (not compared)."""
+    and whether it was ``sampled`` beyond the depth-1 layer (not compared)."""
 
-    term: object
-    path: tuple
-    sampled: bool = field(default=False, compare=False)
+    __slots__ = ("term", "path", "sampled")
+    _defaults = {"sampled": False}
 
     def __post_init__(self):
         leaf = self.term
@@ -181,15 +179,10 @@ def _replace_at(t, path, replacement):
     return replacement
 
 
-@dataclass
-class CongruenceViolation:
-    left: object
-    right: object
-    context: Context
-    word: tuple
-    left_weight: object
-    right_weight: object
-    verified: bool
+class CongruenceViolation(Record):
+    __slots__ = (
+        "left", "right", "context", "word", "left_weight", "right_weight", "verified"
+    )
 
     def describe(self, spec):
         return {

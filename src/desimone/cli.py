@@ -23,8 +23,9 @@ A reader that closes stdout early ends the command quietly with exit 1.
 Two inputs meet the depth refusal: a table depth past the limit (tables
 recurse once per depth), and premised nesting past it under ``step`` (it
 recurses once per premised level, so ``step --direct`` refuses ``par``
-nested 10,000 deep). Term depth alone is answered: rule targets of any
-depth fire, since every whole-term walk goes through ``terms.fold``.
+nested 10,000 deep). Term depth alone is answered: every whole-term walk
+goes through ``terms.fold`` or a stack of its own, and a term's sort key
+is flat, so rule targets of any depth fire and sort.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 from .rulespec import RuleTargetError, SpecParseError, parse_spec, validate_format
 from .terms import TermSyntaxError, parse_term, print_term
@@ -152,7 +152,9 @@ def cmd_validate(spec, args):
             for name in spec.signature.names()
         ],
         "rules": len(spec.rules),
-        "violations": [asdict(v) for v in validate_format(spec)],
+        "violations": [
+            {f: getattr(v, f) for f in v.__slots__} for v in validate_format(spec)
+        ],
     }
     found = payload["violations"]
     payload["valid"] = not any(v["severity"] == "error" for v in found)

@@ -18,11 +18,10 @@ entries are listed in its order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .semiring import INF, Semiring
-from .terms import HOLE, Leaf, Node, Var, fold, graft
+from .terms import HOLE, Leaf, Node, Record, Var, fold, graft
 
 
 class FormalSum:
@@ -178,29 +177,19 @@ def belem_map(e, f):
 
 # --- coproduct tagging B0 X = X + B X -------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Pure:
+class Pure(Record, frozen=True):
     """An argument seen as its value, the left summand X of B0 X."""
 
-    value: object
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True, slots=True)
-class Obs:
+class Obs(Record, frozen=True):
     """An argument seen by its behaviour: a ``Step`` or ``STOP`` of B X."""
 
-    elem: object
+    __slots__ = ("elem",)
 
 
 # --- the payload order -----------------------------------------------------
-
-def _leaf_key(payload):
-    return ("leaf", payload_key(payload))
-
-
-def _node_key(n, child_keys):
-    return ("node", n.op, tuple(child_keys))
-
 
 def payload_key(x):
     """Sort key of the total order on payloads; keys compare as tuples.
@@ -208,6 +197,11 @@ def payload_key(x):
     Numbers (weights) are in numeric order with ``INF`` above every
     rational, tuples (trace words) length-major and then letter by letter,
     terms by operator and then children, a sum by its sorted entries.
+    A term's key is flat: its pre-order tokens, ``("node", op)`` per node
+    and a leaf's key per leaf, collected on a stack. An operator has one
+    arity, so token sequences are prefix-free and order as nested keys
+    would, and comparing two keys recurses on payload nesting only, never
+    on term depth.
     """
     if isinstance(x, str):
         return ("str", x)
@@ -218,7 +212,16 @@ def payload_key(x):
     if isinstance(x, tuple):
         return ("tuple", len(x), tuple(payload_key(i) for i in x))
     if isinstance(x, (Leaf, Node)):
-        return fold(x, _leaf_key, _node_key)
+        tokens = []
+        todo = [x]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, Leaf):
+                tokens.append(("leaf", payload_key(t.payload)))
+            else:
+                tokens.append(("node", t.op))
+                todo.extend(reversed(t.children))
+        return tokens[0] if isinstance(x, Leaf) else ("node", tuple(tokens))
     if isinstance(x, Var):
         return ("var", x.kind, x.index)
     if x is HOLE:

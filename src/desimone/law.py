@@ -14,7 +14,6 @@ square and reports the first input on which they disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -36,7 +35,7 @@ from .formalsum import (
     payload_key,
 )
 from .rulespec import Premise, RuleTargetError
-from .terms import Leaf, Var, _rebuild, fold, graft
+from .terms import Leaf, Record, Var, _rebuild, fold, graft
 
 
 def _decompose(args):
@@ -146,19 +145,16 @@ def _distribute_and_apply(spec, op, arg_sums):
 
 # --- the affineness square -------------------------------------------------
 
-@dataclass
-class NaturalityWitness:
-    op: str
-    args: tuple  # B0 elements over formal-sum payloads
-    law_first: FormalSum
-    args_first: FormalSum
+class NaturalityWitness(Record):
+    """``args``, B0 elements over formal-sum payloads, on which the two legs
+    of the square give ``law_first`` and ``args_first``."""
+
+    __slots__ = ("op", "args", "law_first", "args_first")
 
 
-@dataclass
-class NaturalityResult:
-    checked: int
-    carrier: tuple
-    witness: NaturalityWitness | None = None
+class NaturalityResult(Record):
+    __slots__ = ("checked", "carrier", "witness")
+    _defaults = {"witness": None}
 
     @property
     def passed(self):

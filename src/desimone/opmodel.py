@@ -22,13 +22,12 @@ Distances stay inside the walk, which needs them for its horizon.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
 from .formalsum import STOP, FormalSum, Step, fs_total, is_affine
 from .rulespec import RuleTargetError
-from .terms import Node, Var, enumerate_closed_terms, fold, print_term
+from .terms import Node, Record, Var, enumerate_closed_terms, fold, print_term
 
 
 class ModelCache:
@@ -223,12 +222,9 @@ def explore(spec, roots, horizon, max_states):
     return Walk(order, behaviours, len(order) <= max_states and nodes <= MAX_WALK_NODES)
 
 
-@dataclass
-class ProbReport:
-    bound: int
-    checked: int
-    violator: object = None
-    mass: object = None
+class ProbReport(Record):
+    __slots__ = ("bound", "checked", "violator", "mass")
+    _defaults = {"violator": None, "mass": None}
 
     @property
     def passed(self):

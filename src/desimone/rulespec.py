@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field, replace
 
 from .semiring import INF, SEMIRINGS
 from .terms import (
+    Record,
     Signature,
     TermSyntaxError,
     Var,
@@ -73,12 +73,10 @@ class RuleTargetError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class Premise:
+class Premise(Record, frozen=True):
     """``x_index -label-> y_index``, or ``x_index -> *`` when label is None."""
 
-    index: int
-    label: object  # str, or None for termination
+    __slots__ = ("index", "label")
 
     def show(self):
         if self.label is None:
@@ -86,20 +84,14 @@ class Premise:
         return f"x{self.index} -{self.label}-> y{self.index}"
 
 
-@dataclass(frozen=True)
-class Rule:
-    """A rule; ``target is None`` means a termination conclusion. A parsed
-    rule lists its label metavariables in ``forall``; a spec's ground rules
-    have none, and their premises in canonical order (by source)."""
+class Rule(Record, frozen=True, uncompared=("line",)):
+    """A rule; a ``label`` and ``target`` of None mean a termination
+    conclusion. ``line`` (not compared) is its spec line. A parsed rule
+    lists its label metavariables in ``forall``; a spec's ground rules have
+    none, and their premises in canonical order (by source)."""
 
-    op: str
-    arity: int
-    premises: tuple
-    label: object  # str, or None for termination conclusions
-    weight: object
-    target: object  # Term, or None for termination conclusions
-    line: int = field(default=0, compare=False)
-    forall: tuple = ()
+    __slots__ = ("op", "arity", "premises", "label", "weight", "target", "line", "forall")
+    _defaults = {"line": 0, "forall": ()}
 
     def show(self, semiring=None):
         head = self.op
@@ -116,13 +108,8 @@ class Rule:
         return concl
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    condition: str
-    fragment: str
-    severity: str
-    line: int
+class Violation(Record, frozen=True):
+    __slots__ = ("rule", "condition", "fragment", "severity", "line")
 
 
 class RuleSpec:
@@ -310,7 +297,9 @@ def expand_forall(rule, labels):
             key=lambda p: (p.index, p.label is None, p.label or ""),
         )
         label = asg.get(rule.label, rule.label)
-        out.append(replace(rule, premises=tuple(premises), label=label, forall=()))
+        out.append(
+            Rule(rule.op, rule.arity, tuple(premises), label, rule.weight, rule.target, rule.line)
+        )
     return out
 
 
@@ -321,7 +310,8 @@ def _merge_rules(rules, semiring):
         key = (r.op, r.premises, r.label, r.target)
         old = merged.get(key)
         if old is not None:
-            r = replace(old, weight=semiring.add(old.weight, r.weight))
+            weight = semiring.add(old.weight, r.weight)
+            r = Rule(old.op, old.arity, old.premises, old.label, weight, old.target, old.line)
         merged[key] = r
     return list(merged.values())
 

@@ -37,7 +37,8 @@ class Semiring:
         self.check = check
 
     def is_zero(self, w):
-        return w == self.zero
+        # zero is the one falsy weight: Fraction(0) or boolean 0; INF is truthy
+        return not w
 
     def sum(self, weights):
         acc = self.zero
@@ -135,7 +136,7 @@ def _rat_check(w):
         return w
     if not isinstance(w, Fraction):
         w = Fraction(w)
-    if w < 0:
+    if w.numerator < 0:
         raise ValueError(f"weight must be nonnegative: {w!r}")
     return w
 

@@ -5,10 +5,10 @@ rule variables (``Var``), closed subterms (when a term-over-terms is about to be
 grafted), formal sums (inside the distributivity transformations) or a
 context's ``HOLE``. Closed terms are all-``Node`` trees over a signature.
 
-Walkers that visit every node (``fold``, ``leaves``, ``Node.__eq__``) keep
-their work on an explicit stack, so term depth is not bounded by the
-recursion limit. ``fold`` is the one bottom-up walk: ``graft``,
-``print_term``, ``payload_key``, ``dist_sigma_star``, ``step_law`` and the
+Walkers that visit every node (``fold``, ``leaves``, ``Node.__eq__``, the
+term keys of ``payload_key``) keep their work on an explicit stack, so term
+depth is not bounded by the recursion limit. ``fold`` is the one bottom-up
+walk: ``graft``, ``print_term``, ``dist_sigma_star``, ``step_law`` and the
 law's rule targets, the engine's rule plans and the context paths of
 ``analysis`` all go through it.
 
@@ -25,18 +25,65 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, count, islice
-from operator import mul
+from operator import attrgetter, mul
 
 
-@dataclass(frozen=True)
-class Var:
-    """A rule variable: x_i (source argument) or y_i (premise successor)."""
+def _refuse(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r}")
 
-    kind: str  # "x" or "y"
-    index: int  # 1-based argument position
+
+class Record:
+    """A record of named fields, the package's value classes.
+
+    The fields are the subclass's ``__slots__``, in order, given by position
+    or keyword; ``_defaults`` holds the trailing ones' defaults, and
+    ``__post_init__`` checks a new record. Two records are equal when they
+    have one type and equal fields, leaving out those named ``uncompared``.
+    A ``frozen`` record refuses assignment and hashes by the compared fields.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, frozen=False, uncompared=()):
+        cls._key = attrgetter(*(f for f in cls.__slots__ if f not in uncompared))
+        if frozen:
+            cls.__hash__ = lambda self: hash(self._key(self))
+            cls.__setattr__ = cls.__delattr__ = _refuse
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            values = {**self._defaults, **kwargs, **dict(zip(names, args))}
+            if len(args) > len(names) or kwargs.keys() & set(names[: len(args)]) or (
+                values.keys() != set(names)
+            ):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Var(Record, frozen=True):
+    """A rule variable: x_i (source argument, ``kind`` "x") or y_i (premise
+    successor, "y"), ``index`` the 1-based argument position."""
+
+    __slots__ = ("kind", "index")
 
     def __post_init__(self):
         if self.kind not in ("x", "y"):

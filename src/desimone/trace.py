@@ -28,12 +28,11 @@ chain should be checked against which truncation it reflects.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .formalsum import STOP, FormalSum, Step
 from .opmodel import _step, explore, model_cache, step
-from .terms import Node
+from .terms import Node, Record
 
 
 def _check_table_args(caller, term, bound_name, bound):
@@ -163,12 +162,13 @@ def word_to_str(word, labels):
 
 AST_TOLERANCE = Fraction(1, 10**6)
 
-@dataclass
-class AstReport:
-    verdict: str  # "ast-consistent" | "non-ast" | "inconclusive"
-    masses: list  # [(depth, weight)]
-    limit: object = None  # exact limit mass when computable
-    detail: str = ""
+class AstReport(Record):
+    """A ``verdict`` ("ast-consistent", "non-ast" or "inconclusive") on the
+    ``masses`` ``[(depth, weight)]``, with the exact ``limit`` mass when
+    computable."""
+
+    __slots__ = ("verdict", "masses", "limit", "detail")
+    _defaults = {"limit": None, "detail": ""}
 
     @property
     def exact(self):

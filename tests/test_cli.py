@@ -7,6 +7,7 @@ hash seeds, and, under an address-space limit, the refusals of inputs too
 wide to enumerate and a search past an operator with no rules.
 """
 
+import argparse
 import json
 import os
 import resource
@@ -17,8 +18,8 @@ from pathlib import Path
 import pytest
 
 import desimone
-from desimone import spec_path
-from desimone.cli import main
+from desimone import load_spec, spec_path
+from desimone.cli import cmd_validate, main
 from test_error_pins import WIDE_RULE
 
 
@@ -102,6 +103,18 @@ def test_step_direct_flag(run):
         {"kind": "stop", "weight": "1"},
         {"kind": "step", "label": "a", "target": "nil", "weight": "1"},
     ]
+
+
+def test_step_direct_on_terms_nested_past_half_the_recursion_limit(run):
+    # sorting the 501 deep targets compared their keys recursively in C
+    nested = "par(pre_a(nil), " * 500 + "nil" + ")" * 500
+    code, out, err = run("step", path("de_simone_par"), nested, "--direct", "--json")
+    assert (code, err) == (0, "")
+    entries = json.loads(out)["entries"]
+    assert len(entries) == 501 and entries[0] == {"kind": "stop", "weight": "1"}
+    assert all(e["label"] == "a" and e["weight"] == "1" for e in entries[1:])
+    assert len({e["target"] for e in entries[1:]}) == 500
+    assert entries[1]["target"] == "par(nil, " + nested[16:]
 
 
 # --- traces -----------------------------------------------------------------
@@ -209,6 +222,14 @@ def test_validate_flags_the_copying_rule(run):
     assert lines[1] == "  line 24 error affine-target: variable y1 occurs twice in g(y1, y1)"
     assert lines[2] == "    in rule: f(x1) -a-> g(y1, y1) when x1 -a-> y1"
     assert lines[3] == "invalid: 1 format violations, 0 warnings"
+
+
+def test_validate_violations_keep_their_field_order():
+    args = argparse.Namespace(spec="copy_nonaffine")
+    payload, valid = cmd_validate(load_spec("copy_nonaffine"), args)
+    assert not valid and payload["violations"]
+    for v in payload["violations"]:
+        assert list(v) == ["rule", "condition", "fragment", "severity", "line"]
 
 
 @pytest.mark.parametrize("name", ["de_simone_par", "prob_par", "leaky", "loop"])

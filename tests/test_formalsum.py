@@ -1,5 +1,6 @@
 """Canonical weighted sums and the distribution operators built on them."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -25,6 +26,7 @@ from desimone import (
     dist_b0,
     dist_sigma,
     dist_sigma_star,
+    enumerate_closed_terms,
     fs_empty,
     fs_flatten,
     fs_map,
@@ -32,6 +34,7 @@ from desimone import (
     fs_total,
     fs_unit,
     is_affine,
+    load_spec,
     payload_key,
 )
 from oracles import as_set, fs_leq, set_flatten, set_product_terms
@@ -126,6 +129,44 @@ def test_sorted_items_of_a_deep_target():
         deep = Node("pre_a", [deep])
     s = FormalSum(RATIONAL, [(Step("a", deep), F(1, 2)), (STOP, F(1, 2))])
     assert s.sorted_items() == [(STOP, F(1, 2)), (Step("a", deep), F(1, 2))]
+
+
+def _nested_key(x):
+    """The term order as nested tuples, recursing on depth: the oracle of
+    ``payload_key``'s flat term keys."""
+    if isinstance(x, Leaf):
+        return ("leaf", payload_key(x.payload))
+    return ("node", x.op, tuple(_nested_key(c) for c in x.children))
+
+
+def test_flat_term_keys_order_terms_as_nested_keys_do():
+    terms = [
+        t for name in ("de_simone_par", "copy_nonaffine")
+        for t in enumerate_closed_terms(load_spec(name).signature, 6)
+    ]
+    terms += [Leaf("v"), Leaf(HOLE), Node("par", [Leaf(HOLE), Node("nil")])]
+    terms += [Node("par", [Node("nil"), Leaf(Var("x", 1))]), Node("pre_a", [Leaf("v")])]
+    random.Random(0).shuffle(terms)
+    assert len(terms) > 7000
+    assert sorted(terms, key=payload_key) == sorted(terms, key=_nested_key)
+
+
+def test_terms_that_differ_only_in_their_last_leaf_sort_at_any_depth():
+    # comparing nested keys recursed in C, two tuple levels per term level
+    a, b = Node("a"), Node("b")
+    for _ in range(2000):
+        a, b = Node("pre_a", [a]), Node("pre_a", [b])
+    assert sorted([b, a], key=payload_key) == [a, b]
+    s = FormalSum(BOOLEAN, [(Step("x", b), 1), (Step("x", a), 1)])
+    assert s.sorted_items() == [(Step("x", a), 1), (Step("x", b), 1)]
+
+
+def test_the_coproduct_tags_are_distinct_frozen_records():
+    assert Pure("v") != Obs("v") and Pure("v") == Pure("v") != Pure("w")
+    assert len({Pure("v"), Obs("v"), Pure("v")}) == 2
+    assert repr(Pure("v")) == "Pure(value='v')" and repr(Obs(STOP)) == "Obs(elem=STOP)"
+    with pytest.raises(AttributeError, match="^cannot assign to field 'value'$"):
+        Pure("v").value = "w"
 
 
 def test_basic_constructors():

@@ -62,19 +62,19 @@ RUN_MAIN = (
 )
 
 
-def _loaded(code, *argv):
-    """The package modules a fresh interpreter holds after running ``code``."""
+def _modules(code, *argv):
+    """Every module a fresh interpreter holds after running ``code``."""
     proc = subprocess.run(
-        [
-            sys.executable, "-c",
-            "import sys\n" + code
-            + "print(sorted(m for m in sys.modules if m.startswith('desimone')))\n",
-            *argv,
-        ],
+        [sys.executable, "-c", "import sys\n" + code + "print(sorted(sys.modules))\n", *argv],
         capture_output=True, text=True, env=_cli_env(), timeout=60,
     )
     assert proc.stderr == ""
     return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def _loaded(code, *argv):
+    """The package modules a fresh interpreter holds after running ``code``."""
+    return {m for m in _modules(code, *argv) if m.startswith("desimone")}
 
 
 def test_importing_the_package_loads_no_layer():
@@ -104,3 +104,21 @@ def test_a_command_loads_no_layer_it_does_not_run(argv, absent):
     loaded = _loaded(RUN_MAIN, command, str(spec_path(spec)), *rest)
     assert "desimone.trace" in loaded  # the command ran
     assert loaded.isdisjoint(f"desimone.{module}" for module in absent)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "copy_nonaffine", "--json"],
+        ["ast", "leaky", "c0", "--json"],
+        ["congruence", "prob_par", "--size", "3", "--depth", "2", "--json"],
+        ["step", "prob_par", "par(pre_a(nil), nil)", "--json"],
+    ],
+)
+def test_no_command_imports_dataclasses_or_inspect(argv):
+    # the package's records are ``terms.Record``s: generating dataclasses
+    # costs a cold process about 10 ms, most of it importing ``inspect``
+    command, spec, *rest = argv
+    loaded = _modules(RUN_MAIN, command, str(spec_path(spec)), *rest)
+    assert "desimone.cli" in loaded  # the command ran
+    assert not (loaded - _modules("")) & {"dataclasses", "inspect"}

@@ -222,6 +222,19 @@ def test_expand_forall_direct_call():
     ]
 
 
+def test_rules_differing_only_in_their_line_are_one_rule():
+    fields = dict(op="c", arity=0, premises=(), label="a", weight=F(1), target=None)
+    first, second = Rule(**fields, line=1), Rule(**fields, line=9)
+    assert first == second and hash(first) == hash(second)
+    assert first != Rule(**fields, line=1, forall=("@l",))
+    assert Rule(*fields.values()).line == 0 and Rule(*fields.values()).forall == ()
+    assert repr(Premise(1, None)) == "Premise(index=1, label=None)"
+    with pytest.raises(AttributeError, match="^cannot assign to field 'line'$"):
+        first.line = 2
+    with pytest.raises(AttributeError, match="^cannot assign to field 'label'$"):
+        Premise(1, "a").label = "b"
+
+
 # --- duplicate rules ---------------------------------------------------------
 
 def test_identical_weighted_rules_merge_additively():

@@ -64,6 +64,25 @@ def test_var_identity():
     assert len({Var("x", 1), Var("x", 1), Var("y", 1)}) == 2
 
 
+def test_a_variable_is_a_frozen_record():
+    v = Var(kind="x", index=1)
+    assert v == Var("x", 1) and hash(v) == hash(Var("x", 1)) and repr(v) == "x1"
+    assert v != ("x", 1)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'index'$"):
+        v.index = 2
+    with pytest.raises(AttributeError):
+        del v.kind
+    assert v.index == 1 and not hasattr(v, "__dict__")
+    for bad in [("x",), ("x", 1, 2)]:
+        with pytest.raises(TypeError, match="^Var takes the fields kind, index$"):
+            Var(*bad)
+    for bad in [{"index": 1, "kind": "x", "name": "x1"}, {"kind": "x", "indx": 1}]:
+        with pytest.raises(TypeError):
+            Var(**bad)
+    with pytest.raises(TypeError):
+        Var("x", kind="y")
+
+
 def test_node_equality_and_size():
     t = Node("par", [Node("nil", []), Node("nil", [])])
     assert t == Node("par", [Node("nil", []), Node("nil", [])])
