@@ -52,7 +52,7 @@ from .trace import (
 )
 
 
-class Context(Record, frozen=True, uncompared=("sampled",)):
+class Context(Record, uncompared=("sampled",)):
     """A term with one hole leaf, at ``path`` (child positions from the root),
     and whether it was ``sampled`` beyond the depth-1 layer (not compared)."""
 

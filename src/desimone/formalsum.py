@@ -177,13 +177,13 @@ def belem_map(e, f):
 
 # --- coproduct tagging B0 X = X + B X -------------------------------------
 
-class Pure(Record, frozen=True):
+class Pure(Record):
     """An argument seen as its value, the left summand X of B0 X."""
 
     __slots__ = ("value",)
 
 
-class Obs(Record, frozen=True):
+class Obs(Record):
     """An argument seen by its behaviour: a ``Step`` or ``STOP`` of B X."""
 
     __slots__ = ("elem",)

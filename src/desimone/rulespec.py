@@ -73,7 +73,7 @@ class RuleTargetError(Exception):
         )
 
 
-class Premise(Record, frozen=True):
+class Premise(Record):
     """``x_index -label-> y_index``, or ``x_index -> *`` when label is None."""
 
     __slots__ = ("index", "label")
@@ -84,7 +84,7 @@ class Premise(Record, frozen=True):
         return f"x{self.index} -{self.label}-> y{self.index}"
 
 
-class Rule(Record, frozen=True, uncompared=("line",)):
+class Rule(Record, uncompared=("line",)):
     """A rule; a ``label`` and ``target`` of None mean a termination
     conclusion. ``line`` (not compared) is its spec line. A parsed rule
     lists its label metavariables in ``forall``; a spec's ground rules have
@@ -108,7 +108,7 @@ class Rule(Record, frozen=True, uncompared=("line",)):
         return concl
 
 
-class Violation(Record, frozen=True):
+class Violation(Record):
     __slots__ = ("rule", "condition", "fragment", "severity", "line")
 
 

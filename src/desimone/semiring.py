@@ -37,8 +37,7 @@ class Semiring:
         self.check = check
 
     def is_zero(self, w):
-        # zero is the one falsy weight: Fraction(0) or boolean 0; INF is truthy
-        return not w
+        return w == self.zero
 
     def sum(self, weights):
         acc = self.zero
@@ -136,7 +135,7 @@ def _rat_check(w):
         return w
     if not isinstance(w, Fraction):
         w = Fraction(w)
-    if w.numerator < 0:
+    if w < 0:
         raise ValueError(f"weight must be nonnegative: {w!r}")
     return w
 

@@ -41,17 +41,15 @@ class Record:
     or keyword; ``_defaults`` holds the trailing ones' defaults, and
     ``__post_init__`` checks a new record. Two records are equal when they
     have one type and equal fields, leaving out those named ``uncompared``.
-    A ``frozen`` record refuses assignment and hashes by the compared fields.
+    A record refuses assignment and hashes by the compared fields.
     """
 
     __slots__ = ()
     _defaults = {}
+    __setattr__ = __delattr__ = _refuse
 
-    def __init_subclass__(cls, frozen=False, uncompared=()):
+    def __init_subclass__(cls, uncompared=()):
         cls._key = attrgetter(*(f for f in cls.__slots__ if f not in uncompared))
-        if frozen:
-            cls.__hash__ = lambda self: hash(self._key(self))
-            cls.__setattr__ = cls.__delattr__ = _refuse
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -74,12 +72,15 @@ class Record:
             return NotImplemented
         return self._key(self) == self._key(other)
 
+    def __hash__(self):
+        return hash(self._key(self))
+
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
 
-class Var(Record, frozen=True):
+class Var(Record):
     """A rule variable: x_i (source argument, ``kind`` "x") or y_i (premise
     successor, "y"), ``index`` the 1-based argument position."""
 

@@ -83,6 +83,27 @@ def test_a_variable_is_a_frozen_record():
         Var("x", kind="y")
 
 
+def test_every_record_is_frozen_and_hashable():
+    import desimone.analysis, desimone.law, desimone.opmodel, desimone.trace  # noqa: F401
+    from desimone.terms import Record
+
+    classes = Record.__subclasses__()
+    assert len(classes) == 12
+    for cls in classes:
+        record = cls.__new__(cls)
+        for name in cls.__slots__:
+            object.__setattr__(record, name, 0)
+        twin = cls.__new__(cls)
+        for name in cls.__slots__:
+            object.__setattr__(twin, name, 0)
+        assert record == twin and hash(record) == hash(twin), cls
+        field = cls.__slots__[0]
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(record, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+
+
 def test_node_equality_and_size():
     t = Node("par", [Node("nil", []), Node("nil", [])])
     assert t == Node("par", [Node("nil", []), Node("nil", [])])
