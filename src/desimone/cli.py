@@ -21,11 +21,13 @@ to enumerate, or more than ``MAX_CLOSED_TERMS`` closed terms up to
 runs out of memory. ``main`` maps each refusal to one line on stderr.
 A reader that closes stdout early ends the command quietly with exit 1.
 Two inputs meet the depth refusal: a table depth past the limit (tables
-recurse once per depth), and premised nesting past it under ``step`` (it
-recurses once per premised level, so ``step --direct`` refuses ``par``
-nested 10,000 deep). Term depth alone is answered: every whole-term walk
-goes through ``terms.fold`` or a stack of its own, and a term's sort key
-is flat, so rule targets of any depth fire and sort.
+recurse once per depth, and ``traces`` tables before its ``--oracle`` lists
+a path, so ``traces --depth 3000`` is refused either way), and premised
+nesting past it under ``step`` (it recurses once per premised level, so
+``step --direct`` refuses ``par`` nested 10,000 deep). Term depth alone is
+answered: every whole-term walk goes through ``terms.fold`` or a stack of
+its own, and a term's sort key is flat, so rule targets of any depth fire
+and sort.
 """
 
 from __future__ import annotations

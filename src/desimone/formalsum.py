@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .semiring import INF, Semiring
-from .terms import HOLE, Leaf, Node, Record, Var, fold, graft
+from .terms import HOLE, Leaf, Node, Record, Var, _refuse, fold, graft
 
 
 class FormalSum:
@@ -43,8 +43,7 @@ class FormalSum:
         object.__setattr__(self, "_entries", merged)
         object.__setattr__(self, "_hash", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalSum is immutable")
+    __setattr__ = __delattr__ = _refuse
 
     def weight(self, payload):
         return self._entries.get(payload, self.semiring.zero)
@@ -141,8 +140,7 @@ class Step:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "_hash", hash(("step", label, target)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Step is immutable")
+    __setattr__ = __delattr__ = _refuse
 
     def __eq__(self, other):
         return (

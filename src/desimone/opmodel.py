@@ -13,9 +13,10 @@ composite law and shares none of this reading of the rules, so this module
 imports nothing from ``law``.
 
 ``explore`` is the one breadth-first walk over the states reachable from a set
-of roots: ``check_probabilistic``, bisimulation and the termination analysis
-read its walk order and the behaviour it stepped for each state, and the
-congruence check's hole guard how far it gets before ``step`` refuses a state.
+of roots: ``check_probabilistic``, bisimulation, the termination analysis and
+the path-sum oracle ``trace_direct`` read its walk order or the behaviour it
+stepped for each state, and the congruence check's hole guard how far it gets
+before ``step`` refuses a state.
 Distances stay inside the walk, which needs them for its horizon.
 """
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import weakref
 from functools import partial
-from typing import NamedTuple
 
 from .formalsum import STOP, FormalSum, Step, fs_total, is_affine
 from .rulespec import RuleTargetError
@@ -180,12 +180,11 @@ def _step(spec, term, cache):
     return result
 
 
-class Walk(NamedTuple):
-    """The result of ``explore``."""
+class Walk(Record):
+    """``explore``'s states in breadth-first ``order``, the memoized ``step``
+    ``behaviours`` of those it expanded, and whether it is ``closed``."""
 
-    order: list  # states in breadth-first order
-    behaviours: dict  # expanded state -> its memoized ``step`` behaviour
-    closed: bool  # every known state expanded, and within both bounds
+    __slots__ = ("order", "behaviours", "closed")
 
 
 MAX_WALK_NODES = 1_000_000

@@ -8,9 +8,9 @@ context's ``HOLE``. Closed terms are all-``Node`` trees over a signature.
 Walkers that visit every node (``fold``, ``leaves``, ``Node.__eq__``, the
 term keys of ``payload_key``) keep their work on an explicit stack, so term
 depth is not bounded by the recursion limit. ``fold`` is the one bottom-up
-walk: ``graft``, ``print_term``, ``dist_sigma_star``, ``step_law`` and the
-law's rule targets, the engine's rule plans and the context paths of
-``analysis`` all go through it.
+walk: ``graft``, ``print_term``, a node's ``repr``, ``dist_sigma_star``,
+``step_law`` and the law's rule targets, the engine's rule plans and the
+context paths of ``analysis`` all go through it.
 
 One size recurrence counts the closed terms for the enumeration bound,
 lists them and counts them by class; an argument tuple is built only at the
@@ -121,8 +121,7 @@ class Leaf:
         object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "_hash", hash(("leaf", payload)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Leaf is immutable")
+    __setattr__ = __delattr__ = _refuse
 
     def __eq__(self, other):
         return isinstance(other, Leaf) and self.payload == other.payload
@@ -147,8 +146,7 @@ class Node:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "_hash", hash(("node", op, children)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Node is immutable")
+    __setattr__ = __delattr__ = _refuse
 
     def __eq__(self, other):
         # node pairs wait on a stack; shared subterms are skipped by identity
@@ -174,8 +172,9 @@ class Node:
     def __hash__(self):
         return self._hash
 
-    def __repr__(self):
-        return f"Node({self.op!r}, {list(self.children)!r})"
+    def __repr__(self):  # a fold, so depth costs no recursion
+        return fold(self, lambda p: f"Leaf({p!r})",
+                    lambda n, args: f"Node({n.op!r}, [{', '.join(args)}])")
 
 
 class Signature:

@@ -3,15 +3,17 @@
 A trace table is a formal sum over words (tuples of labels, first action
 first). ``trace_bounded`` iterates the trace functional from the empty table;
 ``trace_direct`` recomputes weights by summing over explicit transition
-paths, an independent oracle. ``ast_estimate`` watches the completed-trace
-mass grow with depth and, when the reachable state space closes, pins the
-limit down exactly. It never builds word tables: one ``opmodel.explore``
-walk steps each reachable state once, and both answers are the sum over
-paths of path weight times stop weight. One step, ``_push``, passes a
-state's path weight on to its targets: once per depth from the root for the
-mass sequence, and in topological order for the limit of an acyclic space.
-Summed per state instead of per word, the mass at depth d is the exact total
-of the ``trace_bounded`` table, which the tests use as its oracle.
+paths one by one, an independent oracle that steps no state itself: it
+reads the behaviours of one ``opmodel.explore`` walk. ``ast_estimate``
+watches the completed-trace mass grow with depth and, when the reachable
+state space closes, pins the limit down exactly. It never builds word
+tables: one ``explore`` walk steps each reachable state once, and both
+answers are the sum over paths of path weight times stop weight. One step,
+``_push``, passes a state's path weight on to its targets: once per depth
+from the root for the mass sequence, and in topological order for the
+limit of an acyclic space. Summed per state instead of per word, the mass
+at depth d is the exact total of the ``trace_bounded`` table, which the
+tests use as its oracle.
 
 Open questions
 --------------
@@ -30,8 +32,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .formalsum import STOP, FormalSum, Step
-from .opmodel import _step, explore, model_cache, step
+from .formalsum import STOP, FormalSum
+from .opmodel import _step, explore, model_cache
 from .terms import Node, Record
 
 
@@ -132,23 +134,22 @@ def _bounded(spec, term, n, cache, partial):
 
 
 def trace_direct(spec, term, max_len):
-    """Word weights summed over explicit transition paths of length <= max_len."""
+    """Word weights summed over explicit transition paths of length <= max_len,
+    each a ``(state, word, weight)`` triple on a stack, never merged with
+    another path to its state: ``explore`` steps the states, once each."""
     _check_table_args("trace_direct", term, "max_len", max_len)
     sr = spec.semiring
+    behaviours = explore(spec, [term], max_len, 0).behaviours
     entries = []
-
-    def walk(t, word, weight):
-        behaviour = step(spec, t)
-        stop_w = behaviour.weight(STOP)
-        if not sr.is_zero(stop_w):
-            entries.append((word, sr.mul(weight, stop_w)))
-        if len(word) >= max_len:
-            return
-        for e, w in behaviour.items():
-            if isinstance(e, Step):
-                walk(e.target, word + (e.label,), sr.mul(weight, w))
-
-    walk(term, (), sr.one)
+    paths = [(term, (), sr.one)]
+    while paths:
+        t, word, weight = paths.pop()
+        entries.append((word, sr.mul(weight, behaviours[t].weight(STOP))))  # 0 is dropped
+        if len(word) < max_len:
+            paths.extend(reversed([  # popped in behaviour order
+                (e.target, word + (e.label,), sr.mul(weight, w))
+                for e, w in behaviours[t].items() if e is not STOP
+            ]))
     return FormalSum(sr, entries)
 
 
@@ -265,55 +266,32 @@ def ast_estimate(spec, term, max_depth, max_states=10000):
         masses.append((depth, mass))
         prev = mass
 
-    if walk.closed:
-        limit = _acyclic_limit(sr, walk, term)
-        if limit is not None:
-            if limit == sr.one:
-                verdict = "ast-consistent"
-                detail = "closed acyclic state space; limit mass is exactly 1"
-            elif sr.leq(limit, sr.one):
-                verdict = "non-ast"
-                detail = (
-                    "closed acyclic state space; limit mass is exactly "
-                    f"{sr.show(limit)} < 1"
-                )
-            else:
-                verdict = "inconclusive"
-                detail = (
-                    "closed acyclic state space; limit mass is exactly "
-                    f"{sr.show(limit)} > 1, so it is not a termination probability"
-                )
-            return AstReport(verdict, masses, limit=limit, detail=detail)
-        stop_somewhere = any(
-            not sr.is_zero(b.weight(STOP)) for b in walk.behaviours.values()
-        )
-        if not stop_somewhere:
-            return AstReport(
-                "non-ast",
-                masses,
-                limit=sr.zero,
-                detail="no reachable state has positive termination weight",
-            )
-
-    threshold = Fraction(1) - AST_TOLERANCE
     final = masses[-1][1] if masses else sr.zero
-    if not sr.leq(final, sr.one):
-        return AstReport(
-            "inconclusive",
-            masses,
-            detail=(
-                f"mass {sr.show(final)} at depth {max_depth} exceeds 1, so it is "
-                "not a termination probability"
-            ),
+    limit = _acyclic_limit(sr, walk, term) if walk.closed else None
+    if limit is not None:
+        closed = f"closed acyclic state space; limit mass is exactly {sr.show(limit)}"
+        if limit == sr.one:
+            verdict, detail = "ast-consistent", closed
+        elif sr.leq(limit, sr.one):
+            verdict, detail = "non-ast", f"{closed} < 1"
+        else:
+            verdict = "inconclusive"
+            detail = f"{closed} > 1, so it is not a termination probability"
+    elif walk.closed and all(
+        sr.is_zero(b.weight(STOP)) for b in walk.behaviours.values()
+    ):
+        verdict, limit = "non-ast", sr.zero
+        detail = "no reachable state has positive termination weight"
+    elif not sr.leq(final, sr.one):
+        verdict = "inconclusive"
+        detail = (
+            f"mass {sr.show(final)} at depth {max_depth} exceeds 1, so it is "
+            "not a termination probability"
         )
-    if sr.leq(threshold, final):
-        return AstReport(
-            "ast-consistent",
-            masses,
-            detail=f"mass reached {sr.show(final)} >= 1 - 10^-6 by depth {max_depth}",
-        )
-    return AstReport(
-        "inconclusive",
-        masses,
-        detail=f"mass {sr.show(final)} at depth {max_depth}; no closure argument applies",
-    )
+    elif sr.leq(Fraction(1) - AST_TOLERANCE, final):
+        verdict = "ast-consistent"
+        detail = f"mass reached {sr.show(final)} >= 1 - 10^-6 by depth {max_depth}"
+    else:
+        verdict = "inconclusive"
+        detail = f"mass {sr.show(final)} at depth {max_depth}; no closure argument applies"
+    return AstReport(verdict, masses, limit, detail)

@@ -293,6 +293,16 @@ def test_applying_a_context_with_a_stray_leaf_fails(prob_par):
         bad.apply(t(prob_par, "nil"))
 
 
+def test_a_context_whose_path_ends_at_a_deep_term_is_refused_by_name():
+    deep = Node("nil")
+    for _ in range(2000):
+        deep = Node("pre_a", [deep])
+    with pytest.raises(ValueError) as err:
+        Context(Node("f", [deep]), (0,))
+    assert str(err.value) == f"context has {deep!r}, not a hole, at (0,)"
+    assert str(err.value).startswith("context has Node('pre_a', [Node('pre_a', [")
+
+
 @pytest.mark.parametrize("path", [(0, 0), (5,)])
 def test_a_context_path_that_leaves_the_term_is_refused(path):
     with pytest.raises(ValueError) as err:

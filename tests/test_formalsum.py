@@ -419,15 +419,24 @@ def test_dist_sigma_star_nested_term():
 def test_sums_and_steps_refuse_a_non_semiring_and_mutation():
     with pytest.raises(TypeError, match="^first argument must be a Semiring$"):
         FormalSum("rational")
-    with pytest.raises(AttributeError, match="^FormalSum is immutable$"):
+    with pytest.raises(AttributeError, match="^cannot assign to field 'semiring'$"):
         fs_empty(BOOLEAN).semiring = RATIONAL
-    with pytest.raises(AttributeError, match="^Step is immutable$"):
+    with pytest.raises(AttributeError, match="^cannot assign to field 'label'$"):
         Step("a", "v").label = "b"
+    with pytest.raises(AttributeError, match="^cannot assign to field 'semiring'$"):
+        del fs_empty(BOOLEAN).semiring
+    with pytest.raises(AttributeError, match="^cannot assign to field 'label'$"):
+        del Step("a", "v").label
 
 
 def test_step_and_stop_reprs():
     assert repr(Step("a", Node("nil"))) == "Step('a', Node('nil', []))"
     assert repr(STOP) == "STOP"
+    deep = Node("nil")
+    for _ in range(2000):  # past the recursion limit
+        deep = Node("pre_a", [deep])
+    deep_text = "Node('pre_a', [" * 2000 + "Node('nil', [])" + "])" * 2000
+    assert repr(fs_unit(RATIONAL, Step("a", deep))) == f"<Step('a', {deep_text}): 1>"
 
 
 @pytest.mark.parametrize(

@@ -131,11 +131,11 @@ def test_all_lists_exactly_what_the_package_imports():
 
 
 # Every package function that calls itself, each with what bounds its depth.
-# A walk over a whole term goes through ``terms.fold`` instead.
+# A walk over a whole term goes through ``terms.fold`` instead, and the
+# path-sum oracle keeps its paths on a stack.
 RECURSIVE = {
     "opmodel._step",  # premised nesting (ROADMAP item 5)
     "trace._bounded",  # the table depth
-    "trace.trace_direct.walk",  # the word length
     "formalsum.payload_key",  # words and sums
 }
 
@@ -160,10 +160,10 @@ def test_only_the_allowed_functions_recurse():
 
 
 # Every package function that calls the engine's ``step`` by name. A walk
-# over reachable states goes through ``opmodel.explore`` instead.
+# over reachable states goes through ``opmodel.explore`` instead, and so do
+# the paths of the path-sum oracle, ``trace.trace_direct``.
 STEPPERS = {
     "opmodel.explore",  # the one walk
-    "trace.trace_direct.walk",  # the path-sum oracle
     "cli.cmd_step",  # the command that prints one step
 }
 

@@ -88,7 +88,7 @@ def test_every_record_is_frozen_and_hashable():
     from desimone.terms import Record
 
     classes = Record.__subclasses__()
-    assert len(classes) == 12
+    assert len(classes) == 13
     for cls in classes:
         record = cls.__new__(cls)
         for name in cls.__slots__:
@@ -537,9 +537,12 @@ def test_enumeration_refuses_a_negative_size():
 
 
 def test_terms_are_immutable():
-    for term, name in ((Leaf(1), "Leaf"), (Node("nil"), "Node")):
-        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
-            term.size = 5
+    for term, field in ((Leaf(1), "payload"), (Node("nil"), "op")):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(term, field, 5)
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            delattr(term, field)
+    assert term == Node("nil") and hash(term) == hash(Node("nil"))
 
 
 def test_nodes_whose_hashes_collide_compare_their_leaf_payloads():
@@ -554,6 +557,12 @@ def test_node_and_signature_reprs():
         "Node('f', [Leaf(x1), Node('nil', [])])"
     )
     assert repr(Signature([("nil", 0), ("f", 2)])) == "Signature(nil/0, f/2)"
+    deep = Node("nil")
+    for _ in range(2000):  # past the recursion limit
+        deep = Node("pre_a", [deep])
+    text = repr(deep)
+    assert text == "Node('pre_a', [" * 2000 + "Node('nil', [])" + "])" * 2000
+    assert repr(Node("f", [Leaf(deep)])) == f"Node('f', [Leaf({text})])"
 
 
 def test_graft_refuses_a_leaf_that_holds_no_term():

@@ -201,6 +201,16 @@ def test_direct_ignores_words_longer_than_the_bound(prob_par, par_term):
     assert set(table.payloads()) == {("a",), ("b",)}
 
 
+def test_direct_sums_paths_past_the_recursion_limit():
+    spec = parse_spec(
+        "dialect weighted\nsemiring rational\nlabels a\nop c : 0\n"
+        "rule c -[1/2]-> *\nrule c -a[1/2]-> c\n"
+    )
+    table = trace_direct(spec, t(spec, "c"), 2000)
+    closed_form = [(("a",) * k, F(1, 2 ** (k + 1))) for k in range(2001)]
+    assert table == FormalSum(RATIONAL, closed_form)
+
+
 def test_direct_rejects_a_negative_bound(prob_par):
     with pytest.raises(ValueError):
         trace_direct(prob_par, t(prob_par, "nil"), -1)
