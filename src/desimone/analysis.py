@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 
 from .formalsum import STOP, payload_key
-from .opmodel import explore
+from .opmodel import explore, model_cache
 from .terms import (
     HOLE,
     Leaf,
@@ -303,9 +303,14 @@ def fingerprint_buckets(spec, size_bound, depth):
     interleaves termination). Both are functions of a term's ``depth``-step
     bisimulation class, so the quotient comes first and each block is
     fingerprinted once, after ``closed_term_classes`` applies the bound.
+    The list is memoized per spec under ``(size_bound, depth)``, so a second
+    call, the search's after the CLI's, quotients nothing.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    memo = model_cache(spec).buckets
+    if (size_bound, depth) in memo:
+        return memo[size_bound, depth]
     blocks = {}  # block -> [count, first member], in order of first member
     for size in _quotient(spec, size_bound, depth):
         for block, (n, first) in size.items():
@@ -316,22 +321,21 @@ def fingerprint_buckets(spec, size_bound, depth):
         bucket = buckets.setdefault(fp, [fp, 0, []])
         bucket[1] += n
         bucket[2].append(t)
-    return [tuple(bucket) for bucket in buckets.values()]
+    memo[size_bound, depth] = [tuple(bucket) for bucket in buckets.values()]
+    return memo[size_bound, depth]
 
 
-def counterexample_search(
-    spec, size_bound, depth, extra_contexts=100, seed=0, buckets=None
-):
+def counterexample_search(spec, size_bound, depth, extra_contexts=100, seed=0):
     """First congruence violation among enumerated trace-equivalent terms.
 
-    Each bucket's representatives are split, in bucket order. Whether a
-    context splits a member from the bucket's first member depends only on
-    the member's ``depth``-step bisimulation class, so the first
+    The buckets are ``fingerprint_buckets(spec, size_bound, depth)``, which
+    refuses a depth below one and hands a caller that computed them first
+    its memoized list. Each bucket's representatives are split, in bucket
+    order. Whether a context splits a member from the bucket's first member
+    depends only on the member's ``depth``-step bisimulation class, so the first
     representative that splits is the first member that splits: the
     reported pair is the one tabling every member would report. Within a
     bucket the depth-1 context layer is tried before the sampled ones.
-    ``buckets``, when given, must be ``fingerprint_buckets(spec, size_bound,
-    depth)``, already computed.
 
     A context that steps its hole no sooner than ``g`` steps in (its
     guard) sees a plugged term only through its ``(depth - g)``-step
@@ -343,12 +347,9 @@ def counterexample_search(
     unchanged. At ``g == depth`` one representative is left, and the check
     is skipped.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     if extra_contexts < 0:
         raise ValueError("extra_contexts must be >= 0")
-    if buckets is None:
-        buckets = fingerprint_buckets(spec, size_bound, depth)
+    buckets = fingerprint_buckets(spec, size_bound, depth)
     if all(len(reps) < 2 for _, _, reps in buckets):
         return None
     contexts = generate_contexts(spec, extra_contexts, size_bound, seed)

@@ -95,17 +95,19 @@ def _shown(entry, key):
     return text
 
 
-def _behaviour_entries(spec, behaviour, with_float=False):
+def _entries(spec, s, entry, with_float=False):
+    """The weighted listing of the formal sum ``s``: per element, in sorted
+    order, the dict ``entry(element)`` with its weight stored by ``_weighed``."""
+    return [_weighed(spec, entry(p), "weight", w, with_float) for p, w in s.sorted_items()]
+
+
+def _move(e):
+    """A behaviour's element as an entry: a stop or a labelled step."""
     from .formalsum import STOP
 
-    entries = []
-    for e, w in behaviour.sorted_items():
-        if e is STOP:
-            entry = {"kind": "stop"}
-        else:
-            entry = {"kind": "step", "label": e.label, "target": print_term(e.target)}
-        entries.append(_weighed(spec, entry, "weight", w, with_float))
-    return entries
+    if e is STOP:
+        return {"kind": "stop"}
+    return {"kind": "step", "label": e.label, "target": print_term(e.target)}
 
 
 def _print_behaviour(entries, indent):
@@ -114,15 +116,6 @@ def _print_behaviour(entries, indent):
     for e in entries:
         move = "-> *" if e["kind"] == "stop" else f"-{e['label']}-> {e['target']}"
         print(f"{indent}{move}  [{_shown(e, 'weight')}]")
-
-
-def _table_entries(spec, table, with_float):
-    from .trace import word_to_str
-
-    return [
-        _weighed(spec, {"word": word_to_str(word, spec.labels)}, "weight", w, with_float)
-        for word, w in table.sorted_items()
-    ]
 
 
 def _print_table(entries):
@@ -192,13 +185,13 @@ def cmd_step(spec, args):
         canonical = step_law(spec, term)
         direct = step(spec, term)
         payload = {
-            "entries": _behaviour_entries(spec, canonical, args.float),
-            "direct_entries": _behaviour_entries(spec, direct, args.float),
+            "entries": _entries(spec, canonical, _move, args.float),
+            "direct_entries": _entries(spec, direct, _move, args.float),
             "agree": canonical == direct,
         }
     else:
         behaviour = step(spec, term) if args.direct else step_law(spec, term)
-        payload = {"entries": _behaviour_entries(spec, behaviour, args.float)}
+        payload = {"entries": _entries(spec, behaviour, _move, args.float)}
     payload["term"] = print_term(term)
     return payload, payload.get("agree", True)
 
@@ -215,16 +208,15 @@ def show_step(payload, args):
 
 def cmd_traces(spec, args):
     from .formalsum import fs_empty, fs_total
-    from .trace import trace_bounded, trace_direct
+    from .trace import trace_bounded, trace_direct, word_to_str
+
+    def listed(table):
+        return _entries(spec, table, lambda w: {"word": word_to_str(w, spec.labels)}, args.float)
 
     term = _load_term(spec, args.term)
     _at_least(args, "depth", 0)
     table = trace_bounded(spec, term, args.depth)
-    payload = {
-        "term": print_term(term),
-        "depth": args.depth,
-        "traces": _table_entries(spec, table, args.float),
-    }
+    payload = {"term": print_term(term), "depth": args.depth, "traces": listed(table)}
     _weighed(spec, payload, "mass", fs_total(table), args.float)
     if args.oracle:
         # the fixpoint iterate at depth d holds words of length <= d - 1,
@@ -234,7 +226,7 @@ def cmd_traces(spec, args):
             if args.depth > 0
             else fs_empty(spec.semiring)
         )
-        payload["oracle"] = _table_entries(spec, oracle, args.float)
+        payload["oracle"] = listed(oracle)
         payload["agree"] = oracle == table
     return payload, payload.get("agree", True)
 
@@ -284,13 +276,6 @@ def show_equiv(payload, args):
         print(f"  word {d['word'] or '(empty)'}: {d['left_weight']} vs {d['right_weight']}")
 
 
-def _sum_entries(spec, s):
-    return [
-        {"value": str(p), "weight": spec.semiring.show(w)}
-        for p, w in s.sorted_items()
-    ]
-
-
 def _sum_str(entries):
     return "{" + ", ".join(f"{e['value']}: {e['weight']}" for e in entries) + "}"
 
@@ -298,15 +283,14 @@ def _sum_str(entries):
 def _arg_json(spec, arg):
     from .formalsum import STOP, Pure
 
+    def listed(s):
+        return _entries(spec, s, lambda p: {"value": str(p)})
+
     if isinstance(arg, Pure):
-        return {"kind": "pure", "sum": _sum_entries(spec, arg.value)}
+        return {"kind": "pure", "sum": listed(arg.value)}
     if arg.elem is STOP:
         return {"kind": "stop"}
-    return {
-        "kind": "step",
-        "label": arg.elem.label,
-        "sum": _sum_entries(spec, arg.elem.target),
-    }
+    return {"kind": "step", "label": arg.elem.label, "sum": listed(arg.elem.target)}
 
 
 def _arg_str(arg):
@@ -335,8 +319,8 @@ def cmd_naturality(spec, args):
         payload["witness"] = {
             "op": w.op,
             "args": [_arg_json(spec, a) for a in w.args],
-            "law_first": _behaviour_entries(spec, w.law_first),
-            "args_first": _behaviour_entries(spec, w.args_first),
+            "law_first": _entries(spec, w.law_first, _move),
+            "args_first": _entries(spec, w.args_first, _move),
         }
     return payload, payload["passed"]
 
@@ -371,10 +355,7 @@ def cmd_congruence(spec, args):
     _at_least(args, "size", 0)
     _at_least(args, "contexts", 0)
     buckets = fingerprint_buckets(spec, args.size, args.depth)
-    violation = counterexample_search(
-        spec, args.size, args.depth,
-        extra_contexts=args.contexts, seed=args.seed, buckets=buckets,
-    )
+    violation = counterexample_search(spec, args.size, args.depth, args.contexts, args.seed)
     payload = {
         "size": args.size,
         "depth": args.depth,

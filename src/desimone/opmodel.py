@@ -42,6 +42,8 @@ class ModelCache:
     shared object and each signature of ``trace._bounded`` to the table it
     determines. Both key on the ``id`` of an object that they hold themselves,
     so that object stays alive and its ``id`` names no other object.
+    ``buckets`` maps ``(size_bound, depth)`` to the list that
+    ``analysis.fingerprint_buckets`` returns for it.
     """
 
     def __init__(self):
@@ -52,6 +54,7 @@ class ModelCache:
         self.tables = {}
         self.plans = {}
         self.canon = {}
+        self.buckets = {}
 
 
 _caches = weakref.WeakKeyDictionary()
@@ -199,8 +202,8 @@ def explore(spec, roots, horizon, max_states):
     ``max_states`` states, or states of more than ``MAX_WALK_NODES`` term
     nodes in all. Steps build their targets node by node, so the node count
     bounds the work where the state count does not: the bound allows 100
-    nodes for each of ``ast``'s 10,000 default states, and a chain whose
-    every step adds 200 nodes stops after about 100 states instead of 10,000.
+    nodes for each of ``trace.MAX_AST_STATES``, 10,000 states, and a chain
+    whose every step adds 200 nodes stops after about 100 states instead.
     ``closed`` says it expanded the whole reachable space and that space
     fits both bounds.
     """

@@ -113,21 +113,9 @@ class _Hole:
 HOLE = _Hole()
 
 
-class Leaf:
-    __slots__ = ("payload", "_hash")
+class Leaf(Record):
+    __slots__ = ("payload",)
     size = 0  # leaves carry payloads, not constructors
-
-    def __init__(self, payload):
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "_hash", hash(("leaf", payload)))
-
-    __setattr__ = __delattr__ = _refuse
-
-    def __eq__(self, other):
-        return isinstance(other, Leaf) and self.payload == other.payload
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Leaf({self.payload!r})"

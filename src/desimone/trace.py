@@ -15,8 +15,8 @@ limit of an acyclic space. Summed per state instead of per word, the mass
 at depth d is the exact total of the ``trace_bounded`` table, which the
 tests use as its oracle.
 
-Open questions
---------------
+The leaky chain's limit, checked
+--------------------------------
 The bundled thirty-cell leaky chain terminates with exact mass
 2147483647/3221225472, one 3221225472-th short of 2/3: cell n stops with
 weight 1/(2**n + 2), and the per-cell contributions 1/3, 1/6, 1/12, 1/24, ...
@@ -162,6 +162,7 @@ def word_to_str(word, labels):
 # --- almost-sure termination ----------------------------------------------
 
 AST_TOLERANCE = Fraction(1, 10**6)
+MAX_AST_STATES = 10_000  # the closure walk's bound past the mass horizon
 
 class AstReport(Record):
     """A ``verdict`` ("ast-consistent", "non-ast" or "inconclusive") on the
@@ -230,7 +231,7 @@ def _acyclic_limit(sr, walk, root):
     return limit if len(ready) == len(walk.behaviours) else None
 
 
-def ast_estimate(spec, term, max_depth, max_states=10000):
+def ast_estimate(spec, term, max_depth):
     """Track completed-trace mass by depth and classify termination behaviour.
 
     One ``opmodel.explore`` walk from ``term`` serves both halves. The
@@ -240,8 +241,8 @@ def ast_estimate(spec, term, max_depth, max_states=10000):
     ``trace_bounded``'s total mass is their oracle in the tests. The walk
     also decides closure: past the horizon of max_depth - 1 steps it goes on
     until it has expanded the whole space or passed a bound of ``explore``,
-    ``max_states`` states or ``MAX_WALK_NODES`` nodes, stepping states that
-    no mass reads.
+    ``MAX_AST_STATES`` states or ``MAX_WALK_NODES`` nodes, stepping states
+    that no mass reads.
 
     The mass sequence is monotone by construction; a decrease raises
     ``RuntimeError``. A closed acyclic reachable space gives the exact limit,
@@ -255,7 +256,7 @@ def ast_estimate(spec, term, max_depth, max_states=10000):
     if spec.semiring.name != "rational":
         raise ValueError("ast_estimate needs the rational semiring")
     sr = spec.semiring
-    walk = explore(spec, [term], max_depth - 1, max_states)
+    walk = explore(spec, [term], max_depth - 1, MAX_AST_STATES)
     masses = []
     prev = sr.zero
     for depth, mass in enumerate(_mass_sequence(sr, walk, max_depth), start=1):

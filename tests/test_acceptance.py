@@ -183,9 +183,7 @@ def test_06_trace_equivalence_is_a_congruence_on_the_parallel_specs(
         # the search tries the depth-1 layer and then 200 sampled contexts
         contexts = generate_contexts(spec, extra=200, max_size=7, seed=0)
         assert len(contexts) >= 200
-        found = counterexample_search(
-            spec, 7, 6, extra_contexts=200, seed=0, buckets=buckets
-        )
+        found = counterexample_search(spec, 7, 6, extra_contexts=200, seed=0)
         assert found is None
     budget(300)
 

@@ -622,7 +622,7 @@ def test_random_format_valid_specs_give_the_split_loop_work_and_pass():
         if all(len(reps) < 2 for _, _, reps in buckets):
             continue
         checked += 1
-        assert counterexample_search(spec, 5, 3, buckets=buckets) is None, text
+        assert counterexample_search(spec, 5, 3) is None, text
         assert unguarded_search(spec, 5, 3) is None, text
     assert drawn == 160
 
@@ -656,28 +656,28 @@ def test_search_refuses_a_negative_context_count(copy_nonaffine):
 
 
 def test_congruence_entry_points_refuse_a_depth_below_one(prob_par):
-    buckets = fingerprint_buckets(prob_par, 3, 1)
     for refused in (
         lambda: fingerprint_buckets(prob_par, 3, 0),
         lambda: counterexample_search(prob_par, 3, 0),
-        lambda: counterexample_search(prob_par, 3, 0, buckets=buckets),
     ):
         with pytest.raises(ValueError, match="^depth must be >= 1$"):
             refused()
 
 
-def test_search_reuses_given_buckets(prob_par, monkeypatch, quotient_calls):
+def test_search_reads_the_memoized_buckets(monkeypatch, quotient_calls):
     import desimone.analysis as analysis_module
 
-    buckets = fingerprint_buckets(prob_par, 4, 3)
+    spec = load_spec("prob_par")  # fresh, so the buckets are computed here
+    buckets = fingerprint_buckets(spec, 4, 3)
     quotient_calls.clear()
 
-    def recomputed(*args):
-        raise AssertionError("buckets were recomputed")
+    def requotiented(*args):
+        raise AssertionError("the terms were quotiented again")
 
-    monkeypatch.setattr(analysis_module, "fingerprint_buckets", recomputed)
-    assert counterexample_search(prob_par, 4, 3, buckets=buckets) is None
-    # given buckets carry their representatives: no call quotients terms,
+    monkeypatch.setattr(analysis_module, "_quotient", requotiented)
+    assert counterexample_search(spec, 4, 3) is None
+    assert fingerprint_buckets(spec, 4, 3) is buckets
+    # memoized buckets carry their representatives: no call quotients terms,
     # each one thins one bucket's representatives once per context guard
     bucket_reps = [reps for _, _, reps in buckets]
     assert quotient_calls
@@ -686,11 +686,22 @@ def test_search_reuses_given_buckets(prob_par, monkeypatch, quotient_calls):
     assert len({(tuple(roots), depth) for roots, depth in quotient_calls}) == len(
         quotient_calls
     )
-    with pytest.raises(AssertionError, match="recomputed"):
-        counterexample_search(prob_par, 4, 3)
+    with pytest.raises(AssertionError, match="quotiented again"):
+        counterexample_search(spec, 5, 3)
 
 
-def test_search_quotients_the_first_term_of_each_key(prob_par, quotient_calls):
+def test_buckets_memoized_at_other_bounds_leave_the_search_its_witness():
+    # buckets of a smaller size or a shallower depth miss the size-7 witness
+    # or pair terms that depth 4 tells apart, so neither may answer for 7/4
+    spec = load_spec("copy_nonaffine")
+    fingerprint_buckets(spec, 5, 4)
+    fingerprint_buckets(spec, 7, 3)
+    violation = counterexample_search(spec, 7, 4)
+    assert violation.context.show() == "f([])" and violation.verified
+
+
+def test_search_quotients_the_first_term_of_each_key(quotient_calls):
+    prob_par = load_spec("prob_par")  # fresh, so no buckets are memoized
     assert counterexample_search(prob_par, 4, 3) is None
     calls = [roots for roots, depth in quotient_calls if depth == 3]
     terms = list(enumerate_closed_terms(prob_par.signature, 4))
@@ -940,10 +951,10 @@ def _counting_composites(monkeypatch):
 
 def test_prob_search_tables_only_what_its_guards_let_through(monkeypatch):
     spec = load_spec("prob_par")  # fresh, so the memo counts this search
-    buckets = fingerprint_buckets(spec, 7, 5)
+    fingerprint_buckets(spec, 7, 5)
     before = len(model_cache(spec).trace)
     built = _counting_composites(monkeypatch)
-    assert counterexample_search(spec, 7, 5, buckets=buckets) is None
+    assert counterexample_search(spec, 7, 5) is None
     # 672 composites and 2,213 tables below them under every hash seed
     # tried; with every guard 0 the search builds 3,328 and memoizes 6,781
     assert len(built) <= 700
@@ -968,8 +979,8 @@ def test_the_split_loop_holds_no_composite_after_its_check():
     spec = load_spec("copy_nonaffine")
     tracemalloc.start()
     try:
-        buckets = fingerprint_buckets(spec, 7, 4)
-        violation = counterexample_search(spec, 7, 4, buckets=buckets)
+        fingerprint_buckets(spec, 7, 4)
+        violation = counterexample_search(spec, 7, 4)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -518,15 +518,19 @@ def test_congruence_computes_its_buckets_once(run, monkeypatch, quotient_calls):
     import desimone.analysis as analysis_module
 
     calls, bucket_reps = [], []
-    buckets = analysis_module.fingerprint_buckets
+    buckets, quotient = analysis_module.fingerprint_buckets, analysis_module._quotient
 
-    def counting(*args):
-        calls.append(args[1:])
+    def collecting(*args):
         found = buckets(*args)
         bucket_reps.extend(reps for _, _, reps in found)
         return found
 
-    monkeypatch.setattr(analysis_module, "fingerprint_buckets", counting)
+    def counting(*args):
+        calls.append(args[1:])
+        return quotient(*args)
+
+    monkeypatch.setattr(analysis_module, "fingerprint_buckets", collecting)
+    monkeypatch.setattr(analysis_module, "_quotient", counting)
     code, _, _ = run(
         "congruence", path("copy_nonaffine"), "--size", "5", "--depth", "3",
         "--contexts", "10",

@@ -418,16 +418,19 @@ def _mutate(rng, text):
     return "\n".join(lines) + "\n"
 
 
-def test_mutated_specs_answer_or_refuse():
+def test_mutated_specs_answer_or_refuse(monkeypatch):
     """Every mutant is refused at parse time, or each analysis on its small
     terms answers or refuses a fired rule with an unbound target variable.
     The one other refusal is ``ast_estimate``'s on a boolean spec."""
+    import desimone.trace as trace_module
+
+    monkeypatch.setattr(trace_module, "MAX_AST_STATES", 200)
     rng = random.Random(0)
     texts = [spec_text(name) for name in SPEC_NAMES]
     analyses = [
         step,
         lambda spec, term: trace_bounded(spec, term, 3),
-        lambda spec, term: ast_estimate(spec, term, 4, max_states=200),
+        lambda spec, term: ast_estimate(spec, term, 4),
     ]
     outcomes = Counter()
     for _ in range(400):

@@ -88,7 +88,7 @@ def test_every_record_is_frozen_and_hashable():
     from desimone.terms import Record
 
     classes = Record.__subclasses__()
-    assert len(classes) == 13
+    assert len(classes) == 14
     for cls in classes:
         record = cls.__new__(cls)
         for name in cls.__slots__:
